@@ -32,13 +32,15 @@ if grep -rnE 'set_write_log\(' bench examples; then
   exit 1
 fi
 
-# Batch-drain gate: the engine drain loops feed sketches through
-# `UpdateBatch` (the vectorized hot path). A per-item `->Update(` call in
-# a drain file is legal only as the `force_scalar` escape hatch — i.e.
-# within two lines of a `force_scalar` guard. Anything else is the scalar
-# path creeping back into the hot loop.
+# Batch-drain gate: the drain loops feed sketches through `UpdateBatch`
+# (the vectorized hot path). `ReplicaPipeline::Drain` is the only engine
+# drain loop (both engines' `force_scalar` flags feed its one branch);
+# item_source.cc holds the single-sketch `Drain`. A per-item `->Update(`
+# call in a drain file is legal only as the `force_scalar` escape hatch —
+# i.e. within two lines of a `force_scalar` guard. Anything else is the
+# scalar path creeping back into the hot loop.
 batch_gate_failed=0
-for drain_file in src/api/stream_engine.cc src/shard/sharded_engine.cc src/api/item_source.cc; do
+for drain_file in src/api/replica_pipeline.cc src/api/item_source.cc; do
   if ! grep -q 'UpdateBatch(' "$drain_file"; then
     echo "check.sh: $drain_file no longer drains through UpdateBatch() — the batch hot path is gone" >&2
     batch_gate_failed=1

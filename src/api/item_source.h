@@ -89,9 +89,9 @@ Stream Materialize(ItemSource& source);
 Stream Materialize(ItemSource&& source);
 
 /// \brief Zero-copy view over an existing `Stream` (borrowed; the vector
-/// must outlive the source), or an owning variant for temporaries. The shim
-/// behind every legacy `Run(const Stream&)` / `Consume(const Stream&)`
-/// call.
+/// must outlive the source), or an owning variant for temporaries — how a
+/// materialized vector reaches an engine (`Run(VectorSource(stream))`),
+/// and the shim behind `Consume(const Stream&)`.
 class VectorSource : public ItemSource {
  public:
   /// \brief Borrows `stream`; no copy is made.

@@ -1,0 +1,257 @@
+#ifndef FEWSTATE_API_REPLICA_PIPELINE_H_
+#define FEWSTATE_API_REPLICA_PIPELINE_H_
+
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "api/sketch.h"
+#include "common/stream_types.h"
+#include "nvm/live_sink.h"
+#include "obs/metrics.h"
+#include "recover/checkpoint_policy.h"
+#include "shard/sketch_factory.h"
+#include "shard/snapshot_serving.h"
+#include "state/dirty_tracker.h"
+
+namespace fewstate {
+
+// api/item_source.h, obs/trace.h
+class ItemSource;
+class TraceRecorder;
+
+/// \brief Per-sketch outcome of one engine run: the deltas of the sketch's
+/// `StateAccountant` over the run, plus wall time spent in its `Update`
+/// calls.
+struct SketchRunReport {
+  std::string name;
+  uint64_t updates = 0;
+  /// The paper's §1.5 metric: updates t with sigma_t != sigma_{t-1}.
+  uint64_t state_changes = 0;
+  uint64_t word_writes = 0;
+  uint64_t suppressed_writes = 0;
+  uint64_t word_reads = 0;
+  /// Lifetime high-water mark of the sketch's allocated state — an
+  /// absolute figure, not a per-run delta (a peak is not differencable).
+  uint64_t peak_allocated_words = 0;
+  double wall_seconds = 0.0;
+  /// True iff a live NVM pipeline is attached to this sketch (or, in
+  /// sharded reports, priced this row's traffic).
+  bool has_nvm = false;
+  /// Cumulative state of the attached simulated device(s): wear accrues
+  /// across runs like a real device, so this is device state at report
+  /// time, not a per-run delta (the accountant columns carry the deltas).
+  NvmReplayReport nvm;
+  /// Checkpoint/recovery rows only (0 elsewhere): snapshots serialized in
+  /// full (whole state rewritten) vs. as deltas (only words changed since
+  /// the previous checkpoint). Their sum is the row's checkpoint count.
+  uint64_t full_checkpoints = 0;
+  uint64_t delta_checkpoints = 0;
+  /// Checkpoint rows of serving runs only (0 elsewhere): snapshots
+  /// published to the lock-free serving slots for concurrent readers
+  /// (`ShardedEngineOptions::serve_snapshots`).
+  uint64_t snapshots_published = 0;
+
+  /// \brief Adds `delta`'s accountant counters and wall time to this row
+  /// (name, peak, device and checkpoint fields are left alone).
+  void Accumulate(const SketchRunReport& delta);
+};
+
+/// \brief Value snapshot of an accountant's counters, turning before/after
+/// pairs into per-run (or per-phase) report deltas. Extend this (and
+/// `DeltaTo`) when `StateAccountant` grows a counter.
+struct AccountantSnapshot {
+  uint64_t updates = 0;
+  uint64_t state_changes = 0;
+  uint64_t word_writes = 0;
+  uint64_t suppressed_writes = 0;
+  uint64_t word_reads = 0;
+
+  static AccountantSnapshot Of(const StateAccountant& a);
+
+  /// \brief The counter deltas accumulated between this snapshot and
+  /// `after`, as a report row (name/peak/wall left for the caller).
+  SketchRunReport DeltaTo(const AccountantSnapshot& after) const;
+};
+
+/// \brief Surfaces a drained `source` that ended non-OK in telemetry: bumps
+/// `fewstate_source_errors_total` and emits a `source_error` instant
+/// (either may be null). Callers already get `status()`; operators
+/// watching mid-run get these.
+void PublishSourceStatus(const ItemSource& source, MetricsRegistry* metrics,
+                         TraceRecorder* trace);
+
+/// \brief Structural configuration of a `ReplicaPipeline`, fixed for its
+/// lifetime.
+struct ReplicaPipelineOptions {
+  /// Labels every metric series of this pipeline carries: `{shard=s}` for
+  /// a `ShardedEngine` shard, none for a `StreamEngine`.
+  MetricLabels labels;
+  /// Checkpoint schedule for sketches added with `EnableCheckpoints`
+  /// (disabled: nothing is ever checkpointed).
+  CheckpointPolicy checkpoint_policy;
+  /// Device spec each checkpointed sketch's snapshots are priced on.
+  NvmSpec checkpoint_nvm;
+  /// Serving only (null otherwise): this pipeline's ingest-progress
+  /// counter, zeroed at construction and stored with release order at
+  /// every batch boundary before any checkpoint trigger is evaluated.
+  std::atomic<uint64_t>* progress = nullptr;
+};
+
+/// \brief One sketch's outcome of a pipeline run.
+struct ReplicaSketchReport {
+  /// Accountant deltas from `BeginRun` to the last batch boundary, update
+  /// wall time, and the live device's state.
+  SketchRunReport ingest;
+  /// Checkpointed sketches only: snapshot accountant deltas summed over
+  /// the run's checkpoints, with the full/delta/published counts, and the
+  /// checkpoint device's state.
+  SketchRunReport checkpoint;
+  /// Items at the most recent checkpoint (0 if none) — the RPO marker.
+  uint64_t last_checkpoint_items = 0;
+};
+
+/// \brief The drain core of both engines: one thread's set of sketches
+/// and everything wired to them.
+///
+/// For every sketch the pipeline owns the sink chain (`LiveNvmSink`,
+/// `DirtyTracker`, the `TeeSink` joining them), the checkpoint schedule,
+/// capture and publication, the telemetry bindings, and the report row.
+/// A `StreamEngine` is one persistent pipeline driven inline; a
+/// `ShardedEngine` runs one fresh pipeline per shard on a worker thread
+/// and merges afterwards — so S=1 ≡ `StreamEngine` holds by construction.
+///
+/// A run is `BeginRun`, then per batch `Drain(items, n)` followed by
+/// `AtBatchBoundary(processed)`, then `Report`. Each boundary refreshes
+/// every sketch's report row from its `StateAccountant`, and telemetry
+/// publishes the rows' growth, so metrics attach no sink and leave the
+/// batch kernels' closed-form settle intact. Rows cover exactly what the
+/// pipeline drained: writes after the last boundary (a merge into the
+/// sketch) stay out of them. Not thread-safe: one thread drives a
+/// pipeline between `BeginRun` and `Report`.
+class ReplicaPipeline {
+ public:
+  explicit ReplicaPipeline(ReplicaPipelineOptions options = {});
+  /// Detaches pipeline-owned sinks from the sketches, so a borrowed
+  /// sketch outliving the pipeline is not left pointing at freed sinks.
+  ~ReplicaPipeline();
+  ReplicaPipeline(const ReplicaPipeline&) = delete;
+  ReplicaPipeline& operator=(const ReplicaPipeline&) = delete;
+
+  /// \brief Adds `sketch` under `name`: borrowed (it must outlive the
+  /// pipeline) unless `owned`, which must then hold `sketch`.
+  void Add(std::string name, Sketch* sketch, std::unique_ptr<Sketch> owned);
+
+  /// \brief Prices sketch `i`'s writes live on a fresh device minted from
+  /// `spec` (validated by the caller), replacing any previous device.
+  void AttachNvm(size_t i, const NvmSpec& spec);
+
+  /// \brief Checkpoints sketch `i` under the pipeline's policy, minting
+  /// snapshot replicas from `factory`. `restorable` selects exact restores
+  /// (and delta snapshots) over merge-based full snapshots. A non-null
+  /// `serving_slot` is cleared here and receives every checkpoint.
+  void EnableCheckpoints(size_t i, SketchFactory factory, bool restorable,
+                         std::shared_ptr<const ShardSnapshot>* serving_slot);
+
+  size_t size() const { return slots_.size(); }
+  const std::string& name(size_t i) const { return slots_[i].name; }
+  Sketch* sketch(size_t i) const { return slots_[i].sketch; }
+  /// \brief Sketch `i`'s live device, or nullptr.
+  LiveNvmSink* nvm_sink(size_t i) const { return slots_[i].nvm.get(); }
+  /// \brief Sketch `i`'s checkpoint device, or nullptr.
+  LiveNvmSink* checkpoint_sink(size_t i) const {
+    return slots_[i].ckpt_sink.get();
+  }
+  /// \brief Sketch `i`'s most recent checkpoint, or nullptr.
+  const Sketch* snapshot(size_t i) const { return slots_[i].snapshot.get(); }
+
+  /// \brief Starts a run: resets timers and the item cursor, snapshots
+  /// every accountant, and binds telemetry (both borrowed; null = off).
+  void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
+                bool force_scalar);
+
+  /// \brief Feeds one batch to every sketch, in registration order,
+  /// through `UpdateBatch` (or item by item when `force_scalar`).
+  void Drain(const Item* items, size_t n);
+
+  /// \brief Batch-boundary work after `processed` items this run:
+  /// telemetry, serving progress, then checkpoint triggers.
+  void AtBatchBoundary(uint64_t processed);
+
+  /// \brief End-of-run barrier: flushes every device and returns one row
+  /// per sketch, publishing the end-of-run wear and cache probes.
+  std::vector<ReplicaSketchReport> Report();
+
+ private:
+  struct Telemetry {
+    Counter* state_changes = nullptr;
+    Counter* word_writes = nullptr;
+    Gauge* change_rate = nullptr;
+    Gauge* wear_rate = nullptr;
+    Gauge* live_max_wear = nullptr;  // live device attached only
+    Counter* ckpt_full = nullptr;    // checkpointed only, likewise below
+    Counter* ckpt_delta = nullptr;
+    Counter* ckpt_words = nullptr;
+    Counter* published = nullptr;
+  };
+
+  /// Checkpoint bookkeeping of one sketch.
+  struct CkptTrack {
+    uint64_t next_every_items = 0;  // next kEveryItems threshold
+    uint64_t writes_at_last = 0;    // live word_writes at last checkpoint
+    uint64_t items_at_last = 0;     // items at last checkpoint
+    // Snapshot accountant deltas plus the full/delta/published counts.
+    SketchRunReport acc;
+    // Delta-mode serving buffers: the persistent base snapshot is mutated
+    // in place by the next delta, so publication serves a copy. Two
+    // buffers alternate; the spare (unpublished) one is reused only when
+    // no reader still pins it (use_count() == 1 — safe to test, since a
+    // buffer out of the slot can gain no new references).
+    std::shared_ptr<Sketch> serve_bufs[2];
+    int serve_cur = 0;  // index of the most recently published buffer
+  };
+
+  // Sinks are declared before the sketches whose accountants point at
+  // them, so they are destroyed after those sketches.
+  struct Slot {
+    std::string name;
+    std::string update_span;  // "update:<name>", preformatted
+    std::unique_ptr<LiveNvmSink> nvm;        // live update device
+    std::unique_ptr<DirtyTracker> dirty;     // delta checkpoints
+    std::unique_ptr<TeeSink> tee;            // when both of the above
+    std::unique_ptr<LiveNvmSink> ckpt_sink;  // checkpoint device
+    std::optional<SketchFactory> factory;    // checkpointed only
+    bool restorable = false;
+    std::shared_ptr<const ShardSnapshot>* serving_slot = nullptr;
+    // The most recent checkpoint (persistent across checkpoints in delta
+    // mode, replaced by full ones). Shared because full-mode serving
+    // publishes it directly.
+    std::shared_ptr<Sketch> snapshot;
+    std::unique_ptr<Sketch> owned;
+    Sketch* sketch = nullptr;  // borrowed or == owned.get()
+    CkptTrack ckpt;
+    AccountantSnapshot before;  // at BeginRun
+    SketchRunReport row;        // deltas to the last batch boundary
+    double busy_seconds = 0.0;  // in this run's updates
+    Telemetry tele;
+  };
+
+  void Rewire(Slot* slot);
+  void Checkpoint(Slot* slot, uint64_t processed);
+
+  ReplicaPipelineOptions options_;
+  std::vector<Slot> slots_;
+  MetricsRegistry* metrics_ = nullptr;
+  TraceRecorder* trace_ = nullptr;
+  bool force_scalar_ = false;
+  uint64_t processed_ = 0;
+  Counter* items_ = nullptr;    // telemetry on only
+  Counter* batches_ = nullptr;
+};
+
+}  // namespace fewstate
+
+#endif  // FEWSTATE_API_REPLICA_PIPELINE_H_

@@ -1,36 +1,13 @@
 #include "api/stream_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace fewstate {
-
-AccountantSnapshot AccountantSnapshot::Of(const StateAccountant& a) {
-  AccountantSnapshot s;
-  s.updates = a.updates();
-  s.state_changes = a.state_changes();
-  s.word_writes = a.word_writes();
-  s.suppressed_writes = a.suppressed_writes();
-  s.word_reads = a.word_reads();
-  return s;
-}
-
-SketchRunReport AccountantSnapshot::DeltaTo(
-    const AccountantSnapshot& after) const {
-  SketchRunReport d;
-  d.updates = after.updates - updates;
-  d.state_changes = after.state_changes - state_changes;
-  d.word_writes = after.word_writes - word_writes;
-  d.suppressed_writes = after.suppressed_writes - suppressed_writes;
-  d.word_reads = after.word_reads - word_reads;
-  return d;
-}
 
 const SketchRunReport* RunReport::Find(const std::string& name) const {
   for (const SketchRunReport& s : sketches) {
@@ -163,15 +140,6 @@ std::string RunReport::ToCsv(const std::string& label) const {
   return out;
 }
 
-StreamEngine::~StreamEngine() {
-  for (Entry& e : entries_) {
-    if (e.nvm != nullptr &&
-        e.sketch->mutable_accountant()->write_sink() == e.nvm.get()) {
-      e.sketch->mutable_accountant()->set_write_sink(nullptr);
-    }
-  }
-}
-
 Sketch* StreamEngine::Register(std::string name,
                                std::unique_ptr<Sketch> sketch) {
   Sketch* raw = sketch.get();
@@ -182,24 +150,37 @@ Sketch* StreamEngine::RegisterBorrowed(std::string name, Sketch* sketch) {
   return RegisterEntry(std::move(name), sketch, nullptr);
 }
 
+Sketch* StreamEngine::RegisterEntry(std::string name, Sketch* sketch,
+                                    std::unique_ptr<Sketch> owned) {
+  if (sketch == nullptr) {
+    std::fprintf(stderr, "StreamEngine::Register: null sketch for '%s'\n",
+                 name.c_str());
+    std::abort();
+  }
+  if (IndexOf(name) != size()) {
+    std::fprintf(stderr, "StreamEngine::Register: duplicate name '%s'\n",
+                 name.c_str());
+    std::abort();
+  }
+  pipeline_.Add(std::move(name), sketch, std::move(owned));
+  return sketch;
+}
+
 Status StreamEngine::AttachNvm(const std::string& name, const NvmSpec& spec) {
   const Status valid = spec.Validate();
   if (!valid.ok()) return valid;
-  for (Entry& e : entries_) {
-    if (e.name != name) continue;
-    e.nvm = std::make_unique<LiveNvmSink>(spec);
-    e.sketch->mutable_accountant()->set_write_sink(e.nvm.get());
-    return Status::OK();
+  const size_t i = IndexOf(name);
+  if (i == size()) {
+    return Status::InvalidArgument(
+        "StreamEngine::AttachNvm: no sketch named '" + name + "'");
   }
-  return Status::InvalidArgument("StreamEngine::AttachNvm: no sketch named '" +
-                                 name + "'");
+  pipeline_.AttachNvm(i, spec);
+  return Status::OK();
 }
 
 const LiveNvmSink* StreamEngine::NvmSink(const std::string& name) const {
-  for (const Entry& e : entries_) {
-    if (e.name == name) return e.nvm.get();
-  }
-  return nullptr;
+  const size_t i = IndexOf(name);
+  return i == size() ? nullptr : pipeline_.nvm_sink(i);
 }
 
 void StreamEngine::AttachMetrics(MetricsRegistry* metrics,
@@ -208,162 +189,54 @@ void StreamEngine::AttachMetrics(MetricsRegistry* metrics,
   trace_ = trace;
 }
 
-Sketch* StreamEngine::RegisterEntry(std::string name, Sketch* borrowed,
-                                    std::unique_ptr<Sketch> owned) {
-  if (borrowed == nullptr) {
-    std::fprintf(stderr, "StreamEngine::Register: null sketch for '%s'\n",
-                 name.c_str());
-    std::abort();
+size_t StreamEngine::IndexOf(const std::string& name) const {
+  for (size_t i = 0; i < size(); ++i) {
+    if (pipeline_.name(i) == name) return i;
   }
-  if (Find(name) != nullptr) {
-    std::fprintf(stderr, "StreamEngine::Register: duplicate name '%s'\n",
-                 name.c_str());
-    std::abort();
-  }
-  Entry entry;
-  entry.name = std::move(name);
-  entry.sketch = borrowed;
-  entry.owned = std::move(owned);
-  entries_.push_back(std::move(entry));
-  return borrowed;
+  return size();
 }
 
 std::vector<std::string> StreamEngine::names() const {
   std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
+  out.reserve(size());
+  for (size_t i = 0; i < size(); ++i) out.push_back(pipeline_.name(i));
   return out;
 }
 
 Sketch* StreamEngine::Find(const std::string& name) const {
-  for (const Entry& e : entries_) {
-    if (e.name == name) return e.sketch;
-  }
-  return nullptr;
-}
-
-RunReport StreamEngine::Run(const Stream& stream) {
-  VectorSource source(stream);
-  return Run(source);
+  const size_t i = IndexOf(name);
+  return i == size() ? nullptr : pipeline_.sketch(i);
 }
 
 RunReport StreamEngine::Run(ItemSource& source) {
   using Clock = std::chrono::steady_clock;
 
   RunReport report;
-  report.sketches.resize(entries_.size());
+  pipeline_.BeginRun(metrics_, trace_, force_scalar_);
+  Counter* const items_counter =
+      metrics_ != nullptr
+          ? metrics_->GetCounter("fewstate_items_ingested_total")
+          : nullptr;
 
-  std::vector<AccountantSnapshot> before(entries_.size());
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    before[i] = AccountantSnapshot::Of(entries_[i].sketch->accountant());
-  }
-  std::vector<double> sketch_seconds(entries_.size(), 0.0);
-
-  // Opt-in telemetry: bindings resolved once here, fed at batch
-  // boundaries below directly from the accountants (a single-threaded
-  // engine needs no metering tap — the accountant is right there).
-  struct Tele {
-    Counter* state_changes = nullptr;
-    Counter* word_writes = nullptr;
-    Gauge* change_rate = nullptr;
-    Gauge* wear_rate = nullptr;
-    uint64_t last_changes = 0;
-    uint64_t last_writes = 0;
-  };
-  std::vector<Tele> tele;
-  std::vector<std::string> update_span_names;
-  Counter* items_counter = nullptr;
-  if (metrics_ != nullptr) {
-    items_counter = metrics_->GetCounter("fewstate_items_ingested_total");
-    tele.resize(entries_.size());
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const MetricLabels labels{{"sketch", entries_[i].name}};
-      tele[i].state_changes =
-          metrics_->GetCounter("fewstate_sketch_state_changes_total", labels);
-      tele[i].word_writes =
-          metrics_->GetCounter("fewstate_sketch_word_writes_total", labels);
-      tele[i].change_rate =
-          metrics_->GetGauge("fewstate_sketch_change_rate", labels);
-      tele[i].wear_rate =
-          metrics_->GetGauge("fewstate_sketch_wear_rate", labels);
-      tele[i].last_changes = before[i].state_changes;
-      tele[i].last_writes = before[i].word_writes;
-    }
-  }
-  if (trace_ != nullptr) {
-    update_span_names.reserve(entries_.size());
-    for (const Entry& e : entries_) {
-      update_span_names.push_back("update:" + e.name);
-    }
-  }
-
-  // Sketches are mutually independent, so the pass is blocked: each sketch
-  // consumes one pulled batch at a time. That costs two clock reads per
-  // (sketch, batch) instead of per (sketch, item), keeping the timer
-  // overhead negligible relative to the update work — and the resident
-  // footprint at one batch, however long the source runs.
+  // The resident footprint stays one batch, however long the source runs.
   std::vector<Item> buffer(kDefaultDrainBatchItems);
+  uint64_t processed = 0;
   const Clock::time_point run_start = Clock::now();
   report.items_ingested = ForEachBatch(
       source, buffer.data(), buffer.size(),
-      [this, &sketch_seconds, &tele, &update_span_names,
-       items_counter](const Item* batch, size_t count) {
-        if (trace_ != nullptr) trace_->Begin("batch_drain", "ingest");
-        for (size_t i = 0; i < entries_.size(); ++i) {
-          Sketch* sketch = entries_[i].sketch;
-          if (trace_ != nullptr) trace_->Begin(update_span_names[i], "update");
-          const Clock::time_point t0 = Clock::now();
-          if (force_scalar_) {
-            for (size_t j = 0; j < count; ++j) sketch->Update(batch[j]);
-          } else {
-            sketch->UpdateBatch(batch, count);
-          }
-          sketch_seconds[i] +=
-              std::chrono::duration<double>(Clock::now() - t0).count();
-          if (trace_ != nullptr) trace_->End(update_span_names[i], "update");
-        }
-        if (trace_ != nullptr) trace_->End("batch_drain", "ingest");
-        if (metrics_ == nullptr) return;
-        items_counter->Increment(count);
-        for (size_t i = 0; i < entries_.size(); ++i) {
-          const StateAccountant& a = entries_[i].sketch->accountant();
-          Tele& t = tele[i];
-          const uint64_t changes = a.state_changes();
-          const uint64_t writes = a.word_writes();
-          t.state_changes->Increment(changes - t.last_changes);
-          t.word_writes->Increment(writes - t.last_writes);
-          t.change_rate->Set(static_cast<double>(changes - t.last_changes) /
-                             static_cast<double>(count));
-          t.wear_rate->Set(static_cast<double>(writes - t.last_writes) /
-                           static_cast<double>(count));
-          t.last_changes = changes;
-          t.last_writes = writes;
-        }
+      [&](const Item* batch, size_t count) {
+        pipeline_.Drain(batch, count);
+        if (items_counter != nullptr) items_counter->Increment(count);
+        processed += count;
+        pipeline_.AtBatchBoundary(processed);
       });
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - run_start).count();
 
-  if (!source.status().ok()) {
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("fewstate_source_errors_total")->Increment();
-    }
-    if (trace_ != nullptr) trace_->Instant("source_error", "source");
+  PublishSourceStatus(source, metrics_, trace_);
+  for (ReplicaSketchReport& row : pipeline_.Report()) {
+    report.sketches.push_back(std::move(row.ingest));
   }
-
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const StateAccountant& a = entries_[i].sketch->accountant();
-    SketchRunReport& s = report.sketches[i];
-    s = before[i].DeltaTo(AccountantSnapshot::Of(a));
-    s.name = entries_[i].name;
-    s.peak_allocated_words = a.peak_allocated_words();
-    s.wall_seconds = sketch_seconds[i];
-    if (entries_[i].nvm != nullptr) {
-      entries_[i].nvm->Flush();
-      s.has_nvm = true;
-      s.nvm = entries_[i].nvm->Report();
-    }
-  }
-
   last_report_ = report;
   return report;
 }

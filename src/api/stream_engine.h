@@ -7,49 +7,12 @@
 #include <vector>
 
 #include "api/item_source.h"
+#include "api/replica_pipeline.h"
 #include "api/sketch.h"
 #include "common/status.h"
-#include "common/stream_types.h"
 #include "nvm/live_sink.h"
 
 namespace fewstate {
-
-// obs/metrics.h + obs/trace.h — opt-in live telemetry and tracing.
-class MetricsRegistry;
-class TraceRecorder;
-
-/// \brief Per-sketch outcome of one `StreamEngine::Run` pass: the deltas
-/// of the sketch's `StateAccountant` over the run, plus wall time spent in
-/// its `Update` calls.
-struct SketchRunReport {
-  std::string name;
-  uint64_t updates = 0;
-  /// The paper's §1.5 metric: updates t with sigma_t != sigma_{t-1}.
-  uint64_t state_changes = 0;
-  uint64_t word_writes = 0;
-  uint64_t suppressed_writes = 0;
-  uint64_t word_reads = 0;
-  /// Lifetime high-water mark of the sketch's allocated state — an
-  /// absolute figure, not a per-run delta (a peak is not differencable).
-  uint64_t peak_allocated_words = 0;
-  double wall_seconds = 0.0;
-  /// True iff a live NVM pipeline is attached to this sketch (or, in
-  /// sharded reports, priced this row's traffic).
-  bool has_nvm = false;
-  /// Cumulative state of the attached simulated device(s): wear accrues
-  /// across runs like a real device, so this is device state at report
-  /// time, not a per-run delta (the accountant columns carry the deltas).
-  NvmReplayReport nvm;
-  /// Checkpoint/recovery rows only (0 elsewhere): snapshots serialized in
-  /// full (whole state rewritten) vs. as deltas (only words changed since
-  /// the previous checkpoint). Their sum is the row's checkpoint count.
-  uint64_t full_checkpoints = 0;
-  uint64_t delta_checkpoints = 0;
-  /// Checkpoint rows of serving runs only (0 elsewhere): snapshots
-  /// published to the lock-free serving slots for concurrent readers
-  /// (`ShardedEngineOptions::serve_snapshots`).
-  uint64_t snapshots_published = 0;
-};
 
 /// \brief Outcome of one `StreamEngine::Run`: one entry per registered
 /// sketch, in registration order.
@@ -94,24 +57,6 @@ std::string SketchReportCsvRow(const std::string& label,
                                const std::string& sketch,
                                const SketchRunReport& row);
 
-/// \brief Value snapshot of an accountant's counters, shared by the
-/// engines to turn before/after pairs into per-run (or per-phase) report
-/// deltas. Extend this (and `DeltaTo`) when `StateAccountant` grows a
-/// counter, so `StreamEngine` and `ShardedEngine` reports stay in sync.
-struct AccountantSnapshot {
-  uint64_t updates = 0;
-  uint64_t state_changes = 0;
-  uint64_t word_writes = 0;
-  uint64_t suppressed_writes = 0;
-  uint64_t word_reads = 0;
-
-  static AccountantSnapshot Of(const StateAccountant& a);
-
-  /// \brief The counter deltas accumulated between this snapshot and
-  /// `after`, as a report row (name/peak/wall left for the caller).
-  SketchRunReport DeltaTo(const AccountantSnapshot& after) const;
-};
-
 /// \brief Drives N registered sketches over one pass of a stream.
 ///
 /// Every registered sketch keeps its own `StateAccountant` (construction
@@ -122,14 +67,14 @@ struct AccountantSnapshot {
 ///
 /// The engine is how the repo expresses the paper's experimental shape —
 /// "run algorithm X and baselines Y, Z over the same stream and compare
-/// state changes" — without N separate stream passes.
+/// state changes" — without N separate stream passes. It is one
+/// persistent `ReplicaPipeline` driven inline, the same drain core each
+/// `ShardedEngine` shard runs. Destruction detaches engine-owned sinks, so
+/// a borrowed sketch outliving the engine is not left pointing at a freed
+/// `LiveNvmSink`.
 class StreamEngine {
  public:
   StreamEngine() = default;
-  /// Detaches engine-owned sinks from the registered accountants, so a
-  /// borrowed sketch outliving the engine is not left pointing at a freed
-  /// `LiveNvmSink`.
-  ~StreamEngine();
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
@@ -159,17 +104,20 @@ class StreamEngine {
 
   /// \brief Attaches opt-in live telemetry (both borrowed; must outlive
   /// the engine). With a registry, every subsequent `Run` feeds
-  /// `fewstate_items_ingested_total` plus per-sketch state-change /
-  /// word-write counters and change-rate / wear-rate gauges (labelled
-  /// `{sketch=...}`), published at batch boundaries from the accountants
-  /// — a `MetricsRegistry::Snapshot()` polled from another thread mid-run
-  /// sees live values, and end-of-run totals reconcile exactly with the
-  /// `RunReport`. With a tracer, `Run` emits batch-drain and per-sketch
-  /// update spans plus source-error instants. Null detaches either.
+  /// `fewstate_items_ingested_total` and the pipeline series of
+  /// `docs/OBSERVABILITY.md` without the `shard` label: batch counters,
+  /// per-sketch state-change / word-write counters and change-rate /
+  /// wear-rate gauges (labelled `{sketch=...}`), published at batch
+  /// boundaries from the accountants, plus NVM wear gauges for sketches
+  /// with `AttachNvm`. A `MetricsRegistry::Snapshot()` polled from another
+  /// thread mid-run sees live values, and end-of-run totals reconcile
+  /// exactly with the `RunReport`. With a tracer, `Run` emits batch-drain
+  /// and per-sketch update spans plus source-error instants. Null detaches
+  /// either.
   void AttachMetrics(MetricsRegistry* metrics, TraceRecorder* trace = nullptr);
 
   /// \brief Number of registered sketches.
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return pipeline_.size(); }
 
   /// \brief Registered names, in registration order.
   std::vector<std::string> names() const;
@@ -189,10 +137,6 @@ class StreamEngine {
   /// \brief Rvalue convenience, e.g. `engine.Run(ZipfSource(...))`.
   RunReport Run(ItemSource&& source) { return Run(source); }
 
-  /// \brief Legacy entry point: a one-line `VectorSource` shim over
-  /// `Run(ItemSource&)`.
-  RunReport Run(const Stream& stream);
-
   /// \brief The report of the most recent `Run` (empty before the first).
   const RunReport& last_report() const { return last_report_; }
 
@@ -206,17 +150,12 @@ class StreamEngine {
   bool force_scalar() const { return force_scalar_; }
 
  private:
-  struct Entry {
-    std::string name;
-    Sketch* sketch = nullptr;             // borrowed or == owned.get()
-    std::unique_ptr<Sketch> owned;
-    std::unique_ptr<LiveNvmSink> nvm;     // live pipeline, when attached
-  };
-
-  Sketch* RegisterEntry(std::string name, Sketch* borrowed,
+  // Index of `name` in the pipeline, or size() if unregistered.
+  size_t IndexOf(const std::string& name) const;
+  Sketch* RegisterEntry(std::string name, Sketch* sketch,
                         std::unique_ptr<Sketch> owned);
 
-  std::vector<Entry> entries_;
+  ReplicaPipeline pipeline_;
   MetricsRegistry* metrics_ = nullptr;  // borrowed; null = telemetry off
   TraceRecorder* trace_ = nullptr;      // borrowed; null = tracing off
   bool force_scalar_ = false;

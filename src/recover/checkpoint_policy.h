@@ -69,8 +69,18 @@ struct CheckpointPolicy {
   /// fraction (1.0 = only the first checkpoint is full).
   double full_snapshot_dirty_fraction = 0.5;
 
-  /// \brief True iff any trigger is configured.
-  bool enabled() const { return trigger != Trigger::kNone; }
+  /// \brief True iff a trigger is configured with a nonzero parameter. A
+  /// zero one is a degenerate schedule (kEveryItems would spin forever,
+  /// the others would fire every batch) and counts as disabled.
+  bool enabled() const {
+    switch (trigger) {
+      case Trigger::kEveryItems: return every_items > 0;
+      case Trigger::kWriteBudget: return write_budget > 0;
+      case Trigger::kDirtyWords: return dirty_words > 0;
+      case Trigger::kNone: break;
+    }
+    return false;
+  }
 
   /// \brief True iff the policy needs a `DirtyTracker` on each replica
   /// (delta serialization, or the dirty-set trigger itself).

@@ -9,8 +9,9 @@
 #include <thread>
 #include <utility>
 
+#include "api/mergeable.h"
 #include "common/random.h"
-#include "obs/wear_probe.h"
+#include "recover/restorable.h"
 
 namespace fewstate {
 
@@ -22,30 +23,24 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-void Accumulate(SketchRunReport* into, const SketchRunReport& delta) {
-  into->updates += delta.updates;
-  into->state_changes += delta.state_changes;
-  into->word_writes += delta.word_writes;
-  into->suppressed_writes += delta.suppressed_writes;
-  into->word_reads += delta.word_reads;
-  into->wall_seconds += delta.wall_seconds;
-}
-
 /// Bounded FIFO of item batches between the partitioner and one shard
 /// worker. `Push` blocks when the worker is `max_batches` behind
 /// (backpressure); `Pop` blocks until a batch arrives or the queue is
-/// closed and drained. The optional telemetry bindings (null when metrics
-/// are off) publish the live depth, the run's high-water depth, and the
-/// number of pushes that actually blocked on backpressure; all stores
-/// happen under the queue lock the caller already pays for.
+/// closed and drained. With `metrics`, the queue publishes shard `shard`'s
+/// live depth, the run's high-water depth, and the number of pushes that
+/// actually blocked on backpressure; all stores happen under the queue
+/// lock the caller already pays for.
 class BatchQueue {
  public:
-  BatchQueue(size_t max_batches, Gauge* depth, Gauge* peak_depth,
-             Counter* backpressure_waits)
-      : max_batches_(max_batches == 0 ? 1 : max_batches),
-        depth_(depth),
-        peak_depth_(peak_depth),
-        backpressure_(backpressure_waits) {}
+  BatchQueue(size_t max_batches, MetricsRegistry* metrics, size_t shard)
+      : max_batches_(max_batches == 0 ? 1 : max_batches) {
+    if (metrics == nullptr) return;
+    const MetricLabels labels{{"shard", std::to_string(shard)}};
+    depth_ = metrics->GetGauge("fewstate_shard_queue_depth", labels);
+    peak_depth_ = metrics->GetGauge("fewstate_shard_queue_peak_depth", labels);
+    backpressure_ =
+        metrics->GetCounter("fewstate_backpressure_waits_total", labels);
+  }
 
   void Push(Stream batch) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -90,9 +85,9 @@ class BatchQueue {
   std::condition_variable not_full_;
   std::deque<Stream> batches_;
   size_t max_batches_;
-  Gauge* depth_;
-  Gauge* peak_depth_;
-  Counter* backpressure_;
+  Gauge* depth_ = nullptr;  // telemetry on only, likewise below
+  Gauge* peak_depth_ = nullptr;
+  Counter* backpressure_ = nullptr;
   size_t peak_seen_ = 0;
   bool closed_ = false;
 };
@@ -106,29 +101,6 @@ const ShardedSketchReport* ShardedRunReport::Find(
   }
   return nullptr;
 }
-
-namespace {
-
-/// Worker-local checkpoint bookkeeping for one (shard, sketch) pair.
-struct CkptTrack {
-  uint64_t next_every_items = 0;  // next kEveryItems threshold
-  uint64_t writes_at_last = 0;    // replica word_writes at last checkpoint
-  uint64_t items_at_last = 0;     // shard items at last checkpoint
-  uint64_t taken = 0;
-  uint64_t full = 0;
-  uint64_t delta = 0;
-  uint64_t published = 0;  // snapshots handed to the serving slot
-  // Delta-mode serving buffers: the persistent base snapshot is mutated
-  // in place by the next delta, so publication serves a copy. Two buffers
-  // alternate; the spare (unpublished) one is reused only when no reader
-  // still pins it (use_count() == 1 — safe to test, since a buffer out of
-  // the slot can gain no new references).
-  std::shared_ptr<Sketch> serve_bufs[2];
-  int serve_cur = 0;  // index of the most recently published buffer
-  SketchRunReport acc;  // accumulated snapshot accountant deltas
-};
-
-}  // namespace
 
 std::string ShardedRunReport::ToString() const {
   std::string out;
@@ -226,27 +198,10 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
   if (options_.shards == 0) options_.shards = 1;
   if (options_.batch_items == 0) options_.batch_items = 1;
   if (options_.max_queued_batches == 0) options_.max_queued_batches = 1;
-  // Effective schedule: the policy, or the legacy every-N shim (full
-  // snapshots — the pre-policy behaviour) when only that field is set.
-  policy_ = options_.checkpoint_policy;
-  if (!policy_.enabled() && options_.checkpoint_every_items > 0) {
-    policy_ = CheckpointPolicy::EveryItems(options_.checkpoint_every_items,
-                                           CheckpointPolicy::Snapshot::kFull);
-  }
-  // A trigger with a zero parameter is a degenerate schedule (kEveryItems
-  // would spin forever; the others would fire every batch): treat it as
-  // disabled, like the factory helpers do.
-  if ((policy_.trigger == CheckpointPolicy::Trigger::kEveryItems &&
-       policy_.every_items == 0) ||
-      (policy_.trigger == CheckpointPolicy::Trigger::kWriteBudget &&
-       policy_.write_budget == 0) ||
-      (policy_.trigger == CheckpointPolicy::Trigger::kDirtyWords &&
-       policy_.dirty_words == 0)) {
-    policy_.trigger = CheckpointPolicy::Trigger::kNone;
-  }
+  const CheckpointPolicy& policy = options_.checkpoint_policy;
   // An invalid checkpoint device is a programming error, caught at setup
   // like StreamEngine's registration aborts — not mid-run.
-  if (policy_.enabled()) {
+  if (policy.enabled()) {
     const Status valid = options_.checkpoint_nvm.Validate();
     if (!valid.ok()) {
       std::fprintf(stderr,
@@ -257,7 +212,7 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
   }
   // Serving publishes checkpoints; without a schedule nothing would ever
   // be published, which is a silently-empty view — a setup error.
-  if (options_.serve_snapshots && !policy_.enabled()) {
+  if (options_.serve_snapshots && !policy.enabled()) {
     std::fprintf(stderr,
                  "ShardedEngine: serve_snapshots requires an enabled "
                  "checkpoint_policy (nothing publishes without "
@@ -265,11 +220,8 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
     std::abort();
   }
   // Stable heap address: ServingHandles point at this array for the
-  // engine's lifetime.
-  shard_progress_.reset(new std::atomic<uint64_t>[options_.shards]);
-  for (size_t s = 0; s < options_.shards; ++s) {
-    shard_progress_[s].store(0, std::memory_order_relaxed);
-  }
+  // engine's lifetime. Value-initialized, i.e. zero.
+  shard_progress_.reset(new std::atomic<uint64_t>[options_.shards]());
 }
 
 Status ShardedEngine::AddSketch(SketchFactory factory) {
@@ -337,28 +289,26 @@ Sketch* ShardedEngine::Merged(const std::string& name) const {
   return Replica(0, name);
 }
 
+// Sketches registered after the last Run have no replicas yet.
+bool ShardedEngine::Built(size_t shard, size_t i) const {
+  return shard < pipelines_.size() && i < pipelines_[shard]->size();
+}
+
 Sketch* ShardedEngine::Replica(size_t shard, const std::string& name) const {
-  if (shard >= replicas_.size()) return nullptr;
   const size_t i = IndexOf(name);
-  // Sketches registered after the last Run have no replicas yet.
-  if (i >= replicas_[shard].size()) return nullptr;
-  return replicas_[shard][i].get();
+  return Built(shard, i) ? pipelines_[shard]->sketch(i) : nullptr;
 }
 
 const Sketch* ShardedEngine::Snapshot(size_t shard,
                                       const std::string& name) const {
-  if (shard >= snapshots_.size()) return nullptr;
   const size_t i = IndexOf(name);
-  if (i >= snapshots_[shard].size()) return nullptr;
-  return snapshots_[shard][i].get();
+  return Built(shard, i) ? pipelines_[shard]->snapshot(i) : nullptr;
 }
 
 LiveNvmSink* ShardedEngine::CheckpointSink(size_t shard,
                                            const std::string& name) const {
-  if (shard >= ckpt_sinks_.size()) return nullptr;
   const size_t i = IndexOf(name);
-  if (i >= ckpt_sinks_[shard].size()) return nullptr;
-  return ckpt_sinks_[shard][i].get();
+  return Built(shard, i) ? pipelines_[shard]->checkpoint_sink(i) : nullptr;
 }
 
 ServingHandle ShardedEngine::Serving(const std::string& name) const {
@@ -379,11 +329,6 @@ ServingHandle ShardedEngine::Serving(const std::string& name) const {
                        acquires);
 }
 
-ShardedRunReport ShardedEngine::Run(const Stream& stream) {
-  VectorSource source(stream);
-  return Run(source);
-}
-
 ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   const size_t num_shards = options_.shards;
   const size_t num_sketches = entries_.size();
@@ -395,434 +340,71 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   report.shard_items.assign(num_shards, 0);
   report.sketches.resize(num_sketches);
 
-  const bool checkpointing = policy_.enabled();
-  const bool serving = options_.serve_snapshots;
+  const bool checkpointing = options_.checkpoint_policy.enabled();
   MetricsRegistry* const metrics = options_.metrics;
   TraceRecorder* const trace = options_.trace;
   TraceSpan run_span(trace, "sharded_run", "engine");
 
-  // A new run starts from zero published state: clear every publication
-  // slot and progress counter. Readers holding views from a previous run
-  // keep their snapshots alive through their own shared_ptrs.
-  for (size_t i = 0; i < num_sketches; ++i) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      std::atomic_store(&serving_[i]->slots[s],
-                        std::shared_ptr<const ShardSnapshot>());
-    }
-  }
+  // Fresh pipelines, built before the first source pull: a sharded run
+  // consumes its replicas by merging them. Entries with an NVM spec get
+  // one live device per replica; checkpoint devices (and dirty trackers,
+  // for delta policies) go to the entries that can be snapshotted —
+  // mergeable or restorable ones. A serving pipeline starts from zero
+  // published state (its progress counter and publication slots cleared).
+  pipelines_.clear();
   for (size_t s = 0; s < num_shards; ++s) {
-    shard_progress_[s].store(0, std::memory_order_release);
-  }
-
-  // Fresh replicas: a sharded run consumes its replicas by merging them.
-  // Entries with an NVM spec get one live device per replica; entries the
-  // checkpoint policy tracks deltas for get a `DirtyTracker`; an entry
-  // needing both gets them tee'd. Sinks attach before any update so they
-  // see the replica's whole lifetime.
-  replicas_.clear();
-  replicas_.resize(num_shards);
-  snapshots_.clear();
-  snapshots_.resize(num_shards);
-  nvm_sinks_.clear();
-  nvm_sinks_.resize(num_shards);
-  ckpt_sinks_.clear();
-  ckpt_sinks_.resize(num_shards);
-  dirty_.clear();
-  dirty_.resize(num_shards);
-  meters_.clear();
-  meters_.resize(num_shards);
-  tee_sinks_.clear();
-  tee_sinks_.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    replicas_[s].reserve(num_sketches);
-    snapshots_[s].resize(num_sketches);
-    nvm_sinks_[s].resize(num_sketches);
-    ckpt_sinks_[s].resize(num_sketches);
-    dirty_[s].resize(num_sketches);
-    meters_[s].resize(num_sketches);
-    tee_sinks_[s].resize(num_sketches);
+    ReplicaPipelineOptions po;
+    po.labels = {{"shard", std::to_string(s)}};
+    po.checkpoint_policy = options_.checkpoint_policy;
+    po.checkpoint_nvm = options_.checkpoint_nvm;
+    if (options_.serve_snapshots) po.progress = &shard_progress_[s];
+    auto pipeline = std::make_unique<ReplicaPipeline>(std::move(po));
     for (size_t i = 0; i < num_sketches; ++i) {
       const Entry& e = entries_[i];
-      replicas_[s].push_back(e.factory.Make());
-      const bool checkpointable = e.mergeable || e.restorable;
-      if (e.has_nvm) {
-        nvm_sinks_[s][i] = std::make_unique<LiveNvmSink>(e.nvm_spec);
-      }
-      if (checkpointing && checkpointable) {
-        // Checkpoint device: persists across this shard's checkpoints
-        // (re-snapshotting the same region accrues wear).
-        ckpt_sinks_[s][i] =
-            std::make_unique<LiveNvmSink>(options_.checkpoint_nvm);
-        if (policy_.needs_dirty_tracking()) {
-          dirty_[s][i] = std::make_unique<DirtyTracker>();
-        }
-      }
-      if (metrics != nullptr) {
-        // Telemetry tap: counts the device-visible write stream; drained
-        // into registry counters at batch boundaries by the worker.
-        meters_[s][i] = std::make_unique<MeteringSink>();
-      }
-      std::vector<WriteSink*> chain;
-      if (dirty_[s][i] != nullptr) chain.push_back(dirty_[s][i].get());
-      if (nvm_sinks_[s][i] != nullptr) chain.push_back(nvm_sinks_[s][i].get());
-      if (meters_[s][i] != nullptr) chain.push_back(meters_[s][i].get());
-      if (chain.size() == 1) {
-        replicas_[s][i]->mutable_accountant()->set_write_sink(chain[0]);
-      } else if (chain.size() > 1) {
-        tee_sinks_[s][i] = std::make_unique<TeeSink>(chain);
-        replicas_[s][i]->mutable_accountant()->set_write_sink(
-            tee_sinks_[s][i].get());
+      std::unique_ptr<Sketch> replica = e.factory.Make();
+      Sketch* raw = replica.get();
+      pipeline->Add(e.factory.name(), raw, std::move(replica));
+      if (e.has_nvm) pipeline->AttachNvm(i, e.nvm_spec);
+      if (checkpointing && (e.mergeable || e.restorable)) {
+        pipeline->EnableCheckpoints(
+            i, e.factory, e.restorable,
+            options_.serve_snapshots ? &serving_[i]->slots[s] : nullptr);
       }
     }
+    pipeline->BeginRun(metrics, trace, options_.force_scalar);
+    pipelines_.push_back(std::move(pipeline));
   }
 
-  // Per-(shard, sketch) checkpoint bookkeeping; touched only by worker s
-  // until the join.
-  std::vector<std::vector<CkptTrack>> ckpt(
-      num_shards, std::vector<CkptTrack>(num_sketches));
-  if (checkpointing &&
-      policy_.trigger == CheckpointPolicy::Trigger::kEveryItems) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      for (size_t i = 0; i < num_sketches; ++i) {
-        ckpt[s][i].next_every_items = policy_.every_items;
-      }
-    }
-  }
-
-  std::vector<std::vector<AccountantSnapshot>> before(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    before[s].resize(num_sketches);
-    for (size_t i = 0; i < num_sketches; ++i) {
-      before[s][i] = AccountantSnapshot::Of(replicas_[s][i]->accountant());
-    }
-  }
-
-  // Ingest: one bounded queue + worker thread per shard. Each worker is
-  // the only thread touching its shard's replicas (and their accountants)
-  // between thread start and join, so state stays thread-confined; the
-  // queue provides the ordering handoff for the batches themselves.
-  // Telemetry bindings, resolved once against the registry here so the
-  // workers' batch-boundary publishes touch only held pointers (plus
-  // their own plain delta cursors) — never the registry mutex.
-  struct SketchTele {
-    Counter* state_changes = nullptr;
-    Counter* word_writes = nullptr;
-    Gauge* change_rate = nullptr;
-    Gauge* wear_rate = nullptr;
-    Gauge* live_max_wear = nullptr;  // live device attached only
-    Counter* ckpt_full = nullptr;    // checkpointing only, likewise below
-    Counter* ckpt_delta = nullptr;
-    Counter* ckpt_words = nullptr;
-    Counter* published = nullptr;
-    uint64_t last_changes = 0;  // worker-local meter cursors
-    uint64_t last_writes = 0;
-  };
-  struct ShardTele {
-    Counter* items = nullptr;
-    Counter* batches = nullptr;
-  };
-  std::vector<std::vector<SketchTele>> tele;  // [shard][sketch]
-  std::vector<ShardTele> shard_tele;
   Counter* items_total_counter = nullptr;
   if (metrics != nullptr) {
-    tele.assign(num_shards, std::vector<SketchTele>(num_sketches));
-    shard_tele.resize(num_shards);
     items_total_counter = metrics->GetCounter("fewstate_items_ingested_total");
-    for (size_t s = 0; s < num_shards; ++s) {
-      const std::string shard_label = std::to_string(s);
-      shard_tele[s].items = metrics->GetCounter("fewstate_shard_items_total",
-                                                {{"shard", shard_label}});
-      shard_tele[s].batches = metrics->GetCounter(
-          "fewstate_batches_drained_total", {{"shard", shard_label}});
-      for (size_t i = 0; i < num_sketches; ++i) {
-        const std::string& name = entries_[i].factory.name();
-        const MetricLabels labels{{"shard", shard_label}, {"sketch", name}};
-        SketchTele& t = tele[s][i];
-        t.state_changes =
-            metrics->GetCounter("fewstate_sketch_state_changes_total", labels);
-        t.word_writes =
-            metrics->GetCounter("fewstate_sketch_word_writes_total", labels);
-        t.change_rate =
-            metrics->GetGauge("fewstate_sketch_change_rate", labels);
-        t.wear_rate = metrics->GetGauge("fewstate_sketch_wear_rate", labels);
-        if (entries_[i].has_nvm) {
-          t.live_max_wear =
-              metrics->GetGauge("fewstate_nvm_max_cell_wear",
-                                {{"shard", shard_label},
-                                 {"sketch", name},
-                                 {"device", "live"}});
-        }
-        if (checkpointing) {
-          t.ckpt_full = metrics->GetCounter(
-              "fewstate_checkpoints_total",
-              {{"shard", shard_label}, {"sketch", name}, {"kind", "full"}});
-          t.ckpt_delta = metrics->GetCounter(
-              "fewstate_checkpoints_total",
-              {{"shard", shard_label}, {"sketch", name}, {"kind", "delta"}});
-          t.ckpt_words = metrics->GetCounter(
-              "fewstate_checkpoint_word_writes_total", labels);
-          t.published = metrics->GetCounter(
-              "fewstate_snapshots_published_total", labels);
-        }
-      }
-    }
   }
-  // Span names used per (sketch, batch); preformatted so the worker loop
-  // never concatenates strings.
-  std::vector<std::string> update_span_names;
-  if (trace != nullptr) {
-    update_span_names.reserve(num_sketches);
-    for (const Entry& e : entries_) {
-      update_span_names.push_back("update:" + e.factory.name());
-    }
-  }
-
   std::vector<std::unique_ptr<BatchQueue>> queues;
   queues.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    Gauge* depth = nullptr;
-    Gauge* peak = nullptr;
-    Counter* waits = nullptr;
-    if (metrics != nullptr) {
-      const MetricLabels labels{{"shard", std::to_string(s)}};
-      depth = metrics->GetGauge("fewstate_shard_queue_depth", labels);
-      peak = metrics->GetGauge("fewstate_shard_queue_peak_depth", labels);
-      waits =
-          metrics->GetCounter("fewstate_backpressure_waits_total", labels);
-    }
     queues.push_back(std::make_unique<BatchQueue>(options_.max_queued_batches,
-                                                  depth, peak, waits));
+                                                  metrics, s));
   }
-  // busy[s][i]: wall seconds shard s spent inside sketch i's Update calls.
-  // Written only by worker s; read after join.
-  std::vector<std::vector<double>> busy(num_shards,
-                                        std::vector<double>(num_sketches, 0.0));
 
-  // Serializes shard s's live replica of sketch i into its snapshot,
-  // pricing the writes on the (shard, sketch) checkpoint device. A *full*
-  // checkpoint rewrites the whole state region (a freshly-minted snapshot
-  // replica absorbs the live one — every nonzero word costs a device
-  // write); a *delta* checkpoint overwrites the persistent snapshot with
-  // just the words the `DirtyTracker` saw change, which for the paper's
-  // write-frugal sketches is a tiny fraction of state. Runs on shard s's
-  // worker thread only; per-(s, i) state keeps workers independent.
-  auto take_checkpoint = [this, serving, metrics, trace, &tele](
-                             size_t s, size_t i, CkptTrack* track,
-                             uint64_t processed) {
-    const Entry& e = entries_[i];
-    Sketch* live = replicas_[s][i].get();
-    DirtyTracker* dirty = dirty_[s][i].get();
-    if (trace != nullptr) {
-      trace->Instant("policy_trigger", "checkpoint", processed);
-    }
-    const uint64_t ckpt_words_before = track->acc.word_writes;
-    // Delta only when the policy asks for it, the sketch supports exact
-    // restores, a base snapshot exists, and the dirty fraction is below
-    // the full-rewrite threshold (past it, a delta costs a rewrite
-    // anyway).
-    bool full = true;
-    if (policy_.snapshot == CheckpointPolicy::Snapshot::kDelta &&
-        e.restorable && snapshots_[s][i] != nullptr && dirty != nullptr) {
-      const uint64_t allocated = live->accountant().allocated_words();
-      const double fraction =
-          allocated == 0 ? 1.0
-                         : static_cast<double>(dirty->dirty_words()) /
-                               static_cast<double>(allocated);
-      full = fraction >= policy_.full_snapshot_dirty_fraction;
-    }
-    const Clock::time_point t0 = Clock::now();
-    // Explicit Begin/End (not TraceSpan): the capture span must close
-    // before the publish span below opens, and the only other exits in
-    // between are aborts.
-    if (trace != nullptr) trace->Begin("checkpoint_capture", "checkpoint");
-    if (full) {
-      std::unique_ptr<Sketch> fresh = e.factory.Make();
-      fresh->mutable_accountant()->set_write_sink(ckpt_sinks_[s][i].get());
-      const Status status =
-          e.restorable ? AsRestorable(fresh.get())->RestoreFrom(*live)
-                       : AsMergeable(fresh.get())->MergeFrom(*live);
-      if (!status.ok()) {
-        std::fprintf(stderr,
-                     "ShardedEngine::Run: checkpoint of '%s' failed: %s\n",
-                     e.factory.name().c_str(), status.ToString().c_str());
-        std::abort();
-      }
-      const StateAccountant& a = fresh->accountant();
-      SketchRunReport delta_report;
-      delta_report.updates = a.updates();
-      delta_report.state_changes = a.state_changes();
-      delta_report.word_writes = a.word_writes();
-      delta_report.suppressed_writes = a.suppressed_writes();
-      delta_report.word_reads = a.word_reads();
-      Accumulate(&track->acc, delta_report);
-      snapshots_[s][i] = std::move(fresh);
-      ++track->full;
-    } else {
-      Sketch* snap = snapshots_[s][i].get();
-      const AccountantSnapshot pre =
-          AccountantSnapshot::Of(snap->accountant());
-      const Status status = AsRestorable(snap)->RestoreDirty(*live, *dirty);
-      if (!status.ok()) {
-        std::fprintf(stderr,
-                     "ShardedEngine::Run: delta checkpoint of '%s' failed: "
-                     "%s\n",
-                     e.factory.name().c_str(), status.ToString().c_str());
-        std::abort();
-      }
-      Accumulate(&track->acc,
-                 pre.DeltaTo(AccountantSnapshot::Of(snap->accountant())));
-      ++track->delta;
-    }
-    if (trace != nullptr) trace->End("checkpoint_capture", "checkpoint");
-    track->acc.wall_seconds += Seconds(t0, Clock::now());
-    ++track->taken;
-    // The next interval's dirty set and budgets start now.
-    if (dirty != nullptr) dirty->ClearDirty();
-    track->writes_at_last = live->accountant().word_writes();
-    track->items_at_last = processed;
-    if (metrics != nullptr) {
-      SketchTele& t = tele[s][i];
-      (full ? t.ckpt_full : t.ckpt_delta)->Increment();
-      t.ckpt_words->Increment(track->acc.word_writes - ckpt_words_before);
-    }
-    if (!serving) return;
-    TraceSpan publish_span(trace, "checkpoint_publish", "checkpoint");
-    // Publish the checkpoint for concurrent readers. Whenever the
-    // checkpoint minted a fresh snapshot object that nothing will mutate
-    // again — every checkpoint outside (kDelta && restorable) — publish
-    // it directly, zero-copy. In delta mode the base snapshot is the
-    // mutation target of the *next* delta, so serve a double-buffered
-    // copy instead and price it as bulk reads of the checkpoint region
-    // (serving re-reads durable state; reads cost energy, never wear).
-    std::shared_ptr<const Sketch> to_publish;
-    const bool base_is_mutable =
-        policy_.snapshot == CheckpointPolicy::Snapshot::kDelta && e.restorable;
-    if (!base_is_mutable) {
-      to_publish = snapshots_[s][i];
-    } else {
-      std::shared_ptr<Sketch>& spare = track->serve_bufs[track->serve_cur ^ 1];
-      if (spare == nullptr || spare.use_count() > 1) {
-        spare = e.factory.Make();
-      }
-      const Status status = AsRestorable(spare.get())->RestoreFrom(*live);
-      if (!status.ok()) {
-        std::fprintf(stderr,
-                     "ShardedEngine::Run: serving copy of '%s' failed: %s\n",
-                     e.factory.name().c_str(), status.ToString().c_str());
-        std::abort();
-      }
-      ckpt_sinks_[s][i]->OnBulkReads(
-          snapshots_[s][i]->accountant().allocated_words());
-      track->serve_cur ^= 1;
-      to_publish = spare;
-    }
-    auto published = std::make_shared<ShardSnapshot>();
-    published->sketch = std::move(to_publish);
-    published->items_at_checkpoint = processed;
-    published->sequence = track->taken;
-    std::atomic_store(&serving_[i]->slots[s],
-                      std::shared_ptr<const ShardSnapshot>(std::move(published)));
-    ++track->published;
-    if (metrics != nullptr) tele[s][i].published->Increment();
-  };
-
+  // Ingest: one bounded queue + worker thread per shard. Each worker is
+  // the only thread touching its pipeline (replicas, accountants, sinks)
+  // between thread start and join; the queue provides the ordering handoff
+  // for the batches themselves.
   const Clock::time_point ingest_start = Clock::now();
   std::vector<std::thread> workers;
   workers.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    workers.emplace_back([this, s, num_sketches, checkpointing, serving,
-                          metrics, trace, &queues, &busy, &ckpt,
-                          &take_checkpoint, &tele, &shard_tele,
-                          &update_span_names] {
+    workers.emplace_back([this, s, trace, &queues] {
       if (trace != nullptr) {
         trace->SetCurrentThreadName("shard-worker-" + std::to_string(s));
       }
+      ReplicaPipeline& pipeline = *pipelines_[s];
       Stream batch;
       uint64_t processed = 0;
       while (queues[s]->Pop(&batch)) {
-        // Blocked like StreamEngine::Run: per (sketch, batch) timing keeps
-        // clock overhead negligible and the per-sketch update order
-        // identical to a single-threaded pass over this shard's items.
-        if (trace != nullptr) trace->Begin("batch_drain", "ingest");
-        for (size_t i = 0; i < num_sketches; ++i) {
-          Sketch* sketch = replicas_[s][i].get();
-          if (trace != nullptr) trace->Begin(update_span_names[i], "update");
-          const Clock::time_point t0 = Clock::now();
-          if (options_.force_scalar) {
-            for (Item item : batch) sketch->Update(item);
-          } else {
-            sketch->UpdateBatch(batch.data(), batch.size());
-          }
-          busy[s][i] += Seconds(t0, Clock::now());
-          if (trace != nullptr) trace->End(update_span_names[i], "update");
-        }
-        if (trace != nullptr) trace->End("batch_drain", "ingest");
+        pipeline.Drain(batch.data(), batch.size());
         processed += batch.size();
-        // Batch-boundary telemetry drain: per-word metering stayed plain
-        // thread-confined increments; here the worker folds the deltas
-        // into the shared counters and refreshes the live rate gauges.
-        if (metrics != nullptr) {
-          shard_tele[s].items->Increment(batch.size());
-          shard_tele[s].batches->Increment();
-          const double batch_size = static_cast<double>(batch.size());
-          for (size_t i = 0; i < num_sketches; ++i) {
-            SketchTele& t = tele[s][i];
-            MeteringSink* meter = meters_[s][i].get();
-            meter->Publish();
-            const uint64_t changes = meter->state_changes();
-            const uint64_t writes = meter->word_writes();
-            t.state_changes->Increment(changes - t.last_changes);
-            t.word_writes->Increment(writes - t.last_writes);
-            t.change_rate->Set(
-                static_cast<double>(changes - t.last_changes) / batch_size);
-            t.wear_rate->Set(static_cast<double>(writes - t.last_writes) /
-                             batch_size);
-            t.last_changes = changes;
-            t.last_writes = writes;
-            if (t.live_max_wear != nullptr) {
-              t.live_max_wear->Set(static_cast<double>(
-                  nvm_sinks_[s][i]->device().max_cell_wear()));
-            }
-          }
-        }
-        // Publish ingest progress *before* evaluating checkpoints, with
-        // release order: any snapshot published below carries
-        // items_at_checkpoint <= this store, so a reader loading slots
-        // then progress never computes negative staleness.
-        if (serving) {
-          shard_progress_[s].store(processed, std::memory_order_release);
-        }
-        if (!checkpointing) continue;
-        // Checkpoint triggers are evaluated at batch boundaries —
-        // deterministic for a fixed source/seed/S, since the
-        // partitioner's batch splits, each shard's item sequence, and
-        // therefore each replica's write counts and dirty sets all are.
-        for (size_t i = 0; i < num_sketches; ++i) {
-          if (ckpt_sinks_[s][i] == nullptr) continue;  // not checkpointable
-          CkptTrack* track = &ckpt[s][i];
-          switch (policy_.trigger) {
-            case CheckpointPolicy::Trigger::kEveryItems:
-              while (processed >= track->next_every_items) {
-                take_checkpoint(s, i, track, processed);
-                track->next_every_items += policy_.every_items;
-              }
-              break;
-            case CheckpointPolicy::Trigger::kWriteBudget:
-              if (replicas_[s][i]->accountant().word_writes() -
-                      track->writes_at_last >=
-                  policy_.write_budget) {
-                take_checkpoint(s, i, track, processed);
-              }
-              break;
-            case CheckpointPolicy::Trigger::kDirtyWords:
-              if (dirty_[s][i]->dirty_words() >= policy_.dirty_words) {
-                take_checkpoint(s, i, track, processed);
-              }
-              break;
-            case CheckpointPolicy::Trigger::kNone:
-              break;
-          }
-        }
+        pipeline.AtBatchBoundary(processed);
       }
     });
   }
@@ -865,23 +447,6 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   for (std::thread& w : workers) w.join();
   report.ingest_seconds = Seconds(ingest_start, Clock::now());
 
-  // Per-shard ingest deltas.
-  for (size_t i = 0; i < num_sketches; ++i) {
-    ShardedSketchReport& sk = report.sketches[i];
-    sk.name = entries_[i].factory.name();
-    sk.mergeable = entries_[i].mergeable;
-    sk.restorable = entries_[i].restorable;
-    sk.per_shard.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const StateAccountant& a = replicas_[s][i]->accountant();
-      sk.per_shard[s] = before[s][i].DeltaTo(AccountantSnapshot::Of(a));
-      sk.per_shard[s].name = sk.name;
-      sk.per_shard[s].peak_allocated_words = a.peak_allocated_words();
-      sk.per_shard[s].wall_seconds = busy[s][i];
-      Accumulate(&sk.total, sk.per_shard[s]);
-    }
-  }
-
   // Merge: consolidate shards 1..S-1 into shard 0's replica, wear
   // accounted on the destination. `SketchFactory`'s contract is that every
   // Make() mints an identical configuration, so a failure here is a broken
@@ -892,14 +457,15 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   if (num_shards > 1) {
     for (size_t i = 0; i < num_sketches; ++i) {
       ShardedSketchReport& sk = report.sketches[i];
-      MergeableSketch* merged = AsMergeable(replicas_[0][i].get());
+      sk.name = entries_[i].factory.name();
+      MergeableSketch* merged = AsMergeable(pipelines_[0]->sketch(i));
       const AccountantSnapshot pre =
           AccountantSnapshot::Of(merged->accountant());
       const Clock::time_point t0 = Clock::now();
       {
         TraceSpan merge_span(trace, "merge:" + sk.name, "merge");
         for (size_t s = 1; s < num_shards; ++s) {
-          const Status status = merged->MergeFrom(*replicas_[s][i]);
+          const Status status = merged->MergeFrom(*pipelines_[s]->sketch(i));
           if (!status.ok()) {
             std::fprintf(stderr,
                          "ShardedEngine::Run: merge of '%s' failed: %s\n",
@@ -911,7 +477,6 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
       sk.merge = pre.DeltaTo(AccountantSnapshot::Of(merged->accountant()));
       sk.merge.name = sk.name;
       sk.merge.wall_seconds = Seconds(t0, Clock::now());
-      Accumulate(&sk.total, sk.merge);
       // Merge traffic is deliberately kept out of the per-shard ingest
       // counters (those reconcile exactly with per_shard report rows);
       // it gets its own per-sketch family.
@@ -929,108 +494,59 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   }
   report.merge_seconds = Seconds(merge_start, Clock::now());
 
-  // Durability (checkpoint) traffic: fold each shard's snapshot deltas and
-  // checkpoint devices into one per-sketch view, and charge it to total —
-  // a deployed monitor pays for durability like it pays for updates.
-  if (checkpointing) {
-    for (size_t i = 0; i < num_sketches; ++i) {
-      ShardedSketchReport& sk = report.sketches[i];
-      sk.checkpoint.name = sk.name;
-      sk.last_checkpoint_items.assign(num_shards, 0);
-      if (ckpt_sinks_[0][i] == nullptr) continue;  // not checkpointable
-      std::vector<NvmReplayReport> devices;
-      devices.reserve(num_shards);
-      for (size_t s = 0; s < num_shards; ++s) {
-        const CkptTrack& track = ckpt[s][i];
-        Accumulate(&sk.checkpoint, track.acc);
-        sk.checkpoints_taken += track.taken;
-        sk.checkpoint.full_checkpoints += track.full;
-        sk.checkpoint.delta_checkpoints += track.delta;
-        sk.snapshots_published += track.published;
-        sk.checkpoint.snapshots_published += track.published;
-        sk.last_checkpoint_items[s] = track.items_at_last;
-        ckpt_sinks_[s][i]->Flush();  // end-of-phase barrier (sink contract)
-        devices.push_back(ckpt_sinks_[s][i]->Report());
-      }
-      sk.checkpoint.has_nvm = true;
-      sk.checkpoint.nvm = AggregateNvmReports(devices);
-      Accumulate(&sk.total, sk.checkpoint);
-    }
-  }
+  // Per-shard rows. Their accountant deltas end at the last batch
+  // boundary, before the merge; device state is captured now, so shard
+  // 0's live device includes the consolidation writes.
+  std::vector<std::vector<ReplicaSketchReport>> rows(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) rows[s] = pipelines_[s]->Report();
 
-  // Live NVM capture: per-shard replica device state (cumulative —
-  // shard 0's device includes the merge phase's consolidation writes) and
-  // the deployment-level aggregate over replica + checkpoint devices.
+  // Per-sketch rollup. Durability (checkpoint) traffic is folded over the
+  // shards into one view and charged to total, as are the merge and every
+  // device: a deployed monitor pays for all of it.
   for (size_t i = 0; i < num_sketches; ++i) {
     ShardedSketchReport& sk = report.sketches[i];
+    sk.name = entries_[i].factory.name();
+    sk.mergeable = entries_[i].mergeable;
+    sk.restorable = entries_[i].restorable;
+    std::vector<NvmReplayReport> ckpt_devices;
     std::vector<NvmReplayReport> devices;
-    if (entries_[i].has_nvm) {
-      devices.reserve(num_shards + 1);
-      for (size_t s = 0; s < num_shards; ++s) {
-        nvm_sinks_[s][i]->Flush();  // end-of-phase barrier (sink contract)
-        sk.per_shard[s].has_nvm = true;
-        sk.per_shard[s].nvm = nvm_sinks_[s][i]->Report();
-        devices.push_back(sk.per_shard[s].nvm);
-      }
+    if (checkpointing) {
+      sk.checkpoint.name = sk.name;
+      sk.last_checkpoint_items.assign(num_shards, 0);
     }
-    if (sk.checkpoint.has_nvm) devices.push_back(sk.checkpoint.nvm);
+    for (size_t s = 0; s < num_shards; ++s) {
+      const ReplicaSketchReport& row = rows[s][i];
+      sk.per_shard.push_back(row.ingest);
+      sk.total.Accumulate(row.ingest);
+      sk.total.peak_allocated_words += row.ingest.peak_allocated_words;
+      if (row.ingest.has_nvm) devices.push_back(row.ingest.nvm);
+      if (!row.checkpoint.has_nvm) continue;  // not checkpointed
+      const SketchRunReport& c = row.checkpoint;
+      sk.checkpoint.Accumulate(c);
+      sk.checkpoint.full_checkpoints += c.full_checkpoints;
+      sk.checkpoint.delta_checkpoints += c.delta_checkpoints;
+      sk.checkpoint.snapshots_published += c.snapshots_published;
+      sk.last_checkpoint_items[s] = row.last_checkpoint_items;
+      ckpt_devices.push_back(c.nvm);
+    }
+    sk.total.Accumulate(sk.merge);
+    sk.checkpoints_taken =
+        sk.checkpoint.full_checkpoints + sk.checkpoint.delta_checkpoints;
+    sk.snapshots_published = sk.checkpoint.snapshots_published;
+    if (!ckpt_devices.empty()) {
+      sk.checkpoint.has_nvm = true;
+      sk.checkpoint.nvm = AggregateNvmReports(ckpt_devices);
+      sk.total.Accumulate(sk.checkpoint);
+      devices.push_back(sk.checkpoint.nvm);
+    }
+    sk.total.name = sk.name;
     if (!devices.empty()) {
       sk.total.has_nvm = true;
       sk.total.nvm = AggregateNvmReports(devices);
     }
   }
 
-  for (ShardedSketchReport& sk : report.sketches) {
-    sk.total.name = sk.name;
-    sk.total.peak_allocated_words = 0;
-    for (const SketchRunReport& p : sk.per_shard) {
-      sk.total.peak_allocated_words += p.peak_allocated_words;
-    }
-  }
-
-  // End-of-run device introspection: full wear summaries (max/p99/mean
-  // over written cells) for every attached device, published under the
-  // same labels the workers' live gauges used. O(cells) per device, paid
-  // once, after the timed phases.
-  if (metrics != nullptr) {
-    for (size_t i = 0; i < num_sketches; ++i) {
-      const std::string& name = entries_[i].factory.name();
-      for (size_t s = 0; s < num_shards; ++s) {
-        const std::string shard_label = std::to_string(s);
-        if (nvm_sinks_[s][i] != nullptr) {
-          const MetricLabels labels = {
-              {"shard", shard_label}, {"sketch", name}, {"device", "live"}};
-          PublishWearStats(metrics, labels,
-                           ComputeWearStats(nvm_sinks_[s][i]->device()));
-          // Cache-tier traffic for cached replicas: the run-report path
-          // above flushed every sink, so these are exact flushed counts.
-          if (const CacheTier* cache = nvm_sinks_[s][i]->cache()) {
-            PublishCacheStats(metrics, labels, cache->stats());
-            PublishCacheReuseHistogram(metrics, labels, cache->stats());
-          }
-        }
-        if (ckpt_sinks_[s][i] != nullptr) {
-          const MetricLabels labels = {{"shard", shard_label},
-                                       {"sketch", name},
-                                       {"device", "checkpoint"}};
-          PublishWearStats(metrics, labels,
-                           ComputeWearStats(ckpt_sinks_[s][i]->device()));
-          if (const CacheTier* cache = ckpt_sinks_[s][i]->cache()) {
-            PublishCacheStats(metrics, labels, cache->stats());
-            PublishCacheReuseHistogram(metrics, labels, cache->stats());
-          }
-        }
-      }
-    }
-  }
-  // Source failures surface loudly in telemetry too: callers already get
-  // status() — operators watching mid-run get the counter and instant.
-  if (!source.status().ok()) {
-    if (metrics != nullptr) {
-      metrics->GetCounter("fewstate_source_errors_total")->Increment();
-    }
-    if (trace != nullptr) trace->Instant("source_error", "source");
-  }
+  PublishSourceStatus(source, metrics, trace);
 
   report.wall_seconds = Seconds(run_start, Clock::now());
   report.items_per_second =

@@ -8,19 +8,16 @@
 #include <vector>
 
 #include "api/item_source.h"
-#include "api/mergeable.h"
+#include "api/replica_pipeline.h"
 #include "api/stream_engine.h"
 #include "common/status.h"
 #include "common/stream_types.h"
 #include "nvm/live_sink.h"
-#include "obs/metering_sink.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recover/checkpoint_policy.h"
-#include "recover/restorable.h"
 #include "shard/sketch_factory.h"
 #include "shard/snapshot_serving.h"
-#include "state/dirty_tracker.h"
 
 namespace fewstate {
 
@@ -60,11 +57,6 @@ struct ShardedEngineOptions {
   /// surfaces. Workers mint snapshot replicas concurrently, so registered
   /// makers must be safe for concurrent `Make()` (see `SketchFactory`).
   CheckpointPolicy checkpoint_policy;
-  /// Legacy shim for the pre-policy API: when `checkpoint_policy` is
-  /// disabled and this is nonzero, the engine behaves as if
-  /// `checkpoint_policy = CheckpointPolicy::EveryItems(n)` (full
-  /// snapshots — the original behaviour). 0 defers to the policy.
-  uint64_t checkpoint_every_items = 0;
   /// Device spec for the checkpoint snapshots (one device per
   /// (shard, sketch), minted fresh each `Run`). Validated at engine
   /// construction when checkpointing is enabled; an invalid spec is a
@@ -90,9 +82,9 @@ struct ShardedEngineOptions {
   /// catalogued in `docs/OBSERVABILITY.md`: per-shard item/batch counters
   /// and queue depth/backpressure gauges, per-(shard, sketch)
   /// state-change and word-write counters with live change-rate /
-  /// wear-rate gauges (fed by a `MeteringSink` tee'd into each replica's
-  /// sink chain and drained at batch boundaries — the per-word path stays
-  /// free of atomics), checkpoint/publication counters, NVM wear gauges,
+  /// wear-rate gauges (read from each replica's `StateAccountant` at batch
+  /// boundaries — metrics attach no sink, so the per-word path is
+  /// untouched), checkpoint/publication counters, NVM wear gauges,
   /// and — via `Serving()` handles — view staleness histograms. A
   /// `MetricsRegistry::Snapshot()` polled from any thread mid-run sees
   /// live values; end-of-run counter totals reconcile exactly with the
@@ -183,8 +175,9 @@ struct ShardedRunReport {
 ///
 ///  * each registered `SketchFactory` mints one replica per shard;
 ///  * a partitioner thread hash-routes items to per-shard bounded batch
-///    queues; one worker thread per shard drains its queue, so every
-///    replica (and its `StateAccountant`) stays thread-confined;
+///    queues; one worker thread per shard drives that shard's
+///    `ReplicaPipeline` (the drain core `StreamEngine` runs inline), so
+///    every replica (and its `StateAccountant`) stays thread-confined;
 ///  * after the stream ends and workers join, shards 1..S-1 are merged
 ///    into shard 0's replica through `MergeableSketch::MergeFrom`, with
 ///    merge-time writes accounted on the destination;
@@ -204,7 +197,8 @@ struct ShardedRunReport {
 ///
 /// With S > 1 every registered sketch must implement `MergeableSketch`
 /// (checked at registration); with S == 1 any `Sketch` is accepted and the
-/// run degenerates to `StreamEngine` semantics, sketch-for-sketch.
+/// run is one pipeline with no merge — `StreamEngine` semantics by
+/// construction, sketch-for-sketch.
 class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedEngineOptions& options);
@@ -252,10 +246,6 @@ class ShardedEngine {
   /// \brief Rvalue convenience, e.g. `engine.Run(ZipfSource(...))`.
   ShardedRunReport Run(ItemSource&& source) { return Run(source); }
 
-  /// \brief Legacy entry point: a one-line `VectorSource` shim over
-  /// `Run(ItemSource&)`.
-  ShardedRunReport Run(const Stream& stream);
-
   /// \brief The consolidated sketch for `name` after the last `Run`
   /// (shard 0's replica, post-merge), or nullptr before the first run.
   /// Valid until the next `Run`.
@@ -301,42 +291,20 @@ class ShardedEngine {
   };
 
   size_t IndexOf(const std::string& name) const;
+  // True iff the last Run built shard `shard`'s replica of sketch `i`.
+  bool Built(size_t shard, size_t i) const;
   Status AddSketchEntry(SketchFactory factory, bool has_nvm,
                         const NvmSpec& nvm_spec);
 
+  // options_.checkpoint_policy is the effective schedule: degenerate
+  // zero-parameter triggers are normalized to kNone at construction.
   ShardedEngineOptions options_;
-  // The effective checkpoint schedule: options_.checkpoint_policy, or the
-  // legacy checkpoint_every_items shim mapped onto EveryItems/kFull.
-  CheckpointPolicy policy_;
   std::vector<Entry> entries_;
-  // Sink state, [shard][sketch] throughout (nullptr where not attached).
-  // Rebuilt by each Run and kept so queries can inspect devices and
-  // recovery can price against checkpoint sinks afterwards. All sinks are
-  // declared before the sketches whose accountants point at them
-  // (replicas_, snapshots_), so they outlive those sketches on
-  // destruction as well as during Run's rebuild.
-  //   nvm_sinks_: live update device behind each replica;
-  //   ckpt_sinks_: checkpoint device each snapshot serializes onto;
-  //   dirty_: dirty-set tracker feeding delta checkpoints and the
-  //           dirty-words trigger;
-  //   tee_sinks_: fan-out when a replica needs both a device and a
-  //               tracker.
-  //   meters_: telemetry tap counting each replica's device-visible
-  //            writes (present iff options_.metrics).
-  std::vector<std::vector<std::unique_ptr<LiveNvmSink>>> nvm_sinks_;
-  std::vector<std::vector<std::unique_ptr<LiveNvmSink>>> ckpt_sinks_;
-  std::vector<std::vector<std::unique_ptr<DirtyTracker>>> dirty_;
-  std::vector<std::vector<std::unique_ptr<MeteringSink>>> meters_;
-  std::vector<std::vector<std::unique_ptr<TeeSink>>> tee_sinks_;
-  // replicas_[shard][sketch]; rebuilt by each Run and kept for queries.
-  std::vector<std::vector<std::unique_ptr<Sketch>>> replicas_;
-  // snapshots_[shard][sketch]: the most recent checkpoint of each replica
-  // (persistent across a shard's checkpoints in delta mode; replaced
-  // wholesale by full snapshots). Kept after Run for recovery. Shared
-  // because full-mode serving publishes these objects directly — a
-  // reader's view may pin a superseded snapshot past the next checkpoint
-  // (or the next Run), and the control block keeps it alive.
-  std::vector<std::vector<std::shared_ptr<Sketch>>> snapshots_;
+  // pipelines_[shard]: the shard's replicas with their sinks, checkpoint
+  // snapshots and devices. Rebuilt by each Run and kept so queries can
+  // inspect replicas and devices and recovery can price against
+  // checkpoint sinks afterwards.
+  std::vector<std::unique_ptr<ReplicaPipeline>> pipelines_;
   // serving_[sketch]: per-shard publication slots, created at AddSketch
   // and never moved (ServingHandles point at them for the engine's
   // lifetime). Written by shard workers via std::atomic_store when

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,11 +25,11 @@
 #include "baselines/space_saving.h"
 #include "baselines/stable_sketch.h"
 #include "nvm/live_sink.h"
-#include "obs/metering_sink.h"
 #include "recover/checkpoint_policy.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
 #include "state/dirty_tracker.h"
+#include "state/write_log.h"
 #include "state/write_sink.h"
 #include "stream/generators.h"
 
@@ -125,10 +126,21 @@ TEST(BatchUpdateTest, MatchesScalarAcrossBatchSizes) {
   }
 }
 
+void ExpectLogMatchesAccountant(const WriteLog& log, const StateAccountant& a,
+                                const std::string& context) {
+  ASSERT_EQ(log.dropped(), 0u) << context;
+  EXPECT_EQ(log.records().size(), a.word_writes()) << context;
+  std::set<uint64_t> epochs;
+  for (const WriteRecord& r : log.records()) {
+    if (r.epoch != 0) epochs.insert(r.epoch);
+  }
+  EXPECT_EQ(epochs.size(), a.state_changes()) << context;
+}
+
 // With a sink chain attached the kernels must abandon their closed-form
 // accounting and replay every touched word in scalar program order:
-// the DirtyTracker set, the MeteringSink's distinct-epoch state-change
-// count, and the per-cell wear of a live NVM device all pin that.
+// the DirtyTracker set, the WriteLog's record and distinct-epoch counts,
+// and the per-cell wear of a live NVM device all pin that.
 TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   NvmSpec spec;
   spec.config.num_cells = 1 << 12;
@@ -140,14 +152,14 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   for (const Maker& maker : BatchSketches()) {
     struct SinkChain {
       DirtyTracker dirty;
-      MeteringSink meter;
+      WriteLog log;
       std::unique_ptr<LiveNvmSink> nvm;
       std::unique_ptr<TeeSink> tee;
     };
     const auto attach = [&spec](Sketch& sketch, SinkChain& chain) {
       chain.nvm = std::make_unique<LiveNvmSink>(spec);
       chain.tee = std::make_unique<TeeSink>(std::vector<WriteSink*>{
-          &chain.dirty, &chain.meter, chain.nvm.get()});
+          &chain.dirty, &chain.log, chain.nvm.get()});
       sketch.mutable_accountant()->set_write_sink(chain.tee.get());
     };
 
@@ -170,21 +182,13 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
       EXPECT_EQ(scalar_chain.dirty.SortedCells(),
                 batched_chain.dirty.SortedCells())
           << context;
-      EXPECT_EQ(scalar_chain.meter.word_writes(),
-                batched_chain.meter.word_writes())
-          << context;
-      EXPECT_EQ(scalar_chain.meter.state_changes(),
-                batched_chain.meter.state_changes())
-          << context;
-      EXPECT_EQ(scalar_chain.meter.word_reads(),
-                batched_chain.meter.word_reads())
-          << context;
-      // The meter's distinct-epoch count must also agree with the
-      // accountant's own metric — the epoch numbers the batch
-      // reconciliation replays are real, not merely distinct.
-      EXPECT_EQ(batched_chain.meter.state_changes(),
-                batched->accountant().state_changes())
-          << context;
+      // Every counted write reaches the sink, and the log's distinct
+      // epochs agree with the accountant's own metric — the epoch numbers
+      // the batch reconciliation replays are real, not merely distinct.
+      ExpectLogMatchesAccountant(scalar_chain.log, scalar->accountant(),
+                                 "scalar " + context);
+      ExpectLogMatchesAccountant(batched_chain.log, batched->accountant(),
+                                 context);
       EXPECT_EQ(scalar_chain.nvm->device().cell_wear(),
                 batched_chain.nvm->device().cell_wear())
           << context;

@@ -57,7 +57,7 @@ void ExpectEngineEquivalence(ItemSource& source, const Stream& stream) {
   RegisterRoster(&from_vector);
   RegisterRoster(&from_source);
 
-  const RunReport want = from_vector.Run(stream);
+  const RunReport want = from_vector.Run(VectorSource(stream));
   const RunReport got = from_source.Run(source);
 
   EXPECT_EQ(got.items_ingested, stream.size());

@@ -75,7 +75,7 @@ TEST(NetTransport, TcpSocketFedEngineMatchesDirectIngestBitwise) {
 
   ShardedEngine direct(EngineOptions());
   ASSERT_TRUE(AddSketches(&direct).ok());
-  const ShardedRunReport direct_report = direct.Run(stream);
+  const ShardedRunReport direct_report = direct.Run(VectorSource(stream));
 
   SocketSource socket(ReceiverOptions(NetTransport::kTcp));
   ASSERT_TRUE(socket.ok()) << socket.status().ToString();

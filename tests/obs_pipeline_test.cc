@@ -386,6 +386,89 @@ TEST(ObsPipeline, StreamEngineReconcilesWithRunReport) {
             report.items_ingested + second.items_ingested);
 }
 
+// Metrics alone attach nothing to the write path: both engines read the
+// per-sketch counters off the accountants at batch boundaries, so a
+// metrics-only S=1 sharded run and a StreamEngine run over the same stream
+// leave every replica sink-free and publish identical totals. Two runs
+// each: the second starts from nonzero accountants (StreamEngine keeps its
+// sketches), so counters that did not start from the run-start values
+// would count the first run twice.
+TEST(ObsPipeline, MetricsAttachNoSinkAndBothEnginesAgree) {
+  const Stream stream = ZipfStream(kUniverse, 1.2, 30000, kSeed);
+  MetricsRegistry sharded_registry;
+  ShardedEngineOptions options;
+  options.batch_items = kDefaultDrainBatchItems;
+  options.metrics = &sharded_registry;
+  ShardedEngine sharded(options);
+  ASSERT_TRUE(sharded.AddSketch(CountMinFactory()).ok());
+  ASSERT_TRUE(sharded.AddSketch(MisraGriesFactory()).ok());
+
+  MetricsRegistry single_registry;
+  StreamEngine single;
+  single.Register("count_min", CountMinFactory().Make());
+  single.Register("misra_gries", MisraGriesFactory().Make());
+  single.AttachMetrics(&single_registry);
+
+  // Per-engine sums of the report rows over the runs so far.
+  struct Totals {
+    uint64_t state_changes = 0;
+    uint64_t word_writes = 0;
+    void Add(const SketchRunReport& row) {
+      state_changes += row.state_changes;
+      word_writes += row.word_writes;
+    }
+  };
+  std::map<std::string, Totals> sharded_sum;
+  std::map<std::string, Totals> single_sum;
+  for (int run = 0; run < 2; ++run) {
+    const ShardedRunReport sharded_report = sharded.Run(VectorSource(stream));
+    const RunReport single_report = single.Run(VectorSource(stream));
+    for (const ShardedSketchReport& sk : sharded_report.sketches) {
+      sharded_sum[sk.name].Add(sk.per_shard[0]);
+      EXPECT_EQ(sharded.Replica(0, sk.name)->accountant().write_sink(),
+                nullptr)
+          << sk.name;
+    }
+    for (const SketchRunReport& s : single_report.sketches) {
+      single_sum[s.name].Add(s);
+      EXPECT_EQ(single.Find(s.name)->accountant().write_sink(), nullptr)
+          << s.name;
+    }
+    const MetricsSnapshot sharded_snap = sharded_registry.Snapshot();
+    const MetricsSnapshot single_snap = single_registry.Snapshot();
+    for (const std::string name : {"count_min", "misra_gries"}) {
+      EXPECT_GT(single_sum[name].state_changes, 0u) << name;
+      const MetricLabels sharded_labels = ShardSketch(0, name);
+      const MetricLabels single_labels{{"sketch", name}};
+      EXPECT_EQ(sharded_snap.CounterValue(
+                    "fewstate_sketch_state_changes_total", sharded_labels),
+                sharded_sum[name].state_changes)
+          << name << " run " << run;
+      EXPECT_EQ(sharded_snap.CounterValue("fewstate_sketch_word_writes_total",
+                                          sharded_labels),
+                sharded_sum[name].word_writes)
+          << name << " run " << run;
+      EXPECT_EQ(single_snap.CounterValue("fewstate_sketch_state_changes_total",
+                                         single_labels),
+                single_sum[name].state_changes)
+          << name << " run " << run;
+      EXPECT_EQ(single_snap.CounterValue("fewstate_sketch_word_writes_total",
+                                         single_labels),
+                single_sum[name].word_writes)
+          << name << " run " << run;
+      // The sharded engine mints fresh replicas per run while StreamEngine
+      // carries its sketches over, so the engines agree on the first run.
+      if (run > 0) continue;
+      for (const std::string metric : {"fewstate_sketch_state_changes_total",
+                                       "fewstate_sketch_word_writes_total"}) {
+        EXPECT_EQ(sharded_snap.CounterValue(metric, sharded_labels),
+                  single_snap.CounterValue(metric, single_labels))
+            << metric << " " << name;
+      }
+    }
+  }
+}
+
 TEST(ObsPipeline, SourceErrorsSurfaceInTelemetry) {
   MetricsRegistry registry;
   TraceRecorder trace;

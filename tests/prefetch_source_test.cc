@@ -72,7 +72,7 @@ TEST(PrefetchSource, EngineRunMatchesDirectIngest) {
 
   ShardedEngine direct(options);
   ASSERT_TRUE(direct.AddSketch(factory).ok());
-  const ShardedRunReport direct_report = direct.Run(stream);
+  const ShardedRunReport direct_report = direct.Run(VectorSource(stream));
 
   ShardedEngine via_prefetch(options);
   ASSERT_TRUE(via_prefetch.AddSketch(factory).ok());

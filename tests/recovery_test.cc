@@ -302,23 +302,6 @@ TEST(CheckpointPolicy, DirtyWordsTriggersDeltaCheckpoints) {
             count_min->checkpoints_taken * 2048);
 }
 
-TEST(CheckpointPolicy, LegacyEveryItemsFieldStillSchedulesFullSnapshots) {
-  ShardedEngineOptions options;
-  options.shards = 1;
-  options.batch_items = 1024;
-  options.checkpoint_every_items = 10000;  // pre-policy API
-  options.checkpoint_nvm = SmallSpec();
-  ShardedEngine engine(options);
-  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
-  const ShardedRunReport report =
-      engine.Run(ZipfSource(kFlows, 1.2, 55000, /*seed=*/4242));
-  const ShardedSketchReport* row = report.Find("count_min");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->checkpoints_taken, 5u);
-  EXPECT_EQ(row->checkpoint.full_checkpoints, 5u);
-  EXPECT_EQ(row->checkpoint.delta_checkpoints, 0u);
-}
-
 // --- Kill-and-recover ------------------------------------------------------
 
 // The acceptance scenario: run a 2-shard engine with delta checkpointing

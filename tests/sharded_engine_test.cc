@@ -75,8 +75,8 @@ TEST(ShardedEngine, SingleShardMatchesStreamEngineSketchForSketch) {
   ASSERT_TRUE(sharded.AddSketch(SampleAndHoldFactory()).ok());
   reference.Register("sample_and_hold", SampleAndHoldFactory().Make());
 
-  const RunReport plain = reference.Run(stream);
-  const ShardedRunReport report = sharded.Run(stream);
+  const RunReport plain = reference.Run(VectorSource(stream));
+  const ShardedRunReport report = sharded.Run(VectorSource(stream));
 
   EXPECT_EQ(report.shards, 1u);
   EXPECT_EQ(report.items_ingested, kLength);
@@ -121,7 +121,7 @@ TEST(ShardedEngine, ShardedLinearSketchesMatchSingleRunExactly) {
   for (const SketchFactory& f : MergeableFactories()) {
     ASSERT_TRUE(sharded.AddSketch(f).ok()) << f.name();
   }
-  sharded.Run(stream);
+  sharded.Run(VectorSource(stream));
 
   CountMin cm(4, 128, 21);
   CountSketch cs(3, 128, 22);
@@ -150,7 +150,7 @@ TEST(ShardedEngine, PartitionAndAggregationAccounting) {
   for (const SketchFactory& f : MergeableFactories()) {
     ASSERT_TRUE(sharded.AddSketch(f).ok());
   }
-  const ShardedRunReport report = sharded.Run(stream);
+  const ShardedRunReport report = sharded.Run(VectorSource(stream));
 
   // Every item lands on exactly one shard, and with a 400-item universe
   // all four shards see traffic.
@@ -212,8 +212,8 @@ TEST(ShardedEngine, RunsAreDeterministic) {
   for (const SketchFactory& f : MergeableFactories()) {
     ASSERT_TRUE(sharded.AddSketch(f).ok());
   }
-  const ShardedRunReport first = sharded.Run(stream);
-  const ShardedRunReport second = sharded.Run(stream);
+  const ShardedRunReport first = sharded.Run(VectorSource(stream));
+  const ShardedRunReport second = sharded.Run(VectorSource(stream));
 
   ASSERT_EQ(first.sketches.size(), second.sketches.size());
   for (size_t i = 0; i < first.sketches.size(); ++i) {
@@ -254,7 +254,7 @@ TEST(ShardedEngine, RegistrationRules) {
   EXPECT_EQ(sharded.Merged("count_min"), nullptr);
   EXPECT_EQ(sharded.Replica(0, "count_min"), nullptr);
 
-  sharded.Run(ZipfStream(kUniverse, 1.2, 1000, kSeed));
+  sharded.Run(VectorSource(ZipfStream(kUniverse, 1.2, 1000, kSeed)));
   EXPECT_NE(sharded.Merged("count_min"), nullptr);
   EXPECT_NE(sharded.Replica(1, "count_min"), nullptr);
   EXPECT_EQ(sharded.Replica(2, "count_min"), nullptr);
@@ -278,12 +278,12 @@ TEST(ShardedEngine, EmptyAndTinyStreams) {
                       "count_min", size_t{2}, size_t{32}, uint64_t{5}, false))
                   .ok());
 
-  const ShardedRunReport empty = sharded.Run(Stream{});
+  const ShardedRunReport empty = sharded.Run(VectorSource(Stream{}));
   EXPECT_EQ(empty.items_ingested, 0u);
   EXPECT_EQ(empty.Find("count_min")->total.state_changes, 0u)
       << "merging all-zero tables must not register wear";
 
-  const ShardedRunReport tiny = sharded.Run(Stream{1, 2, 3});
+  const ShardedRunReport tiny = sharded.Run(VectorSource(Stream{1, 2, 3}));
   EXPECT_EQ(tiny.items_ingested, 3u);
   uint64_t routed = 0;
   for (uint64_t items : tiny.shard_items) routed += items;
@@ -306,7 +306,7 @@ TEST(ShardedEngine, SourceFedSingleShardMatchesVectorFedStreamEngine) {
     ASSERT_TRUE(sharded.AddSketch(f).ok()) << f.name();
   }
 
-  const RunReport plain = reference.Run(stream);
+  const RunReport plain = reference.Run(VectorSource(stream));
   const ShardedRunReport report =
       sharded.Run(ZipfSource(kUniverse, 1.2, kLength, kSeed));
 
@@ -345,7 +345,7 @@ TEST(ShardedEngine, UnsizedSourceIngestsIdentically) {
     ASSERT_TRUE(unsized.AddSketch(f).ok());
   }
 
-  const ShardedRunReport want = sized.Run(stream);
+  const ShardedRunReport want = sized.Run(VectorSource(stream));
 
   GeneratorSource generator = ZipfSource(kUniverse, 1.2, kLength, kSeed);
   UnsizedSource hidden(&generator);

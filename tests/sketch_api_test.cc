@@ -110,7 +110,7 @@ TEST(SketchApi, EngineMatchesStandaloneForEveryImplementation) {
   }
 
   for (const auto& sketch : standalone) sketch->Consume(stream);
-  const RunReport report = engine.Run(stream);
+  const RunReport report = engine.Run(VectorSource(stream));
   ASSERT_EQ(report.sketches.size(), standalone.size());
   EXPECT_EQ(report.items_ingested, kLength);
 
@@ -143,7 +143,7 @@ TEST(SketchApi, ReportRowsMirrorEachSketchsOwnAccountant) {
   for (const SketchFactory& factory : AllFactories()) {
     engine.Register(factory.name, factory.make());
   }
-  const RunReport report = engine.Run(stream);
+  const RunReport report = engine.Run(VectorSource(stream));
 
   for (const std::string& name : engine.names()) {
     const SketchRunReport* row = report.Find(name);
@@ -171,7 +171,7 @@ TEST(SketchApi, AccountantsAreIsolatedAcrossSketches) {
   Sketch* sah =
       engine.Register("sample_and_hold",
                       std::make_unique<SampleAndHold>(SahOptions()));
-  const RunReport report = engine.Run(stream);
+  const RunReport report = engine.Run(VectorSource(stream));
 
   // CountMin: every update is a state change (the Theta(m) baseline).
   EXPECT_EQ(report.Find("count_min")->state_changes, kLength);
@@ -191,8 +191,8 @@ TEST(SketchApi, RepeatedRunsReportPerRunDeltas) {
   StreamEngine engine;
   engine.Register("count_min",
                   std::make_unique<CountMin>(4, 256, /*seed=*/21));
-  const RunReport first = engine.Run(stream);
-  const RunReport second = engine.Run(stream);
+  const RunReport first = engine.Run(VectorSource(stream));
+  const RunReport second = engine.Run(VectorSource(stream));
 
   // Totals accumulate on the sketch, but each report carries only the
   // deltas of its own pass.
@@ -209,7 +209,7 @@ TEST(SketchApi, CsvRowsSanitizeCallerLabels) {
   StreamEngine engine;
   engine.Register("count_min",
                   std::make_unique<CountMin>(4, 256, /*seed=*/21));
-  engine.Run(stream);
+  engine.Run(VectorSource(stream));
 
   // A label with a comma (or quote/newline) would shift every downstream
   // column for every scraper of the CSV block; the emitter neuters it.
@@ -246,7 +246,7 @@ TEST(SketchApi, BorrowedSketchesAreDrivenInPlace) {
   MisraGries caller_owned(32);
   StreamEngine engine;
   engine.RegisterBorrowed("misra_gries", &caller_owned);
-  engine.Run(stream);
+  engine.Run(VectorSource(stream));
 
   MisraGries reference(32);
   reference.Consume(stream);

@@ -155,7 +155,7 @@ TEST(SnapshotServing, ConcurrentReadersSeeConsistentBoundedViews) {
         }
       }
     });
-    const ShardedRunReport report = engine.Run(stream);
+    const ShardedRunReport report = engine.Run(VectorSource(stream));
     done.store(true, std::memory_order_release);
     reader.join();
 
@@ -227,7 +227,7 @@ TEST(SnapshotServing, ViewsOutliveSubsequentRuns) {
   ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
   const ServingHandle handle = engine.Serving("count_min");
 
-  engine.Run(stream);
+  engine.Run(VectorSource(stream));
   const SnapshotView old_view = handle.Acquire();
   ASSERT_TRUE(old_view.complete());
   std::vector<double> frozen(kUniverse, 0.0);
@@ -236,7 +236,7 @@ TEST(SnapshotServing, ViewsOutliveSubsequentRuns) {
   }
 
   // A second, different run publishes fresh snapshots into the slots.
-  engine.Run(ZipfStream(kUniverse, 1.2, 60000, kSeed + 1));
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.2, 60000, kSeed + 1)));
   for (Item item = 0; item < kUniverse; ++item) {
     ASSERT_EQ(old_view.EstimateFrequency(item),
               frozen[static_cast<size_t>(item)])
@@ -265,7 +265,7 @@ TEST(SnapshotServing, PublicationIsOptIn) {
   const ServingHandle handle = engine.Serving("count_min");
   ASSERT_TRUE(handle.ok());
 
-  const ShardedRunReport report = engine.Run(stream);
+  const ShardedRunReport report = engine.Run(VectorSource(stream));
   const SnapshotView view = handle.Acquire();
   EXPECT_EQ(view.shards(), kShards);
   EXPECT_EQ(view.shards_published(), 0u);

@@ -98,7 +98,7 @@ TEST(ViewQuery, ScanUniverseTopKMatchesBruteForce) {
   ShardedEngine engine(ServingOptions());
   ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
   const ServingHandle handle = engine.Serving("count_min");
-  engine.Run(ZipfStream(kUniverse, 1.3, kLength, kSeed));
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
 
   const SnapshotView view = handle.Acquire();
   ASSERT_TRUE(view.complete());
@@ -123,7 +123,7 @@ TEST(ViewQuery, SpaceSavingTopKIsSelfConsistentAndFindsElephants) {
   ShardedEngine engine(ServingOptions());
   ASSERT_TRUE(engine.AddSketch(SpaceSavingFactory()).ok());
   const ServingHandle handle = engine.Serving("space_saving");
-  engine.Run(stream);
+  engine.Run(VectorSource(stream));
 
   const SnapshotView view = handle.Acquire();
   ASSERT_TRUE(view.complete());
@@ -162,7 +162,7 @@ TEST(ViewQuery, HeavyHittersAppliesPhiThresholdExactly) {
   ShardedEngine engine(ServingOptions());
   ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
   const ServingHandle handle = engine.Serving("count_min");
-  engine.Run(ZipfStream(kUniverse, 1.3, kLength, kSeed));
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
 
   const SnapshotView view = handle.Acquire();
   for (const double phi : {0.001, 0.01, 0.05}) {
@@ -198,7 +198,7 @@ TEST(ViewQuery, AcquireAllAlignsSketchesAtQuiescence) {
   const std::vector<ServingHandle> handles = {engine.Serving("space_saving"),
                                               engine.Serving("count_min")};
   const ShardedRunReport report =
-      engine.Run(ZipfStream(kUniverse, 1.3, kLength, kSeed));
+      engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
 
   const ConsistentViews acquired = AcquireAll(handles);
   ASSERT_TRUE(acquired.consistent);
@@ -251,7 +251,7 @@ TEST(ViewQuery, AcquireAllStaysConsistentDuringIngest) {
       }
     }
   });
-  engine.Run(ZipfStream(kUniverse, 1.3, kLength, kSeed));
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
   done.store(true, std::memory_order_release);
   reader.join();
 

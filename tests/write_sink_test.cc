@@ -245,7 +245,7 @@ TEST(StreamEngineNvm, AttachNvmPricesWritesLiveAndReportsDeviceState) {
   invalid.config.num_cells = 0;
   EXPECT_FALSE(engine.AttachNvm("count_min", invalid).ok());
 
-  const RunReport report = engine.Run(stream);
+  const RunReport report = engine.Run(VectorSource(stream));
   const SketchRunReport* row = report.Find("count_min");
   ASSERT_NE(row, nullptr);
   ASSERT_TRUE(row->has_nvm);
@@ -264,7 +264,7 @@ TEST(StreamEngineNvm, EngineDestructionDetachesSinkFromBorrowedSketch) {
     engine.RegisterBorrowed("cm", &borrowed);
     ASSERT_TRUE(
         engine.AttachNvm("cm", SmallSpec(NvmSpec::Leveling::kDirect)).ok());
-    engine.Run(ZipfStream(100, 1.2, 1000, 1));
+    engine.Run(VectorSource(ZipfStream(100, 1.2, 1000, 1)));
     EXPECT_NE(borrowed.accountant().write_sink(), nullptr);
   }
   // The engine-owned sink died with the engine; the borrowed sketch must
@@ -282,7 +282,7 @@ TEST(ShardedNvm, SingleShardLiveDeviceMatchesStreamEngineBitwise) {
                      std::make_unique<CountMin>(size_t{4}, size_t{512},
                                                 uint64_t{7}, false));
   ASSERT_TRUE(reference.AttachNvm("count_min", spec).ok());
-  const RunReport expected = reference.Run(stream);
+  const RunReport expected = reference.Run(VectorSource(stream));
 
   ShardedEngineOptions options;
   options.shards = 1;
@@ -293,7 +293,7 @@ TEST(ShardedNvm, SingleShardLiveDeviceMatchesStreamEngineBitwise) {
                                  uint64_t{7}, false),
                              spec)
                   .ok());
-  const ShardedRunReport report = sharded.Run(stream);
+  const ShardedRunReport report = sharded.Run(VectorSource(stream));
   const ShardedSketchReport* row = report.Find("count_min");
   ASSERT_NE(row, nullptr);
   ASSERT_TRUE(row->per_shard[0].has_nvm);
@@ -308,7 +308,8 @@ ShardedRunReport RunCheckpointed(size_t shards, uint64_t every,
   ShardedEngineOptions options;
   options.shards = shards;
   options.batch_items = 1024;
-  options.checkpoint_every_items = every;
+  options.checkpoint_policy =
+      CheckpointPolicy::EveryItems(every, CheckpointPolicy::Snapshot::kFull);
   options.checkpoint_nvm = SmallSpec(NvmSpec::Leveling::kDirect);
   ShardedEngine engine(options);
   EXPECT_TRUE(engine
