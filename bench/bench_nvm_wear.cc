@@ -56,9 +56,6 @@
 #include "bench_util.h"
 #include "core/full_sample_and_hold.h"
 #include "nvm/live_sink.h"
-#include "nvm/nvm_adapter.h"
-#include "nvm/nvm_device.h"
-#include "nvm/wear_leveling.h"
 #include "recover/checkpoint_policy.h"
 #include "recover/recovery.h"
 #include "shard/sharded_engine.h"
@@ -83,15 +80,6 @@ NvmSpec SpecFor(NvmSpec::Leveling leveling) {
   spec.rotate_period = 64;
   spec.hash_seed = 5;
   return spec;
-}
-
-// Offline cross-check: replay a captured log through a device/policy pair
-// minted from `spec` — must match the corresponding live row bit for bit.
-NvmReplayReport ReplayWith(const NvmSpec& spec, const WriteLog& log,
-                           const StateAccountant& accountant) {
-  NvmDevice device(spec.config);
-  auto policy = spec.MakePolicy();
-  return ReplayOnNvm(log, accountant, policy.get(), &device);
 }
 
 void PrintRow(const char* name, const char* policy,
@@ -121,8 +109,8 @@ void RunDefaultCase(const char* name, Alg& alg, const Stream& stream) {
   PrintRow(name, "hashed", hashed.Report());
 
   PrintRow(name, "log+replay",
-           ReplayWith(SpecFor(NvmSpec::Leveling::kDirect), log,
-                      alg.accountant()));
+           ReplayOnNvm(log, alg.accountant(),
+                       SpecFor(NvmSpec::Leveling::kDirect)));
 }
 
 int RunDefault() {
@@ -178,8 +166,8 @@ void RunLiveCase(const char* name, Alg& alg, uint64_t items,
   alg.Drain(ZipfSource(flows, 1.2, items, /*seed=*/77));
 
   const NvmReplayReport exact = live.Report();
-  const NvmReplayReport truncated = ReplayWith(
-      SpecFor(NvmSpec::Leveling::kDirect), log, alg.accountant());
+  const NvmReplayReport truncated = ReplayOnNvm(
+      log, alg.accountant(), SpecFor(NvmSpec::Leveling::kDirect));
 
   const double dropped_pct =
       alg.accountant().word_writes() == 0

@@ -49,13 +49,6 @@ CacheTier::CacheTier(const CacheSpec& spec) : spec_(spec) {
   }
 }
 
-void CacheTier::Reset() {
-  std::fill(lines_.begin(), lines_.end(), Line{});
-  reuse_stack_.clear();
-  use_counter_ = 0;
-  stats_ = CacheStats{};
-}
-
 void CacheTier::RecordReuse(uint64_t line_tag) {
   if (spec_.reuse_stack_max == 0) return;
   // Mattson stack: distance = #distinct lines touched since this line's

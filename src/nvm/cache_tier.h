@@ -132,9 +132,6 @@ class CacheTier {
   /// \brief The geometry this tier was built from.
   const CacheSpec& spec() const { return spec_; }
 
-  /// \brief Empties the cache and zeroes all statistics.
-  void Reset();
-
  private:
   struct Line {
     uint64_t tag = 0;         // line index (cell / line_words)

@@ -1,71 +1,9 @@
 #include "nvm/nvm_adapter.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <memory>
 
 namespace fewstate {
-
-NvmReplayReport NvmCostPath::Report(uint64_t dropped_writes) const {
-  if (!flushed()) {
-    // Wear, imbalance and projected lifetime would silently exclude the
-    // pending write-backs — an unflushed cached report is a wrong answer,
-    // not an approximation. Callers flush first (LiveNvmSink::Report does
-    // so automatically).
-    std::fprintf(stderr,
-                 "NvmCostPath::Report: cache tier holds %llu pending "
-                 "write-backs; Flush() before reporting\n",
-                 static_cast<unsigned long long>(
-                     cache_->stats().writebacks_pending));
-    std::abort();
-  }
-  NvmReplayReport report;
-  report.writes_replayed = writes_;
-  report.reads_replayed = reads_;
-  report.max_cell_wear = device_->max_cell_wear();
-  report.wear_imbalance = device_->wear_imbalance();
-  report.energy_nj = device_->energy_nj();
-  report.latency_ns = device_->latency_ns();
-  report.dropped_writes = dropped_writes;
-  if (cache_ != nullptr) {
-    report.cache_enabled = true;
-    report.cache = cache_->stats();
-  }
-  if (device_->max_cell_wear() == 0) {
-    report.projected_stream_replays_to_failure =
-        std::numeric_limits<double>::infinity();
-  } else {
-    report.projected_stream_replays_to_failure =
-        static_cast<double>(device_->config().endurance) /
-        static_cast<double>(device_->max_cell_wear());
-  }
-  return report;
-}
-
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device) {
-  return ReplayOnNvm(log, accountant, policy, device, CacheSpec{});
-}
-
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device,
-                            const CacheSpec& cache_spec) {
-  std::unique_ptr<CacheTier> cache;
-  if (cache_spec.enabled()) cache = std::make_unique<CacheTier>(cache_spec);
-  NvmCostPath path(policy, device, cache.get());
-  for (const WriteRecord& record : log.records()) {
-    path.Write(record.cell);
-  }
-  // Reads are aggregate (the accountant does not log addresses); they cost
-  // energy/latency but never wear cells.
-  path.BulkReads(accountant.word_reads());
-  path.Flush();
-  return path.Report(log.dropped());
-}
 
 NvmReplayReport AggregateNvmReports(
     const std::vector<NvmReplayReport>& parts) {

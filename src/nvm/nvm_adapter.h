@@ -5,17 +5,13 @@
 #include <vector>
 
 #include "nvm/cache_tier.h"
-#include "nvm/nvm_device.h"
-#include "nvm/wear_leveling.h"
-#include "state/state_accountant.h"
-#include "state/write_log.h"
 
 namespace fewstate {
 
 /// \brief Outcome of pricing an algorithm's memory behaviour on NVM —
-/// produced identically by offline replay (`ReplayOnNvm`) and by the live
-/// streaming path (`LiveNvmSink::Report`); on streams within log capacity
-/// the two are bitwise-identical.
+/// produced by `LiveNvmSink::Report`, whether the sink was fed as the
+/// algorithm ran or afterwards from a recorded log (`ReplayOnNvm`); on
+/// streams within log capacity the two are bitwise-identical.
 ///
 /// With a cache tier attached, `writes_replayed` counts writes that
 /// *reached the device* (dirty-eviction and flush write-backs); the
@@ -48,95 +44,6 @@ struct NvmReplayReport {
   /// dropped.
   bool truncated() const { return dropped_writes > 0; }
 };
-
-/// \brief The shared costing core: one write/read path from logical state
-/// traffic, through a wear-leveling policy, onto a simulated device —
-/// turning the paper's abstract state-change counts into the §1.1
-/// motivating quantities (energy, latency, device lifetime under
-/// asymmetric read/write costs).
-///
-/// Both pricing modes drive this same path, so they cannot diverge:
-/// `ReplayOnNvm` feeds it a recorded `WriteLog` after the fact;
-/// `LiveNvmSink` feeds it each write as the algorithm performs it.
-/// Policy, device and (optional) cache tier are borrowed and must outlive
-/// the path. With a cache, writes land in the tier and only dirty
-/// evictions / `Flush()` write-backs reach the policy+device; wear
-/// leveling therefore remaps at write-back time, downstream of the cache.
-class NvmCostPath {
- public:
-  NvmCostPath(WearLevelingPolicy* policy, NvmDevice* device,
-              CacheTier* cache = nullptr)
-      : policy_(policy), device_(device), cache_(cache) {}
-
-  /// \brief Prices one word write of logical `cell`. `writes_` counts
-  /// writes that reach the device (all of them when uncached).
-  void Write(uint64_t cell) {
-    if (cache_ == nullptr) {
-      device_->Write(policy_->MapWrite(cell));
-      ++writes_;
-      return;
-    }
-    cache_->Write(cell, [this](uint64_t victim) {
-      device_->Write(policy_->MapWrite(victim));
-      ++writes_;
-    });
-  }
-
-  /// \brief Prices `count` aggregate reads (energy/latency; no wear).
-  /// Reads are address-free aggregates, so the cache tier cannot filter
-  /// them — they pass through to the device unchanged.
-  void BulkReads(uint64_t count) {
-    device_->ReadBulk(count);
-    reads_ += count;
-  }
-
-  /// \brief Writes back every dirty cached word to the device (no-op when
-  /// uncached). Must run before `Report()` on a cached path.
-  void Flush() {
-    if (cache_ == nullptr) return;
-    cache_->Flush([this](uint64_t victim) {
-      device_->Write(policy_->MapWrite(victim));
-      ++writes_;
-    });
-  }
-
-  /// \brief True iff every write has been priced onto the device (always
-  /// true uncached; cached: no pending dirty words).
-  bool flushed() const { return cache_ == nullptr || cache_->flushed(); }
-
-  /// \brief Costing outcome so far. `dropped_writes` flags trace
-  /// truncation for the replay path (the live path passes 0). On a cached
-  /// path the tier must be flushed — wear, lifetime and imbalance would
-  /// otherwise silently exclude pending write-backs — so an unflushed
-  /// `Report()` aborts (see `LiveNvmSink::Report` for the auto-flushing
-  /// wrapper).
-  NvmReplayReport Report(uint64_t dropped_writes = 0) const;
-
- private:
-  WearLevelingPolicy* policy_;
-  NvmDevice* device_;
-  CacheTier* cache_;
-  uint64_t writes_ = 0;
-  uint64_t reads_ = 0;
-};
-
-/// \brief Offline pricing: replays a recorded `WriteLog` (plus aggregate
-/// read counts from the accountant) through a wear-leveling policy onto a
-/// simulated device. If the log dropped records past capacity, the report
-/// surfaces the shortfall in `dropped_writes` — the wear figures are then
-/// underestimates and the live path should be used instead.
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device);
-
-/// \brief Cached offline pricing: as above, but replays through a DRAM
-/// cache tier built from `cache_spec` (flushed before reporting). A
-/// disabled spec (`sets == 0`) is bitwise-identical to the uncached
-/// overload.
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device,
-                            const CacheSpec& cache_spec);
 
 /// \brief Folds per-device reports into one deployment-level view (e.g.
 /// one device per shard replica, plus checkpoint devices): traffic,

@@ -2,81 +2,82 @@
 #define FEWSTATE_NVM_WEAR_LEVELING_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/hashing.h"
 
 namespace fewstate {
 
-/// \brief Maps logical state cells to physical NVM cells, optionally
-/// spreading writes to avoid hot cells (§1.1: wear leveling
-/// [Cha07, CHK07]; later systems minimise total writes instead [BFG+15] —
-/// which is the paper's algorithmic angle).
-class WearLevelingPolicy {
- public:
-  virtual ~WearLevelingPolicy() = default;
-
-  /// \brief Physical cell for a write to `logical`; may advance internal
-  /// remapping state.
-  virtual uint64_t MapWrite(uint64_t logical) = 0;
-
-  /// \brief Policy name for reports.
-  virtual const char* name() const = 0;
+/// \brief How logical state cells map onto physical NVM cells (§1.1: wear
+/// leveling [Cha07, CHK07]; later systems minimise total writes instead
+/// [BFG+15] — which is the paper's algorithmic angle).
+enum class WearLeveling {
+  /// Identity mapping: logical cell = physical cell. A hot logical
+  /// counter becomes a hot physical cell.
+  kDirect,
+  /// Start-gap style rotation [QGR11]: the logical->physical mapping is a
+  /// rotation that advances by one slot every `rotate_period` writes,
+  /// smearing hot logical cells across the device over time.
+  kRotating,
+  /// Hash-based per-write scatter: each write of a logical cell lands on a
+  /// pseudo-random physical cell derived from (logical, write count).
+  /// Models the per-cell write-balancing hashing of [EGMP14]; perfect
+  /// leveling, but the mapping table itself would cost extra state in a
+  /// real system (we charge nothing, making it the most favourable
+  /// baseline for write-heavy algorithms).
+  kHashed,
 };
 
-/// \brief Identity mapping: logical cell = physical cell. A hot logical
-/// counter becomes a hot physical cell.
-class DirectMapping : public WearLevelingPolicy {
+/// \brief The remapping layer in front of one simulated device: a closed
+/// switch over the three `WearLeveling` schemes, carrying the state each
+/// one advances per write (rotation offset, per-logical write versions).
+class WearLeveler {
  public:
-  explicit DirectMapping(uint64_t num_cells);
-  uint64_t MapWrite(uint64_t logical) override;
-  const char* name() const override { return "direct"; }
+  /// \brief Sized to a device of `num_cells` (> 0). `rotate_period` (> 0
+  /// under kRotating) and `hash_seed` are read only by their scheme.
+  /// `NvmSpec::Validate` enforces both bounds.
+  WearLeveler(WearLeveling leveling, uint64_t num_cells,
+              uint64_t rotate_period, uint64_t hash_seed)
+      : leveling_(leveling),
+        num_cells_(num_cells),
+        rotate_period_(rotate_period),
+        hash_(hash_seed) {}
+
+  /// \brief Physical cell for a write to `logical`; advances the
+  /// scheme's remapping state.
+  uint64_t MapWrite(uint64_t logical) {
+    switch (leveling_) {
+      case WearLeveling::kRotating: {
+        const uint64_t physical = (logical + offset_) % num_cells_;
+        if (++writes_ % rotate_period_ == 0) {
+          offset_ = (offset_ + 1) % num_cells_;
+        }
+        return physical;
+      }
+      case WearLeveling::kHashed: {
+        // Version the logical cell so successive writes scatter.
+        if (logical >= write_counts_.size()) {
+          write_counts_.resize(logical + 1, 0);
+        }
+        const uint64_t version = write_counts_[logical]++;
+        return hash_.HashRange(
+            Mix64(logical * 0x9e3779b97f4a7c15ULL + version), num_cells_);
+      }
+      case WearLeveling::kDirect:
+        break;
+    }
+    return logical % num_cells_;
+  }
 
  private:
-  uint64_t num_cells_;
-};
-
-/// \brief Start-gap style rotation [QGR11]: the logical->physical mapping
-/// is a rotation that advances by one slot every `rotate_period` writes,
-/// smearing hot logical cells across the device over time.
-class RotatingMapping : public WearLevelingPolicy {
- public:
-  RotatingMapping(uint64_t num_cells, uint64_t rotate_period);
-  uint64_t MapWrite(uint64_t logical) override;
-  const char* name() const override { return "rotate"; }
-
- private:
+  WearLeveling leveling_;
   uint64_t num_cells_;
   uint64_t rotate_period_;
-  uint64_t writes_ = 0;
-  uint64_t offset_ = 0;
+  uint64_t writes_ = 0;  // kRotating
+  uint64_t offset_ = 0;  // kRotating
+  TabulationHash hash_;  // kHashed
+  std::vector<uint64_t> write_counts_;  // kHashed: per-logical version
 };
-
-/// \brief Hash-based per-write scatter: each write of a logical cell lands
-/// on a pseudo-random physical cell derived from (logical, write count).
-/// Models the per-cell write-balancing hashing of [EGMP14]; perfect
-/// leveling, but the mapping table itself would cost extra state in a real
-/// system (we charge nothing, making it the most favourable baseline for
-/// write-heavy algorithms).
-class HashedMapping : public WearLevelingPolicy {
- public:
-  HashedMapping(uint64_t num_cells, uint64_t seed);
-  uint64_t MapWrite(uint64_t logical) override;
-  const char* name() const override { return "hashed"; }
-
- private:
-  uint64_t num_cells_;
-  TabulationHash hash_;
-  std::vector<uint64_t> write_counts_;  // per-logical version counter
-};
-
-/// \brief Factory helpers.
-std::unique_ptr<WearLevelingPolicy> MakeDirectMapping(uint64_t num_cells);
-std::unique_ptr<WearLevelingPolicy> MakeRotatingMapping(
-    uint64_t num_cells, uint64_t rotate_period);
-std::unique_ptr<WearLevelingPolicy> MakeHashedMapping(uint64_t num_cells,
-                                                      uint64_t seed);
 
 }  // namespace fewstate
 

@@ -46,14 +46,6 @@ void PublishWearStats(MetricsRegistry* registry, const MetricLabels& labels,
       ->Set(stats.mean_wear);
 }
 
-void PublishWearHistogram(MetricsRegistry* registry, const MetricLabels& labels,
-                          const NvmDevice& device) {
-  Histogram* hist = registry->GetHistogram("fewstate_nvm_cell_wear", labels);
-  for (uint64_t wear : device.cell_wear()) {
-    if (wear > 0) hist->Observe(wear);
-  }
-}
-
 void PublishCacheStats(MetricsRegistry* registry, const MetricLabels& labels,
                        const CacheStats& stats) {
   registry->GetGauge("fewstate_cache_total_writes", labels)

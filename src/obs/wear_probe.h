@@ -33,15 +33,6 @@ WearStats ComputeWearStats(const NvmDevice& device);
 void PublishWearStats(MetricsRegistry* registry, const MetricLabels& labels,
                       const WearStats& stats);
 
-/// \brief Exports the cell-write distribution into the
-/// `fewstate_nvm_cell_wear` histogram under `labels`: one observation
-/// per *written* cell (never-written cells are excluded — their count is
-/// the device size minus `fewstate_nvm_written_cells`). Call once per
-/// device, at end of run: the histogram is cumulative, so re-publishing
-/// the same device would double-count.
-void PublishWearHistogram(MetricsRegistry* registry, const MetricLabels& labels,
-                          const NvmDevice& device);
-
 /// \brief Publishes a DRAM cache tier's traffic counters as gauges under
 /// `labels`: `fewstate_cache_total_writes`, `fewstate_cache_hits`,
 /// `fewstate_cache_absorbed_writes`, `fewstate_cache_dirty_evictions`,

@@ -296,8 +296,8 @@ class ShardedEngine {
   Status AddSketchEntry(SketchFactory factory, bool has_nvm,
                         const NvmSpec& nvm_spec);
 
-  // options_.checkpoint_policy is the effective schedule: degenerate
-  // zero-parameter triggers are normalized to kNone at construction.
+  // options_.checkpoint_policy is kept as given: a zero-parameter trigger
+  // stays in place, and CheckpointPolicy::enabled() reports it disabled.
   ShardedEngineOptions options_;
   std::vector<Entry> entries_;
   // pipelines_[shard]: the shard's replicas with their sinks, checkpoint

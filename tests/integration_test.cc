@@ -12,9 +12,7 @@
 #include "core/fp_estimator.h"
 #include "core/heavy_hitters.h"
 #include "core/small_p_estimator.h"
-#include "nvm/nvm_adapter.h"
-#include "nvm/nvm_device.h"
-#include "nvm/wear_leveling.h"
+#include "nvm/live_sink.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
 
@@ -128,15 +126,17 @@ TEST_F(IntegrationTest, NvmReplayAccountsEveryWordWrite) {
 
   // Every recorded word write lands on the device (minus init epoch-0 and
   // capacity drops, both zero here).
-  NvmConfig config;
-  config.num_cells = 1 << 18;
-  NvmDevice device(config);
-  auto policy = MakeDirectMapping(config.num_cells);
-  const NvmReplayReport report =
-      ReplayOnNvm(log, alg.accountant(), policy.get(), &device);
+  NvmSpec spec;
+  spec.config.num_cells = 1 << 18;
+  const NvmReplayReport report = ReplayOnNvm(log, alg.accountant(), spec);
   EXPECT_EQ(report.writes_replayed,
             alg.accountant().word_writes() - log.dropped());
-  EXPECT_EQ(device.total_writes(), report.writes_replayed);
+  // The device a sink fed from the log holds the same writes.
+  LiveNvmSink sink(spec);
+  for (const WriteRecord& record : log.records()) {
+    sink.OnWrite(record.epoch, record.cell);
+  }
+  EXPECT_EQ(sink.device().total_writes(), report.writes_replayed);
   EXPECT_EQ(report.reads_replayed, alg.accountant().word_reads());
   EXPECT_GE(report.writes_replayed, alg.accountant().state_changes());
 }

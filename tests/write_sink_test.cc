@@ -1,7 +1,8 @@
 // The WriteSink pipeline: live NVM pricing must agree bitwise with the
-// recorded-log replay path on streams the log can hold (they drive one
-// costing core), TeeSink must be equivalent to each sink alone, truncated
-// replays must say so, and sharded checkpoint wear must be deterministic.
+// recorded-log replay path on streams the log can hold (replay feeds the
+// log through the same sink), TeeSink must be equivalent to each sink
+// alone, truncated replays must say so, and sharded checkpoint wear must
+// be deterministic.
 
 #include <gtest/gtest.h>
 
@@ -115,10 +116,8 @@ TEST(WriteSink, LiveSinkMatchesLogReplayBitwiseForEveryPolicy) {
     CountMin logged(4, 512, /*seed=*/7);
     logged.mutable_accountant()->set_write_sink(&log);
     logged.Consume(stream);
-    NvmDevice device(spec.config);
-    auto policy = spec.MakePolicy();
     const NvmReplayReport replayed =
-        ReplayOnNvm(log, logged.accountant(), policy.get(), &device);
+        ReplayOnNvm(log, logged.accountant(), spec);
     ASSERT_EQ(replayed.dropped_writes, 0u);
 
     LiveNvmSink live(spec);
@@ -140,10 +139,8 @@ TEST(WriteSink, LiveSinkMatchesLogReplayForWriteFrugalSketch) {
   FullSampleAndHold logged(FshOptions());
   logged.mutable_accountant()->set_write_sink(&log);
   logged.Consume(stream);
-  NvmDevice device(spec.config);
-  auto policy = spec.MakePolicy();
   const NvmReplayReport replayed =
-      ReplayOnNvm(log, logged.accountant(), policy.get(), &device);
+      ReplayOnNvm(log, logged.accountant(), spec);
 
   LiveNvmSink live(spec);
   FullSampleAndHold streamed(FshOptions());
@@ -199,10 +196,8 @@ TEST(WriteSink, ReplaySurfacesDroppedWritesAndLiveSinkNeverDrops) {
   alg.Consume(stream);
 
   ASSERT_GT(tiny_log.dropped(), 0u);
-  NvmDevice device(spec.config);
-  auto policy = spec.MakePolicy();
   const NvmReplayReport replayed =
-      ReplayOnNvm(tiny_log, alg.accountant(), policy.get(), &device);
+      ReplayOnNvm(tiny_log, alg.accountant(), spec);
   EXPECT_TRUE(replayed.truncated());
   EXPECT_EQ(replayed.dropped_writes, tiny_log.dropped());
   EXPECT_EQ(replayed.writes_replayed + replayed.dropped_writes,
