@@ -308,7 +308,7 @@ int RunCheckpoint(uint64_t items, uint64_t every, bool with_cache) {
   std::printf("%-18s %-6s %6s %6s %6s %14s %14s %10s\n", "sketch", "mode",
               "ckpts", "full", "delta", "ckpt_writes", "ckpt_max_wear",
               "ckpt_eol");
-  bench::CsvHeader(RunReport::CsvHeader());
+  bench::CsvHeader(ShardedRunReport::CsvHeader());
 
   for (const SketchFactory& factory : CheckpointRoster()) {
     std::unique_ptr<ShardedEngine> delta_engine;

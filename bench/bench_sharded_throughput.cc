@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
               "S", "items/sec", "ingest_s", "state_changes", "word_writes",
               "merge_writes", "merge_s", "ckpts", "full", "delta",
               "ckpt_writes", "peak_rss_mib");
-  bench::CsvHeader(RunReport::CsvHeader());
+  bench::CsvHeader(ShardedRunReport::CsvHeader());
   if (obs_overhead) {
     bench::CsvBlock("overhead,S,items_per_sec_off,items_per_sec_on,"
                     "delta_pct\n");

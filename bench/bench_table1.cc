@@ -3,7 +3,8 @@
 // CountSketch: O(m), L2) against this paper's FullSampleAndHold
 // (Otilde(n^{1-1/p}), L2 which includes L1).
 //
-// All five structures ride one StreamEngine pass per stream length,
+// All five structures ride one single-shard `ShardedEngine` pass per
+// stream length,
 // ingesting from a lazy `ZipfSource` (`ItemSource` API): the stream is
 // never materialized, so memory stays O(universe) however long m grows —
 // which is exactly the regime the table is about (m >> n). The ground
@@ -20,17 +21,20 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
 #include "baselines/misra_gries.h"
 #include "baselines/space_saving.h"
 #include "bench_util.h"
 #include "core/full_sample_and_hold.h"
+#include "shard/sharded_engine.h"
+#include "shard/sketch_factory.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
 
@@ -61,22 +65,32 @@ double Recall(const std::vector<HeavyHitter>& reported,
 
 constexpr uint64_t kUniverse = 20000;
 
-// Registers the Table-1 roster into `engine` (engine-owned sketches), so
-// the state-change sweep and the batch-vs-scalar throughput section run
-// the identical structure set.
-void RegisterRoster(StreamEngine& engine, uint64_t stream_length_hint) {
+// Registers the Table-1 roster into a single-shard `engine`, so the
+// state-change sweep and the batch-vs-scalar throughput section run the
+// identical structure set.
+void RegisterRoster(ShardedEngine& engine, uint64_t stream_length_hint) {
   FullSampleAndHoldOptions fsh_options;
   fsh_options.universe = kUniverse;
   fsh_options.stream_length_hint = stream_length_hint;
   fsh_options.p = 2.0;
   fsh_options.eps = 0.3;
   fsh_options.seed = 4;
-  engine.Register("MisraGries[MG82]", std::make_unique<MisraGries>(1000));
-  engine.Register("CountMin[CM05]", std::make_unique<CountMin>(4, 2048, 2));
-  engine.Register("SpaceSaving[MAA05]", std::make_unique<SpaceSaving>(1000));
-  engine.Register("CountSketch[CCF04]", std::make_unique<CountSketch>(5, 2048, 3));
-  engine.Register("FullSampleAndHold",
-                  std::make_unique<FullSampleAndHold>(fsh_options));
+  for (const SketchFactory& factory :
+       {SketchFactory::Of<MisraGries>("MisraGries[MG82]", size_t{1000}),
+        SketchFactory::Of<CountMin>("CountMin[CM05]", size_t{4}, size_t{2048},
+                                    uint64_t{2}),
+        SketchFactory::Of<SpaceSaving>("SpaceSaving[MAA05]", size_t{1000}),
+        SketchFactory::Of<CountSketch>("CountSketch[CCF04]", size_t{5},
+                                       size_t{2048}, uint64_t{3}),
+        SketchFactory("FullSampleAndHold", [fsh_options] {
+          return std::make_unique<FullSampleAndHold>(fsh_options);
+        })}) {
+    const Status status = engine.AddSketch(factory);
+    if (!status.ok()) {
+      std::fprintf(stderr, "AddSketch failed: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
+  }
 }
 
 void EmitThroughputRow(const char* sketch, const char* mode, uint64_t items,
@@ -108,22 +122,26 @@ void ThroughputComparison(uint64_t m) {
   // in A/B/B/A order, and each mode keeps its best (min-wall) pass. The
   // first pass of the whole section eats cold caches and frequency
   // ramp-up, and A/B/B/A hands that penalty to neither mode
-  // systematically; min-of-two then discards it.
-  StreamEngine scalar_engine;
+  // systematically; min-of-two then discards it. The ENGINE rows use the
+  // ingest wall (partitioner + the one worker), the per-sketch rows the
+  // worker's per-sketch update walls.
+  ShardedEngineOptions scalar_options;
+  scalar_options.force_scalar = true;
+  ShardedEngine scalar_engine(scalar_options);
   RegisterRoster(scalar_engine, m);
-  scalar_engine.set_force_scalar(true);
-  StreamEngine batch_engine;
+  ShardedEngine batch_engine(ShardedEngineOptions{});
   RegisterRoster(batch_engine, m);
 
-  RunReport scalar = scalar_engine.Run(ZipfSource(kUniverse, 1.3, m, seed));
-  RunReport batch = batch_engine.Run(ZipfSource(kUniverse, 1.3, m, seed));
-  const auto keep_min = [](RunReport& best, const RunReport& next) {
-    if (next.wall_seconds < best.wall_seconds) {
-      best.wall_seconds = next.wall_seconds;
-    }
+  ShardedRunReport scalar =
+      scalar_engine.Run(ZipfSource(kUniverse, 1.3, m, seed));
+  ShardedRunReport batch =
+      batch_engine.Run(ZipfSource(kUniverse, 1.3, m, seed));
+  const auto keep_min = [](ShardedRunReport& best,
+                           const ShardedRunReport& next) {
+    best.ingest_seconds = std::min(best.ingest_seconds, next.ingest_seconds);
     for (size_t i = 0; i < best.sketches.size(); ++i) {
-      best.sketches[i].wall_seconds = std::min(
-          best.sketches[i].wall_seconds, next.sketches[i].wall_seconds);
+      double& wall = best.sketches[i].per_shard[0].wall_seconds;
+      wall = std::min(wall, next.sketches[i].per_shard[0].wall_seconds);
     }
   };
   keep_min(batch, batch_engine.Run(ZipfSource(kUniverse, 1.3, m, seed)));
@@ -133,8 +151,8 @@ void ThroughputComparison(uint64_t m) {
       "sketch,mode,items,ns_per_item,mitems_per_sec,speedup_vs_scalar");
   double grid_scalar = 0.0, grid_batch = 0.0;
   for (size_t i = 0; i < batch.sketches.size(); ++i) {
-    const SketchRunReport& b = batch.sketches[i];
-    const SketchRunReport& s = scalar.sketches[i];
+    const SketchRunReport& b = batch.sketches[i].per_shard[0];
+    const SketchRunReport& s = scalar.sketches[i].per_shard[0];
     EmitThroughputRow(s.name.c_str(), "scalar", m, s.wall_seconds, 1.0);
     EmitThroughputRow(b.name.c_str(), "batch", m, b.wall_seconds,
                       s.wall_seconds / b.wall_seconds);
@@ -145,9 +163,9 @@ void ThroughputComparison(uint64_t m) {
     }
   }
   // Whole-engine items/sec (all five sketches' updates per item).
-  EmitThroughputRow("ENGINE", "scalar", m, scalar.wall_seconds, 1.0);
-  EmitThroughputRow("ENGINE", "batch", m, batch.wall_seconds,
-                    scalar.wall_seconds / batch.wall_seconds);
+  EmitThroughputRow("ENGINE", "scalar", m, scalar.ingest_seconds, 1.0);
+  EmitThroughputRow("ENGINE", "batch", m, batch.ingest_seconds,
+                    scalar.ingest_seconds / batch.ingest_seconds);
   // The headline batch-path multiple: the sketches whose update is
   // hashing + row arithmetic, i.e. what the vectorized path accelerates.
   EmitThroughputRow("GRID_KERNELS", "scalar", m, grid_scalar, 1.0);
@@ -171,7 +189,7 @@ int main(int argc, char** argv) {
   std::printf("%-22s %-12s %10s %14s %10s %8s %10s\n", "algorithm",
               "guarantee", "m", "state_changes", "chg/m", "recall",
               "rss_mib");
-  bench::CsvHeader(RunReport::CsvHeader());
+  bench::CsvHeader(ShardedRunReport::CsvHeader());
 
   uint64_t throughput_m = 0;
   for (uint64_t m : {100000ULL, 300000ULL, 1000000ULL, 3000000ULL,
@@ -185,18 +203,18 @@ int main(int argc, char** argv) {
     const double l2 = oracle.Lp(2.0);
     const double threshold = 0.5 * kEps * l2;
 
-    StreamEngine engine;
+    ShardedEngine engine(ShardedEngineOptions{});
     RegisterRoster(engine, m);
-    auto* mg = static_cast<MisraGries*>(engine.Find("MisraGries[MG82]"));
-    auto* cm = static_cast<CountMin*>(engine.Find("CountMin[CM05]"));
-    auto* ss = static_cast<SpaceSaving*>(engine.Find("SpaceSaving[MAA05]"));
-    auto* cs = static_cast<CountSketch*>(engine.Find("CountSketch[CCF04]"));
-    auto* fsh =
-        static_cast<FullSampleAndHold*>(engine.Find("FullSampleAndHold"));
 
     // A second identically-seeded source: the engine sees the exact items
     // the oracle counted, with nothing materialized in between.
-    const RunReport report = engine.Run(ZipfSource(n, 1.3, m, seed));
+    const ShardedRunReport report = engine.Run(ZipfSource(n, 1.3, m, seed));
+    auto* mg = static_cast<MisraGries*>(engine.Merged("MisraGries[MG82]"));
+    auto* cm = static_cast<CountMin*>(engine.Merged("CountMin[CM05]"));
+    auto* ss = static_cast<SpaceSaving*>(engine.Merged("SpaceSaving[MAA05]"));
+    auto* cs = static_cast<CountSketch*>(engine.Merged("CountSketch[CCF04]"));
+    auto* fsh =
+        static_cast<FullSampleAndHold*>(engine.Merged("FullSampleAndHold"));
 
     const Row rows[] = {
         {"MisraGries[MG82]", "L1 only", mg->HeavyHitters(threshold)},
@@ -206,14 +224,21 @@ int main(int argc, char** argv) {
         {"FullSampleAndHold", "L2 (ours)", fsh->TrackedItemsAbove(threshold)},
     };
     for (const Row& row : rows) {
-      const uint64_t changes = report.Find(row.name)->state_changes;
+      const uint64_t changes = report.Find(row.name)->total.state_changes;
       std::printf("%-22s %-12s %10" PRIu64 " %14" PRIu64
                   " %10.4f %8.2f %10.1f\n",
                   row.name, row.guarantee, m, changes,
                   static_cast<double>(changes) / static_cast<double>(m),
                   Recall(row.reported, truth), bench::PeakRssMiB());
     }
-    bench::CsvBlock(report.ToCsv("m=" + std::to_string(m)));
+    // One row per sketch: at S=1 the shard row is the whole run.
+    std::string csv;
+    for (const ShardedSketchReport& s : report.sketches) {
+      csv += SketchReportCsvRow("m=" + std::to_string(m), s.name,
+                                s.per_shard[0]);
+      csv += '\n';
+    }
+    bench::CsvBlock(csv);
     std::printf("\n");
   }
 

@@ -41,7 +41,7 @@ inline void Section(const char* title) {
 }
 
 /// Machine-readable output: every line of `csv` (e.g. from
-/// `RunReport::ToCsv` / `ShardedRunReport::ToCsv`) is printed prefixed
+/// `ShardedRunReport::ToCsv`) is printed prefixed
 /// with "CSV," so a whole trajectory can be scraped out of mixed bench
 /// output with `grep '^CSV,' | cut -d, -f2-`.
 inline void CsvBlock(const std::string& csv) {

@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "api/item_source.h"
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "core/full_sample_and_hold.h"
 #include "nvm/live_sink.h"

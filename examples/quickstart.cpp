@@ -9,10 +9,11 @@
 #include <cstdio>
 #include <memory>
 
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "core/fp_estimator.h"
 #include "core/heavy_hitters.h"
+#include "shard/sharded_engine.h"
+#include "shard/sketch_factory.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
 
@@ -43,15 +44,24 @@ int main() {
   hh_options.eps = 0.25;
   hh_options.seed = 1;
   // --- Classic baseline: CountMin writes on every update. ---
-  // Both sketches ride one StreamEngine pass over the source; the
-  // RunReport carries each sketch's isolated state-change and word-write
+  // Both sketches ride one pass of a single-shard engine over the source;
+  // the report carries each sketch's isolated state-change and word-write
   // totals.
-  StreamEngine engine;
-  auto& hh = *static_cast<LpHeavyHitters*>(engine.Register(
-      "lp_heavy_hitters", std::make_unique<LpHeavyHitters>(hh_options)));
-  engine.Register("count_min", std::make_unique<CountMin>(
-                                   /*depth=*/4, /*width=*/2048, /*seed=*/2));
-  const RunReport report = engine.Run(ZipfSource(n, 1.3, m, /*seed=*/42));
+  ShardedEngine engine(ShardedEngineOptions{});
+  for (const SketchFactory& factory :
+       {SketchFactory("lp_heavy_hitters",
+                      [hh_options] {
+                        return std::make_unique<LpHeavyHitters>(hh_options);
+                      }),
+        SketchFactory::Of<CountMin>("count_min", /*depth=*/size_t{4},
+                                    /*width=*/size_t{2048},
+                                    /*seed=*/uint64_t{2})}) {
+    if (!engine.AddSketch(factory).ok()) return 1;
+  }
+  const ShardedRunReport report =
+      engine.Run(ZipfSource(n, 1.3, m, /*seed=*/42));
+  const auto& hh =
+      *static_cast<const LpHeavyHitters*>(engine.Merged("lp_heavy_hitters"));
 
   std::printf("stream: m=%llu updates pulled from a lazy source, "
               "universe n=%llu\n",
@@ -71,10 +81,10 @@ int main() {
   }
 
   std::printf("\nstate changes (paper metric, writes to memory):\n");
-  for (const SketchRunReport& row : report.sketches) {
+  for (const ShardedSketchReport& row : report.sketches) {
     std::printf("  %-16s : %10llu  (%.2f%% of updates)\n", row.name.c_str(),
-                (unsigned long long)row.state_changes,
-                100.0 * row.state_changes / (double)m);
+                (unsigned long long)row.total.state_changes,
+                100.0 * row.total.state_changes / (double)m);
   }
   return 0;
 }

@@ -17,7 +17,7 @@ machine-readable perf trajectory per commit:
   (emitted by bench_nvm_wear --cache; cache_words == 0 is the uncached
   control row).
 
-Rows are told apart by field count (6 vs 11); the engines' RunReport CSV
+Rows are told apart by field count (6 vs 11); the engine's run-report CSV
 rows have a different count and are ignored, as are header lines.
 """
 

@@ -24,10 +24,18 @@ if grep -rnE 'set_write_log\(' bench examples; then
   exit 1
 fi
 
+# One-engine gate: `ShardedEngine` is the only engine; the single-stream
+# driver is its S=1 configuration. The deleted `StreamEngine` (and its
+# header) must not creep back as a second engine over the same drain core.
+if grep -rnE '\bStreamEngine\b|api/stream_engine\.h' src bench examples tests; then
+  echo "lint.sh: StreamEngine in src/, bench/, examples/ or tests/ — run single-stream work on a shards=1 ShardedEngine instead" >&2
+  exit 1
+fi
+
 # Batch-drain gate: the drain loops feed sketches through `UpdateBatch`
 # (the vectorized hot path). `ReplicaPipeline::Drain` is the only engine
-# drain loop (both engines' `force_scalar` flags feed its one branch);
-# item_source.cc holds the single-sketch `Drain`. A per-item `->Update(`
+# drain loop (`ShardedEngineOptions::force_scalar` feeds its one scalar
+# branch); item_source.cc holds the single-sketch `Drain`. A per-item `->Update(`
 # call in a drain file is legal only as the `force_scalar` escape hatch —
 # i.e. within two lines of a `force_scalar` guard. Anything else is the
 # scalar path creeping back into the hot loop.

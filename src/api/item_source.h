@@ -20,7 +20,7 @@ namespace fewstate {
 /// The paper's model (§1.5) is an *unbounded* stream observed one update at
 /// a time; a `std::vector<Item>` entry point caps stream length at RAM and
 /// rules out live ingest. An `ItemSource` inverts that: consumers
-/// (`StreamEngine::Run`, `ShardedEngine::Run`, `StreamingAlgorithm::Drain`)
+/// (`ShardedEngine::Run`, `StreamingAlgorithm::Drain`)
 /// pull batches until the source reports end-of-stream, so a run needs
 /// O(batch) memory regardless of stream length, and a generator or socket
 /// can stand behind the same interface as a prebuilt vector.
@@ -58,8 +58,8 @@ class ItemSource {
   virtual Status status() const { return Status::OK(); }
 };
 
-/// \brief Default pull granularity of the library's drains (`StreamEngine`
-/// blocks, `StreamingAlgorithm::Drain`, `Materialize`, the `StreamStats`
+/// \brief Default pull granularity of the library's drains
+/// (`StreamingAlgorithm::Drain`, `Materialize`, the `StreamStats`
 /// source oracle): big enough to amortise the per-batch `UpdateBatch`
 /// dispatch and give the batch hash kernels full-width runs, small enough
 /// (32 KiB of items) that an unsized drain stays O(batch) resident.
@@ -68,7 +68,7 @@ constexpr size_t kDefaultDrainBatchItems = 4096;
 /// \brief The library's single ingest loop: pulls batches from `source`
 /// into `buffer` (capacity `cap` items) until end-of-stream, handing each
 /// batch to `fn(const Item* batch, size_t count)`. Returns the total item
-/// count. Every drain in the library — `StreamEngine`, `ShardedEngine`,
+/// count. Every drain in the library — `ShardedEngine`,
 /// `StreamingAlgorithm::Drain`/`Consume` — routes through this helper.
 template <typename Fn>
 uint64_t ForEachBatch(ItemSource& source, Item* buffer, size_t cap, Fn&& fn) {

@@ -86,23 +86,13 @@ ReplicaPipeline::ReplicaPipeline(ReplicaPipelineOptions options)
   }
 }
 
-ReplicaPipeline::~ReplicaPipeline() {
-  for (Slot& slot : slots_) {
-    const WriteSink* sink = slot.sketch->accountant().write_sink();
-    if (sink != nullptr && (sink == slot.tee.get() || sink == slot.nvm.get() ||
-                            sink == slot.dirty.get())) {
-      slot.sketch->mutable_accountant()->set_write_sink(nullptr);
-    }
-  }
-}
-
-void ReplicaPipeline::Add(std::string name, Sketch* sketch,
-                          std::unique_ptr<Sketch> owned) {
+void ReplicaPipeline::Add(std::string name, std::unique_ptr<Sketch> sketch) {
   Slot slot;
   slot.update_span = "update:" + name;
   slot.name = std::move(name);
-  slot.sketch = sketch;
-  slot.owned = std::move(owned);
+  slot.sketch = std::move(sketch);
+  slot.row.peak_allocated_words =
+      slot.sketch->accountant().peak_allocated_words();
   slots_.push_back(std::move(slot));
 }
 
@@ -125,7 +115,7 @@ void ReplicaPipeline::EnableCheckpoints(
   if (serving_slot != nullptr) {
     std::atomic_store(serving_slot, std::shared_ptr<const ShardSnapshot>());
   }
-  // The checkpoint device persists across this sketch's checkpoints
+  // The checkpoint device persists across this replica's checkpoints
   // (re-snapshotting the same region accrues wear).
   slot.ckpt_sink = std::make_unique<LiveNvmSink>(options_.checkpoint_nvm);
   if (policy.trigger == CheckpointPolicy::Trigger::kEveryItems) {
@@ -155,27 +145,13 @@ void ReplicaPipeline::BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
   metrics_ = metrics;
   trace_ = trace;
   force_scalar_ = force_scalar;
-  processed_ = 0;
-  items_ = nullptr;
-  batches_ = nullptr;
-  if (metrics_ != nullptr) {
-    items_ =
-        metrics_->GetCounter("fewstate_shard_items_total", options_.labels);
-    batches_ = metrics_->GetCounter("fewstate_batches_drained_total",
-                                    options_.labels);
-  }
+  if (metrics_ == nullptr) return;
+  items_ = metrics_->GetCounter("fewstate_shard_items_total", options_.labels);
+  batches_ =
+      metrics_->GetCounter("fewstate_batches_drained_total", options_.labels);
   // Telemetry bindings are resolved once here, so batch boundaries touch
-  // only held pointers — never the registry mutex. Rows start at the
-  // run-start accountant values, so construction-time and earlier runs'
-  // writes are not counted.
+  // only held pointers — never the registry mutex.
   for (Slot& slot : slots_) {
-    const StateAccountant& a = slot.sketch->accountant();
-    slot.before = AccountantSnapshot::Of(a);
-    slot.row = SketchRunReport();
-    slot.row.peak_allocated_words = a.peak_allocated_words();
-    slot.busy_seconds = 0.0;
-    slot.tele = Telemetry();
-    if (metrics_ == nullptr) continue;
     Telemetry& t = slot.tele;
     const MetricLabels labels = With(options_.labels, "sketch", slot.name);
     t.state_changes =
@@ -235,7 +211,8 @@ void ReplicaPipeline::AtBatchBoundary(uint64_t processed) {
     const StateAccountant& a = slot.sketch->accountant();
     const uint64_t changes = slot.row.state_changes;
     const uint64_t writes = slot.row.word_writes;
-    slot.row = slot.before.DeltaTo(AccountantSnapshot::Of(a));
+    // The replica was minted for this run, so its totals are the run's.
+    slot.row = AccountantSnapshot().DeltaTo(AccountantSnapshot::Of(a));
     slot.row.peak_allocated_words = a.peak_allocated_words();
     if (metrics_ == nullptr) continue;
     const Telemetry& t = slot.tele;

@@ -23,9 +23,9 @@ namespace fewstate {
 class ItemSource;
 class TraceRecorder;
 
-/// \brief Per-sketch outcome of one engine run: the deltas of the sketch's
-/// `StateAccountant` over the run, plus wall time spent in its `Update`
-/// calls.
+/// \brief Per-sketch outcome of one engine run: the sketch's
+/// `StateAccountant` counters over the run, plus wall time spent in its
+/// `Update` calls.
 struct SketchRunReport {
   std::string name;
   uint64_t updates = 0;
@@ -34,16 +34,12 @@ struct SketchRunReport {
   uint64_t word_writes = 0;
   uint64_t suppressed_writes = 0;
   uint64_t word_reads = 0;
-  /// Lifetime high-water mark of the sketch's allocated state — an
-  /// absolute figure, not a per-run delta (a peak is not differencable).
+  /// High-water mark of the sketch's allocated state.
   uint64_t peak_allocated_words = 0;
   double wall_seconds = 0.0;
-  /// True iff a live NVM pipeline is attached to this sketch (or, in
-  /// sharded reports, priced this row's traffic).
+  /// True iff a live NVM device priced this row's traffic.
   bool has_nvm = false;
-  /// Cumulative state of the attached simulated device(s): wear accrues
-  /// across runs like a real device, so this is device state at report
-  /// time, not a per-run delta (the accountant columns carry the deltas).
+  /// State of the attached simulated device(s) at report time.
   NvmReplayReport nvm;
   /// Checkpoint/recovery rows only (0 elsewhere): snapshots serialized in
   /// full (whole state rewritten) vs. as deltas (only words changed since
@@ -87,8 +83,7 @@ void PublishSourceStatus(const ItemSource& source, MetricsRegistry* metrics,
 /// \brief Structural configuration of a `ReplicaPipeline`, fixed for its
 /// lifetime.
 struct ReplicaPipelineOptions {
-  /// Labels every metric series of this pipeline carries: `{shard=s}` for
-  /// a `ShardedEngine` shard, none for a `StreamEngine`.
+  /// Labels every metric series of this pipeline carries (`{shard=s}`).
   MetricLabels labels;
   /// Checkpoint schedule for sketches added with `EnableCheckpoints`
   /// (disabled: nothing is ever checkpointed).
@@ -103,8 +98,8 @@ struct ReplicaPipelineOptions {
 
 /// \brief One sketch's outcome of a pipeline run.
 struct ReplicaSketchReport {
-  /// Accountant deltas from `BeginRun` to the last batch boundary, update
-  /// wall time, and the live device's state.
+  /// Accountant counters at the last batch boundary, update wall time,
+  /// and the live device's state.
   SketchRunReport ingest;
   /// Checkpointed sketches only: snapshot accountant deltas summed over
   /// the run's checkpoints, with the full/delta/published counts, and the
@@ -114,39 +109,35 @@ struct ReplicaSketchReport {
   uint64_t last_checkpoint_items = 0;
 };
 
-/// \brief The drain core of both engines: one thread's set of sketches
-/// and everything wired to them.
+/// \brief The drain core of `ShardedEngine`: one shard's replicas and
+/// everything wired to them, for exactly one run.
 ///
-/// For every sketch the pipeline owns the sink chain (`LiveNvmSink`,
-/// `DirtyTracker`, the `TeeSink` joining them), the checkpoint schedule,
-/// capture and publication, the telemetry bindings, and the report row.
-/// A `StreamEngine` is one persistent pipeline driven inline; a
-/// `ShardedEngine` runs one fresh pipeline per shard on a worker thread
-/// and merges afterwards — so S=1 ≡ `StreamEngine` holds by construction.
+/// For every replica the pipeline owns the sketch, its sink chain
+/// (`LiveNvmSink`, `DirtyTracker`, the `TeeSink` joining them), the
+/// checkpoint schedule, capture and publication, the telemetry bindings,
+/// and the report row. The engine builds one fresh pipeline per shard,
+/// drives it on that shard's worker thread and merges afterwards.
 ///
-/// A run is `BeginRun`, then per batch `Drain(items, n)` followed by
+/// A run is `Add`/`AttachNvm`/`EnableCheckpoints` per replica, then
+/// `BeginRun`, then per batch `Drain(items, n)` followed by
 /// `AtBatchBoundary(processed)`, then `Report`. Each boundary refreshes
-/// every sketch's report row from its `StateAccountant`, and telemetry
+/// every replica's report row from its `StateAccountant`, and telemetry
 /// publishes the rows' growth, so metrics attach no sink and leave the
 /// batch kernels' closed-form settle intact. Rows cover exactly what the
 /// pipeline drained: writes after the last boundary (a merge into the
-/// sketch) stay out of them. Not thread-safe: one thread drives a
+/// replica) stay out of them. Not thread-safe: one thread drives a
 /// pipeline between `BeginRun` and `Report`.
 class ReplicaPipeline {
  public:
   explicit ReplicaPipeline(ReplicaPipelineOptions options = {});
-  /// Detaches pipeline-owned sinks from the sketches, so a borrowed
-  /// sketch outliving the pipeline is not left pointing at freed sinks.
-  ~ReplicaPipeline();
   ReplicaPipeline(const ReplicaPipeline&) = delete;
   ReplicaPipeline& operator=(const ReplicaPipeline&) = delete;
 
-  /// \brief Adds `sketch` under `name`: borrowed (it must outlive the
-  /// pipeline) unless `owned`, which must then hold `sketch`.
-  void Add(std::string name, Sketch* sketch, std::unique_ptr<Sketch> owned);
+  /// \brief Adds the freshly-minted `sketch` under `name`.
+  void Add(std::string name, std::unique_ptr<Sketch> sketch);
 
   /// \brief Prices sketch `i`'s writes live on a fresh device minted from
-  /// `spec` (validated by the caller), replacing any previous device.
+  /// `spec` (validated by the caller).
   void AttachNvm(size_t i, const NvmSpec& spec);
 
   /// \brief Checkpoints sketch `i` under the pipeline's policy, minting
@@ -158,9 +149,7 @@ class ReplicaPipeline {
 
   size_t size() const { return slots_.size(); }
   const std::string& name(size_t i) const { return slots_[i].name; }
-  Sketch* sketch(size_t i) const { return slots_[i].sketch; }
-  /// \brief Sketch `i`'s live device, or nullptr.
-  LiveNvmSink* nvm_sink(size_t i) const { return slots_[i].nvm.get(); }
+  Sketch* sketch(size_t i) const { return slots_[i].sketch.get(); }
   /// \brief Sketch `i`'s checkpoint device, or nullptr.
   LiveNvmSink* checkpoint_sink(size_t i) const {
     return slots_[i].ckpt_sink.get();
@@ -168,8 +157,8 @@ class ReplicaPipeline {
   /// \brief Sketch `i`'s most recent checkpoint, or nullptr.
   const Sketch* snapshot(size_t i) const { return slots_[i].snapshot.get(); }
 
-  /// \brief Starts a run: resets timers and the item cursor, snapshots
-  /// every accountant, and binds telemetry (both borrowed; null = off).
+  /// \brief Starts the run: binds telemetry (both borrowed; null = off)
+  /// and the update path.
   void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
                 bool force_scalar);
 
@@ -214,8 +203,8 @@ class ReplicaPipeline {
     int serve_cur = 0;  // index of the most recently published buffer
   };
 
-  // Sinks are declared before the sketches whose accountants point at
-  // them, so they are destroyed after those sketches.
+  // Sinks are declared before the sketch whose accountant points at them,
+  // so they are destroyed after it.
   struct Slot {
     std::string name;
     std::string update_span;  // "update:<name>", preformatted
@@ -230,12 +219,10 @@ class ReplicaPipeline {
     // mode, replaced by full ones). Shared because full-mode serving
     // publishes it directly.
     std::shared_ptr<Sketch> snapshot;
-    std::unique_ptr<Sketch> owned;
-    Sketch* sketch = nullptr;  // borrowed or == owned.get()
+    std::unique_ptr<Sketch> sketch;
     CkptTrack ckpt;
-    AccountantSnapshot before;  // at BeginRun
-    SketchRunReport row;        // deltas to the last batch boundary
-    double busy_seconds = 0.0;  // in this run's updates
+    SketchRunReport row;        // counters at the last batch boundary
+    double busy_seconds = 0.0;  // in updates
     Telemetry tele;
   };
 

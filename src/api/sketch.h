@@ -23,7 +23,7 @@ namespace fewstate {
 ///  * `accountant()` — the `StateAccountant` tracking the paper's
 ///    state-change metric (§1.5) plus the finer word-write/read counts.
 ///
-/// The shared interface is what lets `StreamEngine` drive heterogeneous
+/// The shared interface is what lets `ShardedEngine` drive heterogeneous
 /// sketches over one stream pass and report their wear metrics uniformly
 /// (the Table 1 / §5 experiment shape).
 class Sketch : public StreamingAlgorithm {

@@ -5,6 +5,14 @@
 
 namespace fewstate {
 
+namespace {
+
+constexpr char kIncompatible[] =
+    "CountMin: incompatible configuration (depth, width, seed and update "
+    "mode must match)";
+
+}  // namespace
+
 CountMin::CountMin(size_t depth, size_t width, uint64_t seed,
                    bool conservative)
     : depth_(depth == 0 ? 1 : depth),
@@ -31,16 +39,15 @@ void CountMin::Update(Item item) {
   // Conservative update: new estimate is min+1; only counters below it are
   // raised.
   uint64_t min_count = std::numeric_limits<uint64_t>::max();
-  size_t idxs[64];
-  const size_t depth_clamped = std::min<size_t>(depth_, 64);
-  for (size_t d = 0; d < depth_clamped; ++d) {
-    idxs[d] = d * width_ + hashes_[d].HashRange(item, width_);
-    min_count = std::min(min_count, table_->Get(idxs[d]));
+  scalar_idx_.resize(depth_);
+  for (size_t d = 0; d < depth_; ++d) {
+    scalar_idx_[d] = d * width_ + hashes_[d].HashRange(item, width_);
+    min_count = std::min(min_count, table_->Get(scalar_idx_[d]));
   }
   const uint64_t target = min_count + 1;
-  for (size_t d = 0; d < depth_clamped; ++d) {
-    if (table_->Get(idxs[d]) < target) {
-      table_->Set(idxs[d], target);
+  for (size_t d = 0; d < depth_; ++d) {
+    if (table_->Get(scalar_idx_[d]) < target) {
+      table_->Set(scalar_idx_[d], target);
     }
   }
 }
@@ -52,11 +59,10 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
   uint64_t* table = table_->BatchData();
   const uint64_t base = table_->base_cell();
   const bool collect = accountant_.needs_cell_addresses();
-  const size_t rows = conservative_ ? std::min<size_t>(depth_, 64) : depth_;
   for (size_t off = 0; off < n; off += kChunk) {
     const size_t c = std::min(kChunk, n - off);
-    batch_idx_.resize(rows * c);
-    for (size_t d = 0; d < rows; ++d) {
+    batch_idx_.resize(depth_ * c);
+    for (size_t d = 0; d < depth_; ++d) {
       hashes_[d].HashRangeBatch(items + off, c, width_,
                                 batch_idx_.data() + d * c);
     }
@@ -89,19 +95,19 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
         uint64_t min_count = std::numeric_limits<uint64_t>::max();
-        for (size_t d = 0; d < rows; ++d) {
+        for (size_t d = 0; d < depth_; ++d) {
           min_count =
               std::min(min_count, table[d * width_ + batch_idx_[d * c + i]]);
         }
         const uint64_t target = min_count + 1;
-        for (size_t d = 0; d < rows; ++d) {
+        for (size_t d = 0; d < depth_; ++d) {
           const size_t cell = d * width_ + batch_idx_[d * c + i];
           if (table[cell] < target) {
             table[cell] = target;
             batch_scratch_.Write(base + cell);
           }
         }
-        batch_scratch_.Read(2 * rows);
+        batch_scratch_.Read(2 * depth_);
       }
     }
     accountant_.ApplyBatch(batch_scratch_);
@@ -112,12 +118,7 @@ Status CountMin::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<CountMin>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_ ||
-      src->conservative_ != conservative_) {
-    return Status::InvalidArgument(
-        "CountMin::MergeFrom: incompatible configuration (depth, width, seed "
-        "and update mode must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   // One merge is one accounting epoch.
   accountant_.BeginUpdate();
   AddTrackedArray(table_.get(), *src->table_);
@@ -128,12 +129,7 @@ Status CountMin::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<CountMin>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_ ||
-      src->conservative_ != conservative_) {
-    return Status::InvalidArgument(
-        "CountMin::RestoreFrom: incompatible configuration (depth, width, "
-        "seed and update mode must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   // One restore is one accounting epoch.
   accountant_.BeginUpdate();
   CopyTrackedArray(table_.get(), *src->table_);
@@ -144,12 +140,7 @@ Status CountMin::RestoreDirty(const Sketch& source, const DirtyTracker& dirty) {
   Status status;
   const auto* src = RestoreSourceAs<CountMin>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_ ||
-      src->conservative_ != conservative_) {
-    return Status::InvalidArgument(
-        "CountMin::RestoreDirty: incompatible configuration (depth, width, "
-        "seed and update mode must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   accountant_.BeginUpdate();
   CopyTrackedArrayCells(table_.get(), *src->table_, dirty.SortedCells());
   return Status::OK();

@@ -79,6 +79,12 @@ class CountMin : public MergeableSketch, public RestorableSketch {
   StateAccountant* mutable_accountant() override { return &accountant_; }
 
  private:
+  // Merge/restore compatibility: same dimensions, seed and update mode.
+  bool SameConfig(const CountMin& other) const {
+    return other.depth_ == depth_ && other.width_ == width_ &&
+           other.seed_ == seed_ && other.conservative_ == conservative_;
+  }
+
   size_t depth_;
   size_t width_;
   uint64_t seed_;
@@ -89,6 +95,7 @@ class CountMin : public MergeableSketch, public RestorableSketch {
   // Reused batch-kernel scratch (bounded by the internal chunk size).
   BatchUpdateScratch batch_scratch_;
   std::vector<uint64_t> batch_idx_;
+  std::vector<size_t> scalar_idx_;  // conservative Update's row cells
 };
 
 }  // namespace fewstate

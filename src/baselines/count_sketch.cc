@@ -6,6 +6,14 @@
 
 namespace fewstate {
 
+namespace {
+
+constexpr char kIncompatible[] =
+    "CountSketch: incompatible configuration (depth, width and seed must "
+    "match)";
+
+}  // namespace
+
 CountSketch::CountSketch(size_t depth, size_t width, uint64_t seed)
     : depth_(depth == 0 ? 1 : depth),
       width_(width == 0 ? 1 : width),
@@ -80,11 +88,7 @@ Status CountSketch::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<CountSketch>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_) {
-    return Status::InvalidArgument(
-        "CountSketch::MergeFrom: incompatible configuration (depth, width "
-        "and seed must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   accountant_.BeginUpdate();
   AddTrackedArray(table_.get(), *src->table_);
   return Status::OK();
@@ -94,11 +98,7 @@ Status CountSketch::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<CountSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_) {
-    return Status::InvalidArgument(
-        "CountSketch::RestoreFrom: incompatible configuration (depth, width "
-        "and seed must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   accountant_.BeginUpdate();
   CopyTrackedArray(table_.get(), *src->table_);
   return Status::OK();
@@ -109,11 +109,7 @@ Status CountSketch::RestoreDirty(const Sketch& source,
   Status status;
   const auto* src = RestoreSourceAs<CountSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_) {
-    return Status::InvalidArgument(
-        "CountSketch::RestoreDirty: incompatible configuration (depth, width "
-        "and seed must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   accountant_.BeginUpdate();
   CopyTrackedArrayCells(table_.get(), *src->table_, dirty.SortedCells());
   return Status::OK();

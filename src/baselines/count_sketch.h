@@ -68,6 +68,12 @@ class CountSketch : public MergeableSketch, public RestorableSketch {
   StateAccountant* mutable_accountant() override { return &accountant_; }
 
  private:
+  // Merge/restore compatibility: same dimensions and seed.
+  bool SameConfig(const CountSketch& other) const {
+    return other.depth_ == depth_ && other.width_ == width_ &&
+           other.seed_ == seed_;
+  }
+
   size_t depth_;
   size_t width_;
   uint64_t seed_;

@@ -5,6 +5,13 @@
 
 namespace fewstate {
 
+namespace {
+
+constexpr char kIncompatible[] =
+    "MisraGries: capacities must match";
+
+}  // namespace
+
 MisraGries::MisraGries(size_t k) : k_(k == 0 ? 1 : k) {
   // 2 words (item, count) per slot.
   cells_base_ = accountant_.AllocateCells(2 * k_);
@@ -87,10 +94,7 @@ Status MisraGries::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<MisraGries>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->k_ != k_) {
-    return Status::InvalidArgument(
-        "MisraGries::MergeFrom: capacities must match");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   accountant_.BeginUpdate();
   for (const auto& [item, entry] : src->counts_) {
     accountant_.RecordRead();
@@ -151,10 +155,7 @@ Status MisraGries::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<MisraGries>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->k_ != k_) {
-    return Status::InvalidArgument(
-        "MisraGries::RestoreFrom: capacities must match");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   accountant_.BeginUpdate();
   // Evict entries the source no longer tracks (one tombstone word each —
   // the slot's zeroed count word).

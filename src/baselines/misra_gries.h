@@ -90,6 +90,9 @@ class MisraGries : public MergeableSketch,
     uint32_t slot = 0;
   };
 
+  // Merge/restore compatibility: same capacity.
+  bool SameConfig(const MisraGries& other) const { return other.k_ == k_; }
+
   uint64_t KeyCell(uint32_t slot) const { return cells_base_ + 2 * slot; }
   uint64_t CountCell(uint32_t slot) const {
     return cells_base_ + 2 * slot + 1;

@@ -9,6 +9,14 @@
 
 namespace fewstate {
 
+namespace {
+
+constexpr char kIncompatible[] =
+    "StableSketch: incompatible configuration (p, rows, seed, counter "
+    "mode and Morris growth must match)";
+
+}  // namespace
+
 StableSketch::StableSketch(double p, size_t rows, uint64_t seed,
                            CounterMode mode, double morris_a,
                            StateAccountant* shared_accountant,
@@ -137,12 +145,7 @@ Status StableSketch::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<StableSketch>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->p_ != p_ || src->rows_ != rows_ || src->seed_ != seed_ ||
-      src->mode_ != mode_ || src->morris_a_ != morris_a_) {
-    return Status::InvalidArgument(
-        "StableSketch::MergeFrom: incompatible configuration (p, rows, "
-        "seed, counter mode and Morris growth must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   if (manage_epochs_) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     AddTrackedArray(exact_rows_.get(), *src->exact_rows_);
@@ -161,12 +164,7 @@ Status StableSketch::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->p_ != p_ || src->rows_ != rows_ || src->seed_ != seed_ ||
-      src->mode_ != mode_ || src->morris_a_ != morris_a_) {
-    return Status::InvalidArgument(
-        "StableSketch::RestoreFrom: incompatible configuration (p, rows, "
-        "seed, counter mode and Morris growth must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   if (manage_epochs_) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     CopyTrackedArray(exact_rows_.get(), *src->exact_rows_);
@@ -190,12 +188,7 @@ Status StableSketch::RestoreDirty(const Sketch& source,
   Status status;
   const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->p_ != p_ || src->rows_ != rows_ || src->seed_ != seed_ ||
-      src->mode_ != mode_ || src->morris_a_ != morris_a_) {
-    return Status::InvalidArgument(
-        "StableSketch::RestoreDirty: incompatible configuration (p, rows, "
-        "seed, counter mode and Morris growth must match)");
-  }
+  if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
   if (manage_epochs_) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     CopyTrackedArrayCells(exact_rows_.get(), *src->exact_rows_,

@@ -118,6 +118,13 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// the pair is visited).
   double Entry(size_t row, Item item) const;
 
+  // Merge/restore compatibility: same p, rows, seed, counter mode and
+  // Morris growth.
+  bool SameConfig(const StableSketch& other) const {
+    return other.p_ == p_ && other.rows_ == rows_ && other.seed_ == seed_ &&
+           other.mode_ == mode_ && other.morris_a_ == morris_a_;
+  }
+
   double p_;
   size_t rows_;
   uint64_t seed_;

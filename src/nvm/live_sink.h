@@ -103,8 +103,8 @@ class LiveNvmSink : public WriteSink {
     return std::as_const(*this).Report();
   }
 
-  /// \brief Const overload for already-flushed sinks (e.g. via
-  /// `StreamEngine::NvmSink`, which the engine flushes at end of run).
+  /// \brief Const overload for already-flushed sinks (e.g. a replica's
+  /// live device, which its pipeline flushes at end of run).
   /// Aborts if the cache tier still holds pending write-backs — a const
   /// sink cannot flush, and an unflushed wear figure is a wrong answer.
   NvmReplayReport Report() const;

@@ -7,6 +7,7 @@
 #include "api/mergeable.h"
 #include "obs/trace.h"
 #include "recover/restorable.h"
+#include "shard/sharded_engine.h"
 
 namespace fewstate {
 

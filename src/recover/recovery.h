@@ -7,7 +7,7 @@
 
 #include "api/item_source.h"
 #include "api/sketch.h"
-#include "api/stream_engine.h"
+#include "api/replica_pipeline.h"
 #include "common/status.h"
 #include "nvm/live_sink.h"
 #include "shard/sketch_factory.h"
@@ -65,7 +65,7 @@ struct RecoveryReport {
   /// \brief Human-readable two-phase summary.
   std::string ToString() const;
 
-  /// \brief Three `RunReport::CsvHeader()` rows — the sketch column is
+  /// \brief Three `ShardedRunReport::CsvHeader()` rows — the sketch column is
   /// suffixed `[recover:restore]`, `[recover:replay]`, `[recover:total]`
   /// — so recovery costs scrape alongside run rows.
   std::string ToCsv(const std::string& label, const std::string& sketch) const;

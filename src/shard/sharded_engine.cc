@@ -92,7 +92,61 @@ class BatchQueue {
   bool closed_ = false;
 };
 
+// A caller-supplied label (or a sketch name built from one) containing a
+// comma, quote or line break would shift or split every downstream CSV
+// column; neuter those characters rather than emit a malformed row.
+std::string CsvSanitize(const std::string& field) {
+  std::string out = field;
+  for (char& c : out) {
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') c = '_';
+  }
+  return out;
+}
+
 }  // namespace
+
+std::string SketchReportCsvRow(const std::string& label,
+                               const std::string& sketch,
+                               const SketchRunReport& row) {
+  const std::string safe_label = CsvSanitize(label);
+  const std::string safe_sketch = CsvSanitize(sketch);
+  const bool cached = row.has_nvm && row.nvm.cache_enabled;
+  char line[640];
+  std::snprintf(line, sizeof(line),
+                "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%.6g,"
+                "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
+                safe_label.c_str(), safe_sketch.c_str(),
+                static_cast<unsigned long long>(row.updates),
+                static_cast<unsigned long long>(row.state_changes),
+                static_cast<unsigned long long>(row.word_writes),
+                static_cast<unsigned long long>(row.suppressed_writes),
+                static_cast<unsigned long long>(row.word_reads),
+                static_cast<unsigned long long>(row.peak_allocated_words),
+                row.wall_seconds,
+                static_cast<unsigned long long>(
+                    row.has_nvm ? row.nvm.writes_replayed : 0),
+                static_cast<unsigned long long>(
+                    row.has_nvm ? row.nvm.max_cell_wear : 0),
+                row.has_nvm ? row.nvm.energy_nj : 0.0,
+                row.has_nvm ? row.nvm.projected_stream_replays_to_failure
+                            : 0.0,
+                static_cast<unsigned long long>(
+                    row.has_nvm ? row.nvm.dropped_writes : 0),
+                static_cast<unsigned long long>(row.full_checkpoints),
+                static_cast<unsigned long long>(row.delta_checkpoints),
+                static_cast<unsigned long long>(row.snapshots_published),
+                static_cast<unsigned long long>(cached ? row.nvm.cache.hits
+                                                       : 0),
+                static_cast<unsigned long long>(
+                    cached ? row.nvm.cache.absorbed_writes : 0),
+                static_cast<unsigned long long>(
+                    cached ? row.nvm.cache.dirty_evictions : 0),
+                static_cast<unsigned long long>(
+                    cached ? row.nvm.cache.writebacks : 0),
+                static_cast<unsigned long long>(
+                    cached ? row.nvm.cache.ReuseP50() : 0));
+  return line;
+}
 
 const ShardedSketchReport* ShardedRunReport::Find(
     const std::string& name) const {
@@ -172,6 +226,14 @@ std::string ShardedRunReport::ToString() const {
   return out;
 }
 
+std::string ShardedRunReport::CsvHeader() {
+  return "label,sketch,updates,state_changes,word_writes,suppressed_writes,"
+         "word_reads,peak_words,wall_seconds,nvm_writes,nvm_max_wear,"
+         "nvm_energy_nj,nvm_replays_to_eol,nvm_dropped,ckpt_full,ckpt_delta,"
+         "ckpt_published,cache_hits,absorbed_writes,dirty_evictions,"
+         "writebacks,cache_reuse_p50";
+}
+
 std::string ShardedRunReport::ToCsv(const std::string& label) const {
   std::string out;
   for (const ShardedSketchReport& s : sketches) {
@@ -200,7 +262,7 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
   if (options_.max_queued_batches == 0) options_.max_queued_batches = 1;
   const CheckpointPolicy& policy = options_.checkpoint_policy;
   // An invalid checkpoint device is a programming error, caught at setup
-  // like StreamEngine's registration aborts — not mid-run.
+  // — not mid-run.
   if (policy.enabled()) {
     const Status valid = options_.checkpoint_nvm.Validate();
     if (!valid.ok()) {
@@ -361,9 +423,7 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
     auto pipeline = std::make_unique<ReplicaPipeline>(std::move(po));
     for (size_t i = 0; i < num_sketches; ++i) {
       const Entry& e = entries_[i];
-      std::unique_ptr<Sketch> replica = e.factory.Make();
-      Sketch* raw = replica.get();
-      pipeline->Add(e.factory.name(), raw, std::move(replica));
+      pipeline->Add(e.factory.name(), e.factory.Make());
       if (e.has_nvm) pipeline->AttachNvm(i, e.nvm_spec);
       if (checkpointing && (e.mergeable || e.restorable)) {
         pipeline->EnableCheckpoints(
@@ -451,8 +511,8 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   // accounted on the destination. `SketchFactory`'s contract is that every
   // Make() mints an identical configuration, so a failure here is a broken
   // factory (e.g. a stateful maker varying seeds across calls) — a
-  // programming error, and the engine dies like StreamEngine does on
-  // invalid registration rather than returning a half-merged report.
+  // programming error, so the engine dies rather than return a
+  // half-merged report.
   const Clock::time_point merge_start = Clock::now();
   if (num_shards > 1) {
     for (size_t i = 0; i < num_sketches; ++i) {

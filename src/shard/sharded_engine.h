@@ -9,7 +9,6 @@
 
 #include "api/item_source.h"
 #include "api/replica_pipeline.h"
-#include "api/stream_engine.h"
 #include "common/status.h"
 #include "common/stream_types.h"
 #include "nvm/live_sink.h"
@@ -23,8 +22,8 @@ namespace fewstate {
 
 /// \brief Configuration of a `ShardedEngine`.
 struct ShardedEngineOptions {
-  /// Number of shards S == number of ingest worker threads. S == 1 is the
-  /// exact single-threaded `StreamEngine` semantics (no merge phase).
+  /// Number of shards S == number of ingest worker threads. S == 1 runs
+  /// any `Sketch` through one pipeline with no merge phase.
   size_t shards = 1;
   /// Items per batch handed to a shard worker. Batching amortises queue
   /// synchronisation; per-shard item order is preserved regardless.
@@ -160,10 +159,32 @@ struct ShardedRunReport {
   /// per-shard rows).
   std::string ToString() const;
 
-  /// \brief Machine-readable rows under `RunReport::CsvHeader()` columns;
-  /// the sketch column is suffixed `[shard<s>]`, `[merge]` or `[total]`.
+  /// \brief Column header shared by all report CSV emitters:
+  /// `label,sketch,updates,state_changes,word_writes,suppressed_writes,
+  /// word_reads,peak_words,wall_seconds,nvm_writes,nvm_max_wear,
+  /// nvm_energy_nj,nvm_replays_to_eol,nvm_dropped,ckpt_full,ckpt_delta,
+  /// ckpt_published,cache_hits,absorbed_writes,dirty_evictions,writebacks,
+  /// cache_reuse_p50`
+  /// (the nvm columns are 0 for rows without an attached device; the ckpt
+  /// columns are 0 outside `[checkpoint]` rows; the cache columns are 0
+  /// without a DRAM cache tier on the device, and `nvm_writes` counts
+  /// post-cache device writes when one is attached).
+  static std::string CsvHeader();
+
+  /// \brief Machine-readable rows under `CsvHeader()` columns, each
+  /// prefixed with `label` (e.g. the stream length or sweep point, so
+  /// whole trajectories can be scraped from bench output); the sketch
+  /// column is suffixed `[shard<s>]`, `[merge]` or `[total]`.
   std::string ToCsv(const std::string& label) const;
 };
+
+/// \brief One `ShardedRunReport::CsvHeader()`-shaped CSV row. The `label`
+/// and `sketch` fields are sanitized: any comma, quote or line break
+/// becomes `_`, so a caller-supplied label can never shift or split
+/// downstream columns.
+std::string SketchReportCsvRow(const std::string& label,
+                               const std::string& sketch,
+                               const SketchRunReport& row);
 
 /// \brief Hash-partitioned, multi-threaded ingest over replicated
 /// sketches.
@@ -176,8 +197,8 @@ struct ShardedRunReport {
 ///  * each registered `SketchFactory` mints one replica per shard;
 ///  * a partitioner thread hash-routes items to per-shard bounded batch
 ///    queues; one worker thread per shard drives that shard's
-///    `ReplicaPipeline` (the drain core `StreamEngine` runs inline), so
-///    every replica (and its `StateAccountant`) stays thread-confined;
+///    `ReplicaPipeline`, so every replica (and its `StateAccountant`)
+///    stays thread-confined;
 ///  * after the stream ends and workers join, shards 1..S-1 are merged
 ///    into shard 0's replica through `MergeableSketch::MergeFrom`, with
 ///    merge-time writes accounted on the destination;
@@ -197,8 +218,11 @@ struct ShardedRunReport {
 ///
 /// With S > 1 every registered sketch must implement `MergeableSketch`
 /// (checked at registration); with S == 1 any `Sketch` is accepted and the
-/// run is one pipeline with no merge — `StreamEngine` semantics by
-/// construction, sketch-for-sketch.
+/// run is one pipeline with no merge: each sketch ends in the state a
+/// standalone `Drain` of the same stream leaves, sketch-for-sketch. That
+/// is the paper's experiment shape (§1.5) — "run algorithm X and
+/// baselines Y, Z over the same stream and compare state changes" —
+/// without N separate stream passes.
 class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedEngineOptions& options);

@@ -101,6 +101,22 @@ TEST(CountMin, ConservativeUpdateIsTighter) {
   EXPECT_LE(cons_err, plain_err);
 }
 
+TEST(CountMin, ConservativeUpdateCoversRowsPast64) {
+  // The estimate is the min over every row, so a row the update skipped
+  // (index 64 and up) would pin every estimate at 0. Both update paths:
+  // scalar `Update` and the `UpdateBatch` kernel behind `Consume`.
+  const Stream stream = TestStream(1000, 20000, 17);
+  const StreamStats oracle(stream);
+  CountMin scalar(65, 256, 18, /*conservative=*/true);
+  for (const Item item : stream) scalar.Update(item);
+  CountMin batched(65, 256, 18, /*conservative=*/true);
+  batched.Consume(stream);
+  for (const auto& [item, f] : oracle.frequencies()) {
+    EXPECT_GE(scalar.EstimateFrequency(item), static_cast<double>(f));
+    EXPECT_GE(batched.EstimateFrequency(item), static_cast<double>(f));
+  }
+}
+
 TEST(CountMin, ChangesStateOnEveryUpdate) {
   const Stream stream = TestStream(500, 5000, 14);
   CountMin cm(4, 512, 15);

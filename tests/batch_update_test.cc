@@ -43,8 +43,8 @@ struct Maker {
 
 // Every sketch with a real `UpdateBatch` kernel, in the configurations
 // the kernels specialize on — CountMin both plain (closed-form
-// accounting + row-major sweep) and conservative (per-item min path),
-// and StableSketch both exact (batched hashing) and Morris (documented
+// accounting + row-major sweep) and conservative (per-item min path, also
+// past 64 rows), and StableSketch both exact (batched hashing) and Morris (documented
 // scalar fallback: its RNG draws are sequential per update).
 std::vector<Maker> BatchSketches() {
   return {
@@ -53,6 +53,8 @@ std::vector<Maker> BatchSketches() {
        [] { return std::make_unique<CountMin>(4, 256, 7, false); }},
       {"count_min_conservative",
        [] { return std::make_unique<CountMin>(4, 256, 7, true); }},
+      {"count_min_conservative_d65",
+       [] { return std::make_unique<CountMin>(65, 256, 7, true); }},
       {"count_sketch",
        [] { return std::make_unique<CountSketch>(4, 256, 9); }},
       {"space_saving", [] { return std::make_unique<SpaceSaving>(64); }},

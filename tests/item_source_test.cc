@@ -18,10 +18,11 @@
 #include <thread>
 #include <vector>
 
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "baselines/space_saving.h"
 #include "core/heavy_hitters.h"
+#include "shard/sharded_engine.h"
+#include "shard/sketch_factory.h"
 #include "stream/adversarial.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
@@ -33,39 +34,44 @@ constexpr uint64_t kUniverse = 500;
 constexpr uint64_t kLength = 30000;
 constexpr uint64_t kSeed = 99;
 
-// A heterogeneous roster (deterministic given fixed seeds): a linear
-// sketch, a counter summary, and the paper's own reservoir structure.
-void RegisterRoster(StreamEngine* engine) {
-  engine->Register("count_min",
-                   std::make_unique<CountMin>(4, 256, /*seed=*/21));
-  engine->Register("space_saving", std::make_unique<SpaceSaving>(128));
+// A single-shard engine over a heterogeneous roster (deterministic given
+// fixed seeds): a linear sketch, a counter summary, and the paper's own
+// reservoir structure.
+void RegisterRoster(ShardedEngine* engine) {
   HeavyHittersOptions hh;
   hh.universe = kUniverse;
   hh.stream_length_hint = kLength;
   hh.p = 2.0;
   hh.eps = 0.3;
   hh.seed = 7;
-  engine->Register("lp_heavy_hitters", std::make_unique<LpHeavyHitters>(hh));
+  for (const SketchFactory& factory :
+       {SketchFactory::Of<CountMin>("count_min", size_t{4}, size_t{256},
+                                    uint64_t{21}),
+        SketchFactory::Of<SpaceSaving>("space_saving", size_t{128}),
+        SketchFactory("lp_heavy_hitters",
+                      [hh] { return std::make_unique<LpHeavyHitters>(hh); })}) {
+    ASSERT_TRUE(engine->AddSketch(factory).ok()) << factory.name();
+  }
 }
 
 // Engine-over-`source` must equal engine-over-`stream` sketch-for-sketch:
 // identical accountant deltas and identical point estimates over the whole
 // universe.
 void ExpectEngineEquivalence(ItemSource& source, const Stream& stream) {
-  StreamEngine from_vector;
-  StreamEngine from_source;
+  ShardedEngine from_vector(ShardedEngineOptions{});
+  ShardedEngine from_source(ShardedEngineOptions{});
   RegisterRoster(&from_vector);
   RegisterRoster(&from_source);
 
-  const RunReport want = from_vector.Run(VectorSource(stream));
-  const RunReport got = from_source.Run(source);
+  const ShardedRunReport want = from_vector.Run(VectorSource(stream));
+  const ShardedRunReport got = from_source.Run(source);
 
   EXPECT_EQ(got.items_ingested, stream.size());
   EXPECT_EQ(want.items_ingested, stream.size());
   ASSERT_EQ(got.sketches.size(), want.sketches.size());
   for (size_t i = 0; i < want.sketches.size(); ++i) {
-    const SketchRunReport& w = want.sketches[i];
-    const SketchRunReport& g = got.sketches[i];
+    const SketchRunReport& w = want.sketches[i].total;
+    const SketchRunReport& g = got.sketches[i].total;
     EXPECT_EQ(g.updates, w.updates) << w.name;
     EXPECT_EQ(g.state_changes, w.state_changes) << w.name;
     EXPECT_EQ(g.word_writes, w.word_writes) << w.name;
@@ -75,8 +81,8 @@ void ExpectEngineEquivalence(ItemSource& source, const Stream& stream) {
   }
   for (const std::string& name : from_vector.names()) {
     for (Item j = 0; j < kUniverse; ++j) {
-      EXPECT_EQ(from_source.Find(name)->EstimateFrequency(j),
-                from_vector.Find(name)->EstimateFrequency(j))
+      EXPECT_EQ(from_source.Merged(name)->EstimateFrequency(j),
+                from_vector.Merged(name)->EstimateFrequency(j))
           << name << " diverged at item " << j;
     }
   }

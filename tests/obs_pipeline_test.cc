@@ -4,8 +4,9 @@
 // end-of-run counter totals *exactly* with the ShardedRunReport — the
 // metrics pipeline and the report pipeline measure the same run through
 // different plumbing, so any drift is a bug in one of them — and (c)
-// emit a parseable Chrome trace whose spans pair correctly. The
-// single-threaded StreamEngine gets the same reconciliation treatment.
+// emit a parseable Chrome trace whose spans pair correctly. A
+// single-shard run gets the same reconciliation treatment, and its
+// metric totals match standalone sketches drained over the same stream.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "api/item_source.h"
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "baselines/misra_gries.h"
 #include "json_lite.h"
@@ -340,28 +340,29 @@ TEST(ObsPipeline, ShardedServingRunReconcilesExactly) {
   EXPECT_EQ(trace.dropped_events(), 0u);
 }
 
-TEST(ObsPipeline, StreamEngineReconcilesWithRunReport) {
+TEST(ObsPipeline, SingleShardReconcilesWithRunReport) {
   const Stream stream = ZipfStream(kUniverse, 1.2, 50000, kSeed);
   MetricsRegistry registry;
   TraceRecorder trace;
-  StreamEngine engine;
-  engine.Register("count_min", std::make_unique<CountMin>(
-                                   size_t{4}, size_t{128}, uint64_t{21}, false));
-  engine.Register("misra_gries", std::make_unique<MisraGries>(size_t{64}));
-  engine.AttachMetrics(&registry, &trace);
+  ShardedEngineOptions options;
+  options.metrics = &registry;
+  options.trace = &trace;
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
+  ASSERT_TRUE(engine.AddSketch(MisraGriesFactory()).ok());
 
-  const RunReport report = engine.Run(VectorSource(stream));
+  const ShardedRunReport report = engine.Run(VectorSource(stream));
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.CounterValue("fewstate_items_ingested_total"),
             report.items_ingested);
-  for (const SketchRunReport& s : report.sketches) {
-    const MetricLabels labels{{"sketch", s.name}};
+  for (const ShardedSketchReport& sk : report.sketches) {
+    const MetricLabels labels = ShardSketch(0, sk.name);
     EXPECT_EQ(snap.CounterValue("fewstate_sketch_state_changes_total", labels),
-              s.state_changes)
-        << s.name;
+              sk.per_shard[0].state_changes)
+        << sk.name;
     EXPECT_EQ(snap.CounterValue("fewstate_sketch_word_writes_total", labels),
-              s.word_writes)
-        << s.name;
+              sk.per_shard[0].word_writes)
+        << sk.name;
     EXPECT_GT(snap.FindGauge("fewstate_sketch_change_rate", labels)->value,
               0.0);
   }
@@ -375,96 +376,62 @@ TEST(ObsPipeline, StreamEngineReconcilesWithRunReport) {
 
   // A second run keeps accumulating into the same counters (they are
   // cumulative across runs, like any monotonic telemetry).
-  const RunReport second = engine.Run(VectorSource(stream));
-  EXPECT_EQ(registry.Snapshot().CounterValue("fewstate_items_ingested_total"),
-            report.items_ingested + second.items_ingested);
-
-  // Detaching stops the flow without disturbing accumulated values.
-  engine.AttachMetrics(nullptr);
-  engine.Run(VectorSource(stream));
+  const ShardedRunReport second = engine.Run(VectorSource(stream));
   EXPECT_EQ(registry.Snapshot().CounterValue("fewstate_items_ingested_total"),
             report.items_ingested + second.items_ingested);
 }
 
-// Metrics alone attach nothing to the write path: both engines read the
+// Metrics alone attach nothing to the write path: the pipeline reads the
 // per-sketch counters off the accountants at batch boundaries, so a
-// metrics-only S=1 sharded run and a StreamEngine run over the same stream
-// leave every replica sink-free and publish identical totals. Two runs
-// each: the second starts from nonzero accountants (StreamEngine keeps its
-// sketches), so counters that did not start from the run-start values
-// would count the first run twice.
-TEST(ObsPipeline, MetricsAttachNoSinkAndBothEnginesAgree) {
+// metrics-only S=1 run leaves every replica sink-free and publishes
+// exactly the totals of standalone sketches drained over the same stream.
+// Two runs: each mints fresh replicas, and the cumulative counters must
+// equal the standalone totals summed over both runs.
+TEST(ObsPipeline, MetricsAttachNoSinkAndMatchStandaloneDrain) {
   const Stream stream = ZipfStream(kUniverse, 1.2, 30000, kSeed);
-  MetricsRegistry sharded_registry;
+  MetricsRegistry registry;
   ShardedEngineOptions options;
   options.batch_items = kDefaultDrainBatchItems;
-  options.metrics = &sharded_registry;
-  ShardedEngine sharded(options);
-  ASSERT_TRUE(sharded.AddSketch(CountMinFactory()).ok());
-  ASSERT_TRUE(sharded.AddSketch(MisraGriesFactory()).ok());
+  options.metrics = &registry;
+  ShardedEngine engine(options);
+  const std::vector<SketchFactory> factories = {CountMinFactory(),
+                                                MisraGriesFactory()};
+  for (const SketchFactory& f : factories) {
+    ASSERT_TRUE(engine.AddSketch(f).ok());
+  }
 
-  MetricsRegistry single_registry;
-  StreamEngine single;
-  single.Register("count_min", CountMinFactory().Make());
-  single.Register("misra_gries", MisraGriesFactory().Make());
-  single.AttachMetrics(&single_registry);
-
-  // Per-engine sums of the report rows over the runs so far.
+  // Standalone accountant totals summed over the runs so far.
   struct Totals {
     uint64_t state_changes = 0;
     uint64_t word_writes = 0;
-    void Add(const SketchRunReport& row) {
-      state_changes += row.state_changes;
-      word_writes += row.word_writes;
-    }
   };
-  std::map<std::string, Totals> sharded_sum;
-  std::map<std::string, Totals> single_sum;
+  std::map<std::string, Totals> standalone_sum;
   for (int run = 0; run < 2; ++run) {
-    const ShardedRunReport sharded_report = sharded.Run(VectorSource(stream));
-    const RunReport single_report = single.Run(VectorSource(stream));
-    for (const ShardedSketchReport& sk : sharded_report.sketches) {
-      sharded_sum[sk.name].Add(sk.per_shard[0]);
-      EXPECT_EQ(sharded.Replica(0, sk.name)->accountant().write_sink(),
-                nullptr)
-          << sk.name;
-    }
-    for (const SketchRunReport& s : single_report.sketches) {
-      single_sum[s.name].Add(s);
-      EXPECT_EQ(single.Find(s.name)->accountant().write_sink(), nullptr)
-          << s.name;
-    }
-    const MetricsSnapshot sharded_snap = sharded_registry.Snapshot();
-    const MetricsSnapshot single_snap = single_registry.Snapshot();
-    for (const std::string name : {"count_min", "misra_gries"}) {
-      EXPECT_GT(single_sum[name].state_changes, 0u) << name;
-      const MetricLabels sharded_labels = ShardSketch(0, name);
-      const MetricLabels single_labels{{"sketch", name}};
-      EXPECT_EQ(sharded_snap.CounterValue(
-                    "fewstate_sketch_state_changes_total", sharded_labels),
-                sharded_sum[name].state_changes)
+    const ShardedRunReport report = engine.Run(VectorSource(stream));
+    const MetricsSnapshot snap = registry.Snapshot();
+    for (const SketchFactory& f : factories) {
+      const std::string& name = f.name();
+      std::unique_ptr<Sketch> standalone = f.Make();
+      standalone->Drain(VectorSource(stream));
+      const StateAccountant& want = standalone->accountant();
+      Totals& sum = standalone_sum[name];
+      sum.state_changes += want.state_changes();
+      sum.word_writes += want.word_writes();
+      EXPECT_GT(sum.state_changes, 0u) << name;
+
+      EXPECT_EQ(engine.Replica(0, name)->accountant().write_sink(), nullptr)
+          << name;
+      const SketchRunReport& row = report.Find(name)->per_shard[0];
+      EXPECT_EQ(row.state_changes, want.state_changes()) << name;
+      EXPECT_EQ(row.word_writes, want.word_writes()) << name;
+      const MetricLabels labels = ShardSketch(0, name);
+      EXPECT_EQ(
+          snap.CounterValue("fewstate_sketch_state_changes_total", labels),
+          sum.state_changes)
           << name << " run " << run;
-      EXPECT_EQ(sharded_snap.CounterValue("fewstate_sketch_word_writes_total",
-                                          sharded_labels),
-                sharded_sum[name].word_writes)
+      EXPECT_EQ(snap.CounterValue("fewstate_sketch_word_writes_total", labels),
+                sum.word_writes)
           << name << " run " << run;
-      EXPECT_EQ(single_snap.CounterValue("fewstate_sketch_state_changes_total",
-                                         single_labels),
-                single_sum[name].state_changes)
-          << name << " run " << run;
-      EXPECT_EQ(single_snap.CounterValue("fewstate_sketch_word_writes_total",
-                                         single_labels),
-                single_sum[name].word_writes)
-          << name << " run " << run;
-      // The sharded engine mints fresh replicas per run while StreamEngine
-      // carries its sketches over, so the engines agree on the first run.
-      if (run > 0) continue;
-      for (const std::string metric : {"fewstate_sketch_state_changes_total",
-                                       "fewstate_sketch_word_writes_total"}) {
-        EXPECT_EQ(sharded_snap.CounterValue(metric, sharded_labels),
-                  single_snap.CounterValue(metric, single_labels))
-            << metric << " " << name;
-      }
     }
   }
 }
@@ -472,10 +439,11 @@ TEST(ObsPipeline, MetricsAttachNoSinkAndBothEnginesAgree) {
 TEST(ObsPipeline, SourceErrorsSurfaceInTelemetry) {
   MetricsRegistry registry;
   TraceRecorder trace;
-  StreamEngine engine;
-  engine.Register("count_min", std::make_unique<CountMin>(
-                                   size_t{4}, size_t{128}, uint64_t{21}, false));
-  engine.AttachMetrics(&registry, &trace);
+  ShardedEngineOptions options;
+  options.metrics = &registry;
+  options.trace = &trace;
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
   FileSource bad("/nonexistent/fewstate-no-such-trace.bin");
   engine.Run(bad);
   EXPECT_EQ(registry.Snapshot().CounterValue("fewstate_source_errors_total"),

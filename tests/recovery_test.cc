@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "api/item_source.h"
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "baselines/misra_gries.h"
 #include "baselines/stable_sketch.h"

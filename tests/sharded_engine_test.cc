@@ -1,6 +1,7 @@
-// The sharded ingest subsystem: an S=1 ShardedEngine run must match a
-// plain StreamEngine run sketch-for-sketch on state-change totals and
-// estimates; S>1 runs must partition the stream exactly, keep per-shard
+// The sharded ingest subsystem: an S=1 ShardedEngine run must match
+// standalone sketches drained over the same stream, sketch-for-sketch on
+// accountant totals and estimates; S>1 runs must partition the stream
+// exactly, keep per-shard
 // wear isolated, merge linear sketches back to the single-run state, and
 // reject non-mergeable sketches at registration.
 
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "api/stream_engine.h"
 #include "baselines/ams_sketch.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
@@ -59,23 +59,65 @@ SketchFactory SampleAndHoldFactory() {
   });
 }
 
-TEST(ShardedEngine, SingleShardMatchesStreamEngineSketchForSketch) {
+// Standalone references: one fresh sketch per factory, each drained over
+// `stream` on its own (the reference S=1 must reproduce).
+std::vector<std::unique_ptr<Sketch>> DrainStandalone(
+    const std::vector<SketchFactory>& factories, const Stream& stream) {
+  std::vector<std::unique_ptr<Sketch>> out;
+  for (const SketchFactory& f : factories) {
+    out.push_back(f.Make());
+    EXPECT_EQ(out.back()->Drain(VectorSource(stream)), stream.size());
+  }
+  return out;
+}
+
+// Report totals and estimates of S=1 `report`/`sharded` against the
+// standalone `reference` sketches, factory by factory.
+void ExpectMatchesStandalone(
+    const std::vector<SketchFactory>& factories,
+    const std::vector<std::unique_ptr<Sketch>>& reference,
+    const ShardedRunReport& report, const ShardedEngine& sharded) {
+  for (size_t i = 0; i < factories.size(); ++i) {
+    const std::string& name = factories[i].name();
+    const StateAccountant& want = reference[i]->accountant();
+    const ShardedSketchReport* got = report.Find(name);
+    ASSERT_NE(got, nullptr) << name;
+    // No merge phase at S=1: totals are exactly the one shard's ingest.
+    EXPECT_EQ(got->merge.state_changes, 0u) << name;
+    EXPECT_EQ(got->total.updates, want.updates()) << name;
+    EXPECT_EQ(got->total.state_changes, want.state_changes()) << name;
+    EXPECT_EQ(got->total.word_writes, want.word_writes()) << name;
+    EXPECT_EQ(got->total.suppressed_writes, want.suppressed_writes()) << name;
+    EXPECT_EQ(got->total.word_reads, want.word_reads()) << name;
+    EXPECT_EQ(got->total.peak_allocated_words, want.peak_allocated_words())
+        << name;
+
+    // Identical estimates: same seeds, same update sequence.
+    const Sketch* merged = sharded.Merged(name);
+    ASSERT_NE(merged, nullptr) << name;
+    for (Item j = 0; j < kUniverse; ++j) {
+      EXPECT_EQ(merged->EstimateFrequency(j),
+                reference[i]->EstimateFrequency(j))
+          << name << " diverged at item " << j;
+    }
+  }
+}
+
+TEST(ShardedEngine, SingleShardMatchesStandaloneDrainSketchForSketch) {
   const Stream stream = ZipfStream(kUniverse, 1.2, kLength, kSeed);
 
-  StreamEngine reference;
+  // shards == 1 accepts non-mergeable sketches too (single-threaded path).
+  std::vector<SketchFactory> factories = MergeableFactories();
+  factories.push_back(SampleAndHoldFactory());
   ShardedEngineOptions options;
   options.shards = 1;
   options.batch_items = 512;
   ShardedEngine sharded(options);
-  for (const SketchFactory& f : MergeableFactories()) {
-    reference.Register(f.name(), f.Make());
+  for (const SketchFactory& f : factories) {
     ASSERT_TRUE(sharded.AddSketch(f).ok()) << f.name();
   }
-  // shards == 1 accepts non-mergeable sketches too (single-threaded path).
-  ASSERT_TRUE(sharded.AddSketch(SampleAndHoldFactory()).ok());
-  reference.Register("sample_and_hold", SampleAndHoldFactory().Make());
-
-  const RunReport plain = reference.Run(VectorSource(stream));
+  const std::vector<std::unique_ptr<Sketch>> reference =
+      DrainStandalone(factories, stream);
   const ShardedRunReport report = sharded.Run(VectorSource(stream));
 
   EXPECT_EQ(report.shards, 1u);
@@ -83,30 +125,7 @@ TEST(ShardedEngine, SingleShardMatchesStreamEngineSketchForSketch) {
   ASSERT_EQ(report.shard_items.size(), 1u);
   EXPECT_EQ(report.shard_items[0], kLength);
   EXPECT_GT(report.items_per_second, 0.0);
-
-  for (const std::string& name : reference.names()) {
-    const SketchRunReport* want = plain.Find(name);
-    const ShardedSketchReport* got = report.Find(name);
-    ASSERT_NE(got, nullptr) << name;
-    // No merge phase at S=1: totals are exactly the one shard's ingest.
-    EXPECT_EQ(got->merge.state_changes, 0u) << name;
-    EXPECT_EQ(got->total.updates, want->updates) << name;
-    EXPECT_EQ(got->total.state_changes, want->state_changes) << name;
-    EXPECT_EQ(got->total.word_writes, want->word_writes) << name;
-    EXPECT_EQ(got->total.suppressed_writes, want->suppressed_writes) << name;
-    EXPECT_EQ(got->total.word_reads, want->word_reads) << name;
-    EXPECT_EQ(got->total.peak_allocated_words, want->peak_allocated_words)
-        << name;
-
-    // Identical estimates: same seeds, same update sequence.
-    const Sketch* merged = sharded.Merged(name);
-    const Sketch* ref = reference.Find(name);
-    ASSERT_NE(merged, nullptr) << name;
-    for (Item j = 0; j < kUniverse; ++j) {
-      EXPECT_EQ(merged->EstimateFrequency(j), ref->EstimateFrequency(j))
-          << name << " diverged at item " << j;
-    }
-  }
+  ExpectMatchesStandalone(factories, reference, report, sharded);
 }
 
 TEST(ShardedEngine, ShardedLinearSketchesMatchSingleRunExactly) {
@@ -290,41 +309,27 @@ TEST(ShardedEngine, EmptyAndTinyStreams) {
   EXPECT_EQ(routed, 3u);
 }
 
-TEST(ShardedEngine, SourceFedSingleShardMatchesVectorFedStreamEngine) {
+TEST(ShardedEngine, SourceFedSingleShardMatchesVectorFedDrain) {
   // The acceptance bar of the ItemSource redesign: S=1 ingest from a lazy
   // generator is sketch-for-sketch identical — estimates and accountant
-  // totals — to a StreamEngine pass over the materialized vector.
+  // totals — to standalone drains of the materialized vector.
   const Stream stream = ZipfStream(kUniverse, 1.2, kLength, kSeed);
 
-  StreamEngine reference;
+  const std::vector<SketchFactory> factories = MergeableFactories();
   ShardedEngineOptions options;
   options.shards = 1;
   options.batch_items = 512;
   ShardedEngine sharded(options);
-  for (const SketchFactory& f : MergeableFactories()) {
-    reference.Register(f.name(), f.Make());
+  for (const SketchFactory& f : factories) {
     ASSERT_TRUE(sharded.AddSketch(f).ok()) << f.name();
   }
-
-  const RunReport plain = reference.Run(VectorSource(stream));
+  const std::vector<std::unique_ptr<Sketch>> reference =
+      DrainStandalone(factories, stream);
   const ShardedRunReport report =
       sharded.Run(ZipfSource(kUniverse, 1.2, kLength, kSeed));
 
   EXPECT_EQ(report.items_ingested, kLength);
-  for (const std::string& name : reference.names()) {
-    const SketchRunReport* want = plain.Find(name);
-    const ShardedSketchReport* got = report.Find(name);
-    ASSERT_NE(got, nullptr) << name;
-    EXPECT_EQ(got->total.state_changes, want->state_changes) << name;
-    EXPECT_EQ(got->total.word_writes, want->word_writes) << name;
-    EXPECT_EQ(got->total.suppressed_writes, want->suppressed_writes) << name;
-    EXPECT_EQ(got->total.word_reads, want->word_reads) << name;
-    for (Item j = 0; j < kUniverse; ++j) {
-      EXPECT_EQ(sharded.Merged(name)->EstimateFrequency(j),
-                reference.Find(name)->EstimateFrequency(j))
-          << name << " diverged at item " << j;
-    }
-  }
+  ExpectMatchesStandalone(factories, reference, report, sharded);
 }
 
 TEST(ShardedEngine, UnsizedSourceIngestsIdentically) {

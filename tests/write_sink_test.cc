@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "api/item_source.h"
-#include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
 #include "core/full_sample_and_hold.h"
@@ -226,76 +225,56 @@ TEST(WriteSink, AccountantResetRenewsTheLiveDevice) {
   EXPECT_EQ(fresh.max_cell_wear, 0u);
 }
 
-TEST(StreamEngineNvm, AttachNvmPricesWritesLiveAndReportsDeviceState) {
-  const Stream stream = TestStream();
-  StreamEngine engine;
-  engine.Register("count_min", std::make_unique<CountMin>(4, 512, 7));
-  ASSERT_TRUE(engine.AttachNvm("count_min",
-                               SmallSpec(NvmSpec::Leveling::kDirect))
-                  .ok());
-  EXPECT_FALSE(engine.AttachNvm("missing",
-                                SmallSpec(NvmSpec::Leveling::kDirect))
-                   .ok());
+TEST(ShardedNvm, AddSketchWithNvmPricesWritesLive) {
+  ShardedEngine engine(ShardedEngineOptions{});
+  const SketchFactory factory =
+      SketchFactory::Of<CountMin>("count_min", size_t{4}, size_t{512},
+                                  uint64_t{7});
   NvmSpec invalid;
   invalid.config.num_cells = 0;
-  EXPECT_FALSE(engine.AttachNvm("count_min", invalid).ok());
+  EXPECT_FALSE(engine.AddSketch(factory, invalid).ok());
+  ASSERT_TRUE(
+      engine.AddSketch(factory, SmallSpec(NvmSpec::Leveling::kDirect)).ok());
 
-  const RunReport report = engine.Run(VectorSource(stream));
-  const SketchRunReport* row = report.Find("count_min");
-  ASSERT_NE(row, nullptr);
-  ASSERT_TRUE(row->has_nvm);
-  EXPECT_EQ(row->nvm.writes_replayed, row->word_writes);
-  EXPECT_EQ(row->nvm.dropped_writes, 0u);
-  EXPECT_GT(row->nvm.max_cell_wear, 0u);
-  const LiveNvmSink* sink = engine.NvmSink("count_min");
-  ASSERT_NE(sink, nullptr);
-  ExpectReportsIdentical(row->nvm, sink->Report());
+  const ShardedRunReport report = engine.Run(VectorSource(TestStream()));
+  const SketchRunReport& row = report.Find("count_min")->per_shard[0];
+  ASSERT_TRUE(row.has_nvm);
+  EXPECT_EQ(row.nvm.writes_replayed, row.word_writes);
+  EXPECT_EQ(row.nvm.dropped_writes, 0u);
+  EXPECT_GT(row.nvm.max_cell_wear, 0u);
 }
 
-TEST(StreamEngineNvm, EngineDestructionDetachesSinkFromBorrowedSketch) {
-  CountMin borrowed(4, 64, 1);
-  {
-    StreamEngine engine;
-    engine.RegisterBorrowed("cm", &borrowed);
-    ASSERT_TRUE(
-        engine.AttachNvm("cm", SmallSpec(NvmSpec::Leveling::kDirect)).ok());
-    engine.Run(VectorSource(ZipfStream(100, 1.2, 1000, 1)));
-    EXPECT_NE(borrowed.accountant().write_sink(), nullptr);
-  }
-  // The engine-owned sink died with the engine; the borrowed sketch must
-  // not be left writing into freed memory.
-  EXPECT_EQ(borrowed.accountant().write_sink(), nullptr);
-  borrowed.Update(7);
-}
-
-TEST(ShardedNvm, SingleShardLiveDeviceMatchesStreamEngineBitwise) {
+TEST(ShardedNvm, SingleShardLiveDeviceMatchesStandaloneSinkBitwise) {
   const Stream stream = TestStream();
   const NvmSpec spec = SmallSpec(NvmSpec::Leveling::kRotating);
+  const SketchFactory factory = SketchFactory::Of<CountMin>(
+      "count_min", size_t{4}, size_t{512}, uint64_t{7}, false);
 
-  StreamEngine reference;
-  reference.Register("count_min",
-                     std::make_unique<CountMin>(size_t{4}, size_t{512},
-                                                uint64_t{7}, false));
-  ASSERT_TRUE(reference.AttachNvm("count_min", spec).ok());
-  const RunReport expected = reference.Run(VectorSource(stream));
+  // Reference: the same sketch drained standalone, its writes priced on a
+  // `LiveNvmSink` attached directly to its accountant.
+  LiveNvmSink live(spec);
+  std::unique_ptr<Sketch> reference = factory.Make();
+  reference->mutable_accountant()->set_write_sink(&live);
+  reference->Drain(VectorSource(stream));
+  const NvmReplayReport expected = live.Report();
+  const StateAccountant& want = reference->accountant();
 
   ShardedEngineOptions options;
   options.shards = 1;
   ShardedEngine sharded(options);
-  ASSERT_TRUE(sharded
-                  .AddSketch(SketchFactory::Of<CountMin>(
-                                 "count_min", size_t{4}, size_t{512},
-                                 uint64_t{7}, false),
-                             spec)
-                  .ok());
+  ASSERT_TRUE(sharded.AddSketch(factory, spec).ok());
   const ShardedRunReport report = sharded.Run(VectorSource(stream));
   const ShardedSketchReport* row = report.Find("count_min");
   ASSERT_NE(row, nullptr);
   ASSERT_TRUE(row->per_shard[0].has_nvm);
   ASSERT_TRUE(row->total.has_nvm);
-  ExpectReportsIdentical(row->per_shard[0].nvm,
-                         expected.Find("count_min")->nvm);
-  ExpectReportsIdentical(row->total.nvm, expected.Find("count_min")->nvm);
+  ExpectReportsIdentical(row->per_shard[0].nvm, expected);
+  ExpectReportsIdentical(row->total.nvm, expected);
+  EXPECT_EQ(row->total.updates, want.updates());
+  EXPECT_EQ(row->total.state_changes, want.state_changes());
+  EXPECT_EQ(row->total.word_writes, want.word_writes());
+  EXPECT_EQ(row->total.suppressed_writes, want.suppressed_writes());
+  EXPECT_EQ(row->total.word_reads, want.word_reads());
 }
 
 ShardedRunReport RunCheckpointed(size_t shards, uint64_t every,
