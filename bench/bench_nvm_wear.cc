@@ -463,7 +463,7 @@ std::vector<SketchFactory> CacheSweepRoster() {
 }
 
 // The cache-sweep CSV block's own schema (11 fields after the `CSV,`
-// prefix — scripts/bench_to_json.py keys on the field count).
+// prefix).
 constexpr const char* kCacheSweepSchema =
     "sketch,skew,cache_words,total_writes,nvm_writes,cache_hits,"
     "absorbed_writes,absorbed_frac,dirty_evictions,max_cell_wear,reuse_p50";
@@ -472,8 +472,8 @@ int RunCacheSweep(uint64_t items) {
   bench::Banner(
       "E10 bench_nvm_wear --cache",
       "absorbed-write fraction behind a DRAM write-back cache tier",
-      "a small write-back buffer absorbs MisraGries' two-cell write region "
-      "entirely, but CountMin's hash-scattered writes thrash it — "
+      "a small write-back buffer absorbs SpaceSaving's three-cell write "
+      "region entirely, but CountMin's hash-scattered writes thrash it — "
       "algorithmic write-frugality survives the cache tier");
 
   const uint64_t flows = 100000;

@@ -18,18 +18,15 @@
 // readers.
 //
 // Usage: bench_serving [stream_length] [cadence_list] [full|delta]
-//                      [obs] [--obs-out <dir>]
+//                      [--obs-out <dir>]
 // (defaults: 3000000, "2000,10000,50000", delta). `delta` exercises the
 // double-buffered publication path: restorable sketches keep a persistent
 // delta base, so serving copies the base into a spare buffer instead of
 // publishing the mutable object (priced as bulk reads on the checkpoint
 // device).
 //
-// `obs` enables the metrics-overhead mode: each cadence runs twice —
-// telemetry off, then with a MetricsRegistry and TraceRecorder attached
-// — and an `overhead` CSV block reports the ingest items/sec delta
-// (budget: <3%). `--obs-out <dir>` instruments the sweep and writes the
-// accumulated telemetry as CI-friendly artifacts afterwards:
+// `--obs-out <dir>` instruments the sweep and writes the accumulated
+// telemetry as CI-friendly artifacts afterwards:
 // `<dir>/serving_metrics.json`, `<dir>/serving_metrics.prom`
 // (Prometheus text exposition), and `<dir>/serving_trace.json`
 // (Chrome trace format — load it in Perfetto or chrome://tracing).
@@ -180,15 +177,12 @@ bool WriteFileOrWarn(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Flags (`obs`, `--obs-out <dir>`) can sit anywhere; the rest are the
-  // positional [stream_length] [cadence_list] [full|delta] args.
-  bool obs_overhead = false;
+  // `--obs-out <dir>` can sit anywhere; the rest are the positional
+  // [stream_length] [cadence_list] [full|delta] args.
   std::string obs_out;
   std::vector<const char*> positional;
   for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "obs") == 0) {
-      obs_overhead = true;
-    } else if (std::strcmp(argv[a], "--obs-out") == 0) {
+    if (std::strcmp(argv[a], "--obs-out") == 0) {
       if (a + 1 >= argc) {
         std::fprintf(stderr, "--obs-out needs a directory argument\n");
         return 1;
@@ -242,42 +236,18 @@ int main(int argc, char** argv) {
       "cadence_items,snapshot,shards,stream_items,queries,query_qps,"
       "views_sampled,mean_items_behind,max_items_behind,final_items_behind,"
       "snapshots_published,ingest_items_per_sec");
-  if (obs_overhead) {
-    bench::CsvBlock("overhead,cadence,ingest_ips_off,ingest_ips_on,"
-                    "delta_pct\n");
-  }
 
   // One registry/tracer shared across the instrumented sweep so the
   // exported artifacts cover every cadence; null when telemetry is off.
-  const bool instrument = obs_overhead || !obs_out.empty();
+  const bool instrument = !obs_out.empty();
   MetricsRegistry registry;
   TraceRecorder trace;
   MetricsRegistry* metrics_ptr = instrument ? &registry : nullptr;
   TraceRecorder* trace_ptr = instrument ? &trace : nullptr;
 
   for (uint64_t cadence : cadences) {
-    // Telemetry-off baseline first when measuring overhead; the table
-    // row always carries the run made with the sweep's telemetry mode.
-    double off_ips = 0;
-    if (obs_overhead) {
-      off_ips = RunAtCadence(length, cadence, snapshot_mode, nullptr,
-                             nullptr).ingest_items_per_sec;
-    }
     const ServingRun run =
         RunAtCadence(length, cadence, snapshot_mode, metrics_ptr, trace_ptr);
-    if (obs_overhead) {
-      const double on_ips = run.ingest_items_per_sec;
-      const double delta_pct =
-          off_ips > 0 ? (off_ips - on_ips) / off_ips * 100.0 : 0.0;
-      std::printf("   cadence=%llu metrics overhead: %.0f -> %.0f "
-                  "items/sec (%+.2f%%)\n",
-                  (unsigned long long)cadence, off_ips, on_ips, delta_pct);
-      char overhead_csv[160];
-      std::snprintf(overhead_csv, sizeof(overhead_csv),
-                    "overhead,%llu,%.0f,%.0f,%.2f",
-                    (unsigned long long)cadence, off_ips, on_ips, delta_pct);
-      bench::CsvBlock(std::string(overhead_csv) + "\n");
-    }
     const double qps =
         run.query_seconds > 0 ? run.queries / run.query_seconds : 0;
     bench::Row("%9llu %10llu %12.0f %8llu %13.0f %12llu %12llu %10llu %12.0f",

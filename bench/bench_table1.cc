@@ -19,7 +19,6 @@
 // ratio falls as m grows because its writes scale with the universe, not
 // the stream.
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -65,9 +64,7 @@ double Recall(const std::vector<HeavyHitter>& reported,
 
 constexpr uint64_t kUniverse = 20000;
 
-// Registers the Table-1 roster into a single-shard `engine`, so the
-// state-change sweep and the batch-vs-scalar throughput section run the
-// identical structure set.
+// Registers the Table-1 roster into a single-shard `engine`.
 void RegisterRoster(ShardedEngine& engine, uint64_t stream_length_hint) {
   FullSampleAndHoldOptions fsh_options;
   fsh_options.universe = kUniverse;
@@ -93,86 +90,6 @@ void RegisterRoster(ShardedEngine& engine, uint64_t stream_length_hint) {
   }
 }
 
-void EmitThroughputRow(const char* sketch, const char* mode, uint64_t items,
-                       double wall_seconds, double speedup) {
-  const double ns = wall_seconds * 1e9 / static_cast<double>(items);
-  const double mitems = static_cast<double>(items) / wall_seconds / 1e6;
-  bench::Row("  %-22s %-7s %8.1f ns/item  %8.2f Mitems/s  %5.2fx", sketch,
-             mode, ns, mitems, speedup);
-  bench::CsvBlock(std::string(sketch) + "," + mode + "," +
-                  std::to_string(items) + "," + std::to_string(ns) + "," +
-                  std::to_string(mitems) + "," + std::to_string(speedup) +
-                  "\n");
-}
-
-// A/B section: the identical roster and stream, ingested once through the
-// UpdateBatch drain (the default) and once with `force_scalar` (per-item
-// virtual Update). Results are bitwise identical (the batch kernels'
-// contract — pinned in tests/batch_update_test.cc); only wall time may
-// differ. Per-sketch multiples come from the engine's per-sketch walls;
-// the hash-grid sketches (CountMin, CountSketch) carry the speedup, while
-// map-based structures (MisraGries, SpaceSaving) and the RNG-sequential
-// FullSampleAndHold are bound by lookups/draws the batch path cannot
-// reorder, so their multiples hover near 1.0 by construction.
-void ThroughputComparison(uint64_t m) {
-  bench::Section("batch vs force_scalar throughput (same roster/stream)");
-  const uint64_t seed = 77000 + m;
-
-  // One engine per mode; each ingests the identically-seeded stream twice
-  // in A/B/B/A order, and each mode keeps its best (min-wall) pass. The
-  // first pass of the whole section eats cold caches and frequency
-  // ramp-up, and A/B/B/A hands that penalty to neither mode
-  // systematically; min-of-two then discards it. The ENGINE rows use the
-  // ingest wall (partitioner + the one worker), the per-sketch rows the
-  // worker's per-sketch update walls.
-  ShardedEngineOptions scalar_options;
-  scalar_options.force_scalar = true;
-  ShardedEngine scalar_engine(scalar_options);
-  RegisterRoster(scalar_engine, m);
-  ShardedEngine batch_engine(ShardedEngineOptions{});
-  RegisterRoster(batch_engine, m);
-
-  ShardedRunReport scalar =
-      scalar_engine.Run(ZipfSource(kUniverse, 1.3, m, seed));
-  ShardedRunReport batch =
-      batch_engine.Run(ZipfSource(kUniverse, 1.3, m, seed));
-  const auto keep_min = [](ShardedRunReport& best,
-                           const ShardedRunReport& next) {
-    best.ingest_seconds = std::min(best.ingest_seconds, next.ingest_seconds);
-    for (size_t i = 0; i < best.sketches.size(); ++i) {
-      double& wall = best.sketches[i].per_shard[0].wall_seconds;
-      wall = std::min(wall, next.sketches[i].per_shard[0].wall_seconds);
-    }
-  };
-  keep_min(batch, batch_engine.Run(ZipfSource(kUniverse, 1.3, m, seed)));
-  keep_min(scalar, scalar_engine.Run(ZipfSource(kUniverse, 1.3, m, seed)));
-
-  bench::CsvHeader(
-      "sketch,mode,items,ns_per_item,mitems_per_sec,speedup_vs_scalar");
-  double grid_scalar = 0.0, grid_batch = 0.0;
-  for (size_t i = 0; i < batch.sketches.size(); ++i) {
-    const SketchRunReport& b = batch.sketches[i].per_shard[0];
-    const SketchRunReport& s = scalar.sketches[i].per_shard[0];
-    EmitThroughputRow(s.name.c_str(), "scalar", m, s.wall_seconds, 1.0);
-    EmitThroughputRow(b.name.c_str(), "batch", m, b.wall_seconds,
-                      s.wall_seconds / b.wall_seconds);
-    if (b.name.rfind("CountMin", 0) == 0 ||
-        b.name.rfind("CountSketch", 0) == 0) {
-      grid_scalar += s.wall_seconds;
-      grid_batch += b.wall_seconds;
-    }
-  }
-  // Whole-engine items/sec (all five sketches' updates per item).
-  EmitThroughputRow("ENGINE", "scalar", m, scalar.ingest_seconds, 1.0);
-  EmitThroughputRow("ENGINE", "batch", m, batch.ingest_seconds,
-                    scalar.ingest_seconds / batch.ingest_seconds);
-  // The headline batch-path multiple: the sketches whose update is
-  // hashing + row arithmetic, i.e. what the vectorized path accelerates.
-  EmitThroughputRow("GRID_KERNELS", "scalar", m, grid_scalar, 1.0);
-  EmitThroughputRow("GRID_KERNELS", "batch", m, grid_batch,
-                    grid_scalar / grid_batch);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,8 +99,8 @@ int main(int argc, char** argv) {
 
   const uint64_t n = kUniverse;
   const double kEps = 0.3;  // L2 heavy hitter threshold
-  // Optional sweep cap (default: the full 3e7 sweep). CI's perf-smoke job
-  // passes a small cap so the artefact run finishes in seconds.
+  // Optional sweep cap (default: the full 3e7 sweep); a small cap makes a
+  // smoke run finish in seconds.
   uint64_t max_m = 30000000ULL;
   if (argc > 1) max_m = std::strtoull(argv[1], nullptr, 10);
   std::printf("%-22s %-12s %10s %14s %10s %8s %10s\n", "algorithm",
@@ -191,11 +108,9 @@ int main(int argc, char** argv) {
               "rss_mib");
   bench::CsvHeader(ShardedRunReport::CsvHeader());
 
-  uint64_t throughput_m = 0;
   for (uint64_t m : {100000ULL, 300000ULL, 1000000ULL, 3000000ULL,
                      30000000ULL}) {
     if (m > max_m) continue;
-    throughput_m = m;
     const uint64_t seed = 1000 + m;
     // Exact frequencies from one lazy pass: O(n) memory, not O(m).
     StreamStats oracle{ZipfSource(n, 1.3, m, seed)};
@@ -240,12 +155,6 @@ int main(int argc, char** argv) {
     }
     bench::CsvBlock(csv);
     std::printf("\n");
-  }
-
-  // Capped at 3e6 items: at ~5 sketch updates/item the A/B pair already
-  // runs multi-second there, and the multiple is stable by that length.
-  if (throughput_m > 0) {
-    ThroughputComparison(std::min<uint64_t>(throughput_m, 3000000ULL));
   }
   return 0;
 }

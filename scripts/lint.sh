@@ -34,24 +34,18 @@ fi
 
 # Batch-drain gate: the drain loops feed sketches through `UpdateBatch`
 # (the vectorized hot path). `ReplicaPipeline::Drain` is the only engine
-# drain loop (`ShardedEngineOptions::force_scalar` feeds its one scalar
-# branch); item_source.cc holds the single-sketch `Drain`. A per-item `->Update(`
-# call in a drain file is legal only as the `force_scalar` escape hatch —
-# i.e. within two lines of a `force_scalar` guard. Anything else is the
-# scalar path creeping back into the hot loop.
+# drain loop; item_source.cc holds the single-sketch `Drain`. A per-item
+# `->Update(` call in either file is the scalar path creeping back into
+# the hot loop (sketches without a kernel already get the per-item loop
+# from the `UpdateBatch` default).
 batch_gate_failed=0
 for drain_file in src/api/replica_pipeline.cc src/api/item_source.cc; do
   if ! grep -q 'UpdateBatch(' "$drain_file"; then
     echo "lint.sh: $drain_file no longer drains through UpdateBatch() — the batch hot path is gone" >&2
     batch_gate_failed=1
   fi
-  bad=$(awk '
-    /force_scalar/ { guard = NR }
-    /->Update\(/ { if (NR - guard > 2) print FILENAME ":" NR ": " $0 }
-  ' "$drain_file")
-  if [ -n "$bad" ]; then
-    echo "lint.sh: per-item Update() in an engine drain loop outside the force_scalar escape hatch:" >&2
-    echo "$bad" >&2
+  if grep -n -- '->Update(' "$drain_file" >&2; then
+    echo "lint.sh: per-item Update() in engine drain file $drain_file — drain through UpdateBatch() instead" >&2
     batch_gate_failed=1
   fi
 done

@@ -140,11 +140,10 @@ void ReplicaPipeline::Rewire(Slot* slot) {
   slot->tee = std::move(tee);
 }
 
-void ReplicaPipeline::BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
-                               bool force_scalar) {
+void ReplicaPipeline::BeginRun(MetricsRegistry* metrics,
+                               TraceRecorder* trace) {
   metrics_ = metrics;
   trace_ = trace;
-  force_scalar_ = force_scalar;
   if (metrics_ == nullptr) return;
   items_ = metrics_->GetCounter("fewstate_shard_items_total", options_.labels);
   batches_ =
@@ -185,11 +184,7 @@ void ReplicaPipeline::Drain(const Item* items, size_t n) {
   for (Slot& slot : slots_) {
     if (trace_ != nullptr) trace_->Begin(slot.update_span, "update");
     const Clock::time_point t0 = Clock::now();
-    if (force_scalar_) {
-      for (size_t k = 0; k < n; ++k) slot.sketch->Update(items[k]);
-    } else {
-      slot.sketch->UpdateBatch(items, n);
-    }
+    slot.sketch->UpdateBatch(items, n);
     slot.busy_seconds += Seconds(t0, Clock::now());
     if (trace_ != nullptr) trace_->End(slot.update_span, "update");
   }

@@ -157,13 +157,11 @@ class ReplicaPipeline {
   /// \brief Sketch `i`'s most recent checkpoint, or nullptr.
   const Sketch* snapshot(size_t i) const { return slots_[i].snapshot.get(); }
 
-  /// \brief Starts the run: binds telemetry (both borrowed; null = off)
-  /// and the update path.
-  void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
-                bool force_scalar);
+  /// \brief Starts the run: binds telemetry (both borrowed; null = off).
+  void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace);
 
   /// \brief Feeds one batch to every sketch, in registration order,
-  /// through `UpdateBatch` (or item by item when `force_scalar`).
+  /// through `UpdateBatch`.
   void Drain(const Item* items, size_t n);
 
   /// \brief Batch-boundary work after `processed` items this run:
@@ -233,7 +231,6 @@ class ReplicaPipeline {
   std::vector<Slot> slots_;
   MetricsRegistry* metrics_ = nullptr;
   TraceRecorder* trace_ = nullptr;
-  bool force_scalar_ = false;
   uint64_t processed_ = 0;
   Counter* items_ = nullptr;    // telemetry on only
   Counter* batches_ = nullptr;

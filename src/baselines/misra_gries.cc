@@ -52,44 +52,6 @@ void MisraGries::Update(Item item) {
   }
 }
 
-void MisraGries::UpdateBatch(const Item* items, size_t n) {
-  // Chunked so sink replay latency stays bounded on huge engine batches.
-  constexpr size_t kChunk = 1024;
-  const bool collect = accountant_.needs_cell_addresses();
-  for (size_t off = 0; off < n; off += kChunk) {
-    const size_t c = std::min(kChunk, n - off);
-    batch_scratch_.Begin(collect);
-    for (size_t i = 0; i < c; ++i) {
-      const Item item = items[off + i];
-      batch_scratch_.BeginItem();
-      auto it = counts_.find(item);
-      batch_scratch_.Read();
-      if (it != counts_.end()) {
-        ++it->second.count;
-        batch_scratch_.Write(CountCell(it->second.slot));
-        continue;
-      }
-      if (counts_.size() < k_) {
-        const uint32_t slot = free_slots_.back();
-        free_slots_.pop_back();
-        counts_.emplace(item, Entry{1, slot});
-        batch_scratch_.Write(KeyCell(slot), 2);
-        continue;
-      }
-      for (auto iter = counts_.begin(); iter != counts_.end();) {
-        batch_scratch_.Write(CountCell(iter->second.slot));
-        if (--iter->second.count == 0) {
-          free_slots_.push_back(iter->second.slot);
-          iter = counts_.erase(iter);
-        } else {
-          ++iter;
-        }
-      }
-    }
-    accountant_.ApplyBatch(batch_scratch_);
-  }
-}
-
 Status MisraGries::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<MisraGries>(this, other, &status);

@@ -30,12 +30,6 @@ class MisraGries : public MergeableSketch,
 
   void Update(Item item) override;
 
-  /// \brief Batch kernel: the same map transitions as the scalar loop,
-  /// with per-update accounting mirrored into a `BatchUpdateScratch` and
-  /// flushed once per chunk (`StateAccountant::ApplyBatch`) — bitwise
-  /// identical estimates, totals and sink traffic.
-  void UpdateBatch(const Item* items, size_t n) override;
-
   /// \brief The classic mergeable-summaries combine [ACHPWY12]: counts of
   /// common items add; if the union exceeds k entries, the (k+1)-th
   /// largest count is subtracted from every entry and non-positive entries
@@ -80,11 +74,9 @@ class MisraGries : public MergeableSketch,
  private:
   // Each tracked entry owns a 2-word slot: key word at
   // `cells_base_ + 2*slot`, count word at `cells_base_ + 2*slot + 1`.
-  // Fine-grained addressing lets `DirtyTracker` (and batch
-  // reconciliation) see the true touched set per checkpoint interval —
-  // the former single-cell scheme collapsed every write onto two cells,
-  // under-counting dirty words for the `CheckpointPolicy::kDirtyWords`
-  // trigger.
+  // Per-slot addresses let `DirtyTracker` see the true touched set per
+  // checkpoint interval, which the `CheckpointPolicy::kDirtyWords`
+  // trigger counts.
   struct Entry {
     uint64_t count = 0;
     uint32_t slot = 0;
@@ -103,8 +95,6 @@ class MisraGries : public MergeableSketch,
   uint64_t cells_base_;
   std::unordered_map<Item, Entry> counts_;
   std::vector<uint32_t> free_slots_;
-  // Reused batch-kernel scratch (bounded by the internal chunk size).
-  BatchUpdateScratch batch_scratch_;
 };
 
 }  // namespace fewstate

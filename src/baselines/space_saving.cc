@@ -1,7 +1,5 @@
 #include "baselines/space_saving.h"
 
-#include <algorithm>
-
 namespace fewstate {
 
 SpaceSaving::SpaceSaving(size_t k) : k_(k == 0 ? 1 : k) {
@@ -43,44 +41,6 @@ void SpaceSaving::Update(Item item) {
   counts_.emplace(item, Entry{min + 1, min});
   count_buckets_[min + 1].insert(item);
   accountant_.RecordWrite(cells_base_, 3);
-}
-
-void SpaceSaving::UpdateBatch(const Item* items, size_t n) {
-  // Chunked so sink replay latency stays bounded on huge engine batches.
-  constexpr size_t kChunk = 1024;
-  const bool collect = accountant_.needs_cell_addresses();
-  for (size_t off = 0; off < n; off += kChunk) {
-    const size_t c = std::min(kChunk, n - off);
-    batch_scratch_.Begin(collect);
-    for (size_t i = 0; i < c; ++i) {
-      const Item item = items[off + i];
-      batch_scratch_.BeginItem();
-      batch_scratch_.Read();
-      auto it = counts_.find(item);
-      if (it != counts_.end()) {
-        RemoveFromBucket(it->second.count, item);
-        ++it->second.count;
-        count_buckets_[it->second.count].insert(item);
-        batch_scratch_.Write(cells_base_ + 1);
-        continue;
-      }
-      if (counts_.size() < k_) {
-        counts_.emplace(item, Entry{1, 0});
-        count_buckets_[1].insert(item);
-        batch_scratch_.Write(cells_base_, 3);
-        continue;
-      }
-      auto min_node = count_buckets_.begin();
-      const uint64_t min = min_node->first;
-      const Item victim = *min_node->second.begin();
-      RemoveFromBucket(min, victim);
-      counts_.erase(victim);
-      counts_.emplace(item, Entry{min + 1, min});
-      count_buckets_[min + 1].insert(item);
-      batch_scratch_.Write(cells_base_, 3);
-    }
-    accountant_.ApplyBatch(batch_scratch_);
-  }
 }
 
 Status SpaceSaving::MergeFrom(const Sketch& other) {

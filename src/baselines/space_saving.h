@@ -29,12 +29,6 @@ class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
 
   void Update(Item item) override;
 
-  /// \brief Batch kernel: the same summary transitions as the scalar
-  /// loop, with accounting mirrored into a `BatchUpdateScratch` and
-  /// flushed once per chunk — bitwise identical estimates, totals and
-  /// sink traffic.
-  void UpdateBatch(const Item* items, size_t n) override;
-
   /// \brief Standard practical SpaceSaving combine: counts and error
   /// bounds of common items add, other entries are inserted, then the
   /// union is pruned back to the k largest counts. When the two summaries
@@ -82,8 +76,6 @@ class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
   // count -> items holding that count; supports O(log k) minimum
   // replacement without scanning.
   std::map<uint64_t, std::unordered_set<Item>> count_buckets_;
-  // Reused batch-kernel scratch (bounded by the internal chunk size).
-  BatchUpdateScratch batch_scratch_;
 
   void RemoveFromBucket(uint64_t count, Item item);
 };

@@ -118,9 +118,9 @@ struct CheckpointPolicy {
   /// last checkpoint (0 disables). Deltas by default: the trigger equals
   /// the delta size, so every checkpoint writes ~`words` words. The
   /// count is at the accountant's cell granularity — a sketch with
-  /// coarse write addressing (MisraGries maps all writes onto two cells)
-  /// under-reports dirtiness and may never reach a large threshold;
-  /// prefer `WriteBudget` for such sketches.
+  /// coarse write addressing (SpaceSaving maps all writes onto its first
+  /// three cells) under-reports dirtiness and may never reach a large
+  /// threshold; prefer `WriteBudget` for such sketches.
   static CheckpointPolicy DirtyWords(uint64_t words,
                                      Snapshot mode = Snapshot::kDelta) {
     CheckpointPolicy p;

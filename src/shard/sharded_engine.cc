@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -33,7 +34,7 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
 class BatchQueue {
  public:
   BatchQueue(size_t max_batches, MetricsRegistry* metrics, size_t shard)
-      : max_batches_(max_batches == 0 ? 1 : max_batches) {
+      : max_batches_(max_batches) {
     if (metrics == nullptr) return;
     const MetricLabels labels{{"shard", std::to_string(shard)}};
     depth_ = metrics->GetGauge("fewstate_shard_queue_depth", labels);
@@ -103,6 +104,26 @@ std::string CsvSanitize(const std::string& field) {
   return out;
 }
 
+// printf onto the end of `out`. The string grows to fit, so a long label
+// never truncates a report line or CSV row.
+__attribute__((format(printf, 2, 3))) void Appendf(std::string* out,
+                                                   const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  if (n > 0) {
+    const size_t old_size = out->size();
+    out->resize(old_size + static_cast<size_t>(n) + 1);
+    std::vsnprintf(&(*out)[old_size], static_cast<size_t>(n) + 1, format,
+                   args);
+    out->resize(old_size + static_cast<size_t>(n));
+  }
+  va_end(args);
+}
+
 }  // namespace
 
 std::string SketchReportCsvRow(const std::string& label,
@@ -111,40 +132,38 @@ std::string SketchReportCsvRow(const std::string& label,
   const std::string safe_label = CsvSanitize(label);
   const std::string safe_sketch = CsvSanitize(sketch);
   const bool cached = row.has_nvm && row.nvm.cache_enabled;
-  char line[640];
-  std::snprintf(line, sizeof(line),
-                "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%.6g,"
-                "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
-                safe_label.c_str(), safe_sketch.c_str(),
-                static_cast<unsigned long long>(row.updates),
-                static_cast<unsigned long long>(row.state_changes),
-                static_cast<unsigned long long>(row.word_writes),
-                static_cast<unsigned long long>(row.suppressed_writes),
-                static_cast<unsigned long long>(row.word_reads),
-                static_cast<unsigned long long>(row.peak_allocated_words),
-                row.wall_seconds,
-                static_cast<unsigned long long>(
-                    row.has_nvm ? row.nvm.writes_replayed : 0),
-                static_cast<unsigned long long>(
-                    row.has_nvm ? row.nvm.max_cell_wear : 0),
-                row.has_nvm ? row.nvm.energy_nj : 0.0,
-                row.has_nvm ? row.nvm.projected_stream_replays_to_failure
-                            : 0.0,
-                static_cast<unsigned long long>(
-                    row.has_nvm ? row.nvm.dropped_writes : 0),
-                static_cast<unsigned long long>(row.full_checkpoints),
-                static_cast<unsigned long long>(row.delta_checkpoints),
-                static_cast<unsigned long long>(row.snapshots_published),
-                static_cast<unsigned long long>(cached ? row.nvm.cache.hits
-                                                       : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.absorbed_writes : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.dirty_evictions : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.writebacks : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.ReuseP50() : 0));
+  std::string line;
+  Appendf(&line,
+          "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%.6g,"
+          "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
+          safe_label.c_str(), safe_sketch.c_str(),
+          static_cast<unsigned long long>(row.updates),
+          static_cast<unsigned long long>(row.state_changes),
+          static_cast<unsigned long long>(row.word_writes),
+          static_cast<unsigned long long>(row.suppressed_writes),
+          static_cast<unsigned long long>(row.word_reads),
+          static_cast<unsigned long long>(row.peak_allocated_words),
+          row.wall_seconds,
+          static_cast<unsigned long long>(
+              row.has_nvm ? row.nvm.writes_replayed : 0),
+          static_cast<unsigned long long>(
+              row.has_nvm ? row.nvm.max_cell_wear : 0),
+          row.has_nvm ? row.nvm.energy_nj : 0.0,
+          row.has_nvm ? row.nvm.projected_stream_replays_to_failure : 0.0,
+          static_cast<unsigned long long>(
+              row.has_nvm ? row.nvm.dropped_writes : 0),
+          static_cast<unsigned long long>(row.full_checkpoints),
+          static_cast<unsigned long long>(row.delta_checkpoints),
+          static_cast<unsigned long long>(row.snapshots_published),
+          static_cast<unsigned long long>(cached ? row.nvm.cache.hits : 0),
+          static_cast<unsigned long long>(
+              cached ? row.nvm.cache.absorbed_writes : 0),
+          static_cast<unsigned long long>(
+              cached ? row.nvm.cache.dirty_evictions : 0),
+          static_cast<unsigned long long>(
+              cached ? row.nvm.cache.writebacks : 0),
+          static_cast<unsigned long long>(
+              cached ? row.nvm.cache.ReuseP50() : 0));
   return line;
 }
 
@@ -158,24 +177,19 @@ const ShardedSketchReport* ShardedRunReport::Find(
 
 std::string ShardedRunReport::ToString() const {
   std::string out;
-  char line[320];
-  std::snprintf(line, sizeof(line),
-                "sharded run: shards=%zu batch=%zu items_ingested=%llu "
-                "ingest=%.6fs merge=%.6fs wall=%.6fs throughput=%.0f items/s\n",
-                shards, batch_items,
-                static_cast<unsigned long long>(items_ingested),
-                ingest_seconds, merge_seconds, wall_seconds, items_per_second);
-  out += line;
+  Appendf(&out,
+          "sharded run: shards=%zu batch=%zu items_ingested=%llu "
+          "ingest=%.6fs merge=%.6fs wall=%.6fs throughput=%.0f items/s\n",
+          shards, batch_items, static_cast<unsigned long long>(items_ingested),
+          ingest_seconds, merge_seconds, wall_seconds, items_per_second);
   out += "  shard items:";
   for (uint64_t items : shard_items) {
-    std::snprintf(line, sizeof(line), " %llu",
-                  static_cast<unsigned long long>(items));
-    out += line;
+    Appendf(&out, " %llu", static_cast<unsigned long long>(items));
   }
   out += '\n';
   for (const ShardedSketchReport& s : sketches) {
-    std::snprintf(
-        line, sizeof(line),
+    Appendf(
+        &out,
         "  %-24s total: state_changes=%-10llu word_writes=%-10llu "
         "suppressed=%-8llu reads=%-10llu (merge: changes=%llu writes=%llu)\n",
         s.name.c_str(), static_cast<unsigned long long>(s.total.state_changes),
@@ -184,21 +198,19 @@ std::string ShardedRunReport::ToString() const {
         static_cast<unsigned long long>(s.total.word_reads),
         static_cast<unsigned long long>(s.merge.state_changes),
         static_cast<unsigned long long>(s.merge.word_writes));
-    out += line;
     if (s.total.has_nvm) {
-      std::snprintf(
-          line, sizeof(line),
+      Appendf(
+          &out,
           "    nvm (all devices): writes=%-10llu max_wear=%-8llu "
           "energy=%.3gnJ replays_to_eol=%.4g\n",
           static_cast<unsigned long long>(s.total.nvm.writes_replayed),
           static_cast<unsigned long long>(s.total.nvm.max_cell_wear),
           s.total.nvm.energy_nj,
           s.total.nvm.projected_stream_replays_to_failure);
-      out += line;
     }
     if (s.checkpoints_taken > 0) {
-      std::snprintf(
-          line, sizeof(line),
+      Appendf(
+          &out,
           "    checkpoints=%-4llu (full=%llu delta=%llu published=%llu) "
           "snapshot_writes=%-10llu ckpt_nvm_max_wear=%-8llu "
           "ckpt_replays_to_eol=%.4g\n",
@@ -209,18 +221,16 @@ std::string ShardedRunReport::ToString() const {
           static_cast<unsigned long long>(s.checkpoint.word_writes),
           static_cast<unsigned long long>(s.checkpoint.nvm.max_cell_wear),
           s.checkpoint.nvm.projected_stream_replays_to_failure);
-      out += line;
     }
     for (size_t shard = 0; shard < s.per_shard.size(); ++shard) {
       const SketchRunReport& p = s.per_shard[shard];
-      std::snprintf(
-          line, sizeof(line),
+      Appendf(
+          &out,
           "    shard %-2zu items=%-10llu state_changes=%-10llu "
           "word_writes=%-10llu wall=%.6fs\n",
           shard, static_cast<unsigned long long>(p.updates),
           static_cast<unsigned long long>(p.state_changes),
           static_cast<unsigned long long>(p.word_writes), p.wall_seconds);
-      out += line;
     }
   }
   return out;
@@ -431,7 +441,7 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
             options_.serve_snapshots ? &serving_[i]->slots[s] : nullptr);
       }
     }
-    pipeline->BeginRun(metrics, trace, options_.force_scalar);
+    pipeline->BeginRun(metrics, trace);
     pipelines_.push_back(std::move(pipeline));
   }
 
@@ -517,25 +527,25 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   if (num_shards > 1) {
     for (size_t i = 0; i < num_sketches; ++i) {
       ShardedSketchReport& sk = report.sketches[i];
-      sk.name = entries_[i].factory.name();
+      const std::string& name = entries_[i].factory.name();
       MergeableSketch* merged = AsMergeable(pipelines_[0]->sketch(i));
       const AccountantSnapshot pre =
           AccountantSnapshot::Of(merged->accountant());
       const Clock::time_point t0 = Clock::now();
       {
-        TraceSpan merge_span(trace, "merge:" + sk.name, "merge");
+        TraceSpan merge_span(trace, "merge:" + name, "merge");
         for (size_t s = 1; s < num_shards; ++s) {
           const Status status = merged->MergeFrom(*pipelines_[s]->sketch(i));
           if (!status.ok()) {
             std::fprintf(stderr,
                          "ShardedEngine::Run: merge of '%s' failed: %s\n",
-                         sk.name.c_str(), status.ToString().c_str());
+                         name.c_str(), status.ToString().c_str());
             std::abort();
           }
         }
       }
       sk.merge = pre.DeltaTo(AccountantSnapshot::Of(merged->accountant()));
-      sk.merge.name = sk.name;
+      sk.merge.name = name;
       sk.merge.wall_seconds = Seconds(t0, Clock::now());
       // Merge traffic is deliberately kept out of the per-shard ingest
       // counters (those reconcile exactly with per_shard report rows);
@@ -543,11 +553,11 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
       if (metrics != nullptr) {
         metrics
             ->GetCounter("fewstate_merge_word_writes_total",
-                         {{"sketch", sk.name}})
+                         {{"sketch", name}})
             ->Increment(sk.merge.word_writes);
         metrics
             ->GetCounter("fewstate_merge_state_changes_total",
-                         {{"sketch", sk.name}})
+                         {{"sketch", name}})
             ->Increment(sk.merge.state_changes);
       }
     }

@@ -32,11 +32,6 @@ struct ShardedEngineOptions {
   /// partitioner blocks when a shard falls this far behind (backpressure
   /// instead of unbounded buffering).
   size_t max_queued_batches = 8;
-  /// Escape hatch for A/B benchmarking: feed workers item by item through
-  /// the virtual `Update` path instead of `UpdateBatch`. Results are
-  /// bitwise identical either way (the batch kernels' contract); only
-  /// throughput differs.
-  bool force_scalar = false;
   /// Seed of the item -> shard hash. Partitioning is by item identity, so
   /// all occurrences of an item land on one shard — required for the
   /// counter-based summaries to merge meaningfully.

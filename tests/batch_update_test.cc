@@ -44,8 +44,11 @@ struct Maker {
 // Every sketch with a real `UpdateBatch` kernel, in the configurations
 // the kernels specialize on — CountMin both plain (closed-form
 // accounting + row-major sweep) and conservative (per-item min path, also
-// past 64 rows), and StableSketch both exact (batched hashing) and Morris (documented
-// scalar fallback: its RNG draws are sequential per update).
+// past 64 rows), and StableSketch both exact (batched hashing) and Morris
+// (documented scalar fallback: its RNG draws are sequential per update).
+// MisraGries and SpaceSaving have no kernel of their own; their rows pin
+// the inherited per-item loop, with evictions and slot recycling, under
+// the full sink-chain replay below.
 std::vector<Maker> BatchSketches() {
   return {
       {"misra_gries", [] { return std::make_unique<MisraGries>(64); }},
@@ -204,34 +207,49 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   }
 }
 
-// A checkpoint trigger landing mid-batch (checkpoint_every = 1000 items,
-// drain batches of 4096) must produce identical durability traffic on
-// both drain paths: the trigger fires at the same batch boundaries
-// either way, and the delta checkpoints serialize identical dirty sets.
-TEST(BatchUpdateTest, CheckpointStraddlingBatchMatchesScalar) {
-  const auto run = [](bool force_scalar) -> ShardedRunReport {
-    ShardedEngineOptions options;
-    options.shards = 1;
-    options.batch_items = 4096;
-    options.force_scalar = force_scalar;
-    options.checkpoint_policy = CheckpointPolicy::EveryItems(
-        1000, CheckpointPolicy::Snapshot::kDelta);
-    options.checkpoint_nvm.config.num_cells = 1 << 14;
-    ShardedEngine engine(options);
-    EXPECT_TRUE(engine
-                    .AddSketch(SketchFactory::Of<CountMin>(
-                        "count_min", size_t{4}, size_t{256}, uint64_t{7},
-                        false))
-                    .ok());
-    EXPECT_TRUE(engine
-                    .AddSketch(SketchFactory::Of<MisraGries>("misra_gries",
-                                                             size_t{64}))
-                    .ok());
-    return engine.Run(ZipfSource(5000, 1.2, 30000, /*seed=*/321));
-  };
+// `T` with its batch kernel switched off: the engine's `UpdateBatch`
+// drain feeds it item by item through the virtual `Update`, which makes
+// it the scalar reference for engine runs.
+template <class T>
+class ScalarOnly : public T {
+ public:
+  using T::T;
+  void UpdateBatch(const Item* items, size_t n) override {
+    for (size_t i = 0; i < n; ++i) this->Update(items[i]);
+  }
+};
 
-  const ShardedRunReport scalar = run(true);
-  const ShardedRunReport batched = run(false);
+template <class CountMinT, class MisraGriesT>
+ShardedRunReport RunStraddlingCheckpoints() {
+  ShardedEngineOptions options;
+  options.shards = 1;
+  options.batch_items = 4096;
+  options.checkpoint_policy =
+      CheckpointPolicy::EveryItems(1000, CheckpointPolicy::Snapshot::kDelta);
+  options.checkpoint_nvm.config.num_cells = 1 << 14;
+  ShardedEngine engine(options);
+  EXPECT_TRUE(engine
+                  .AddSketch(SketchFactory::Of<CountMinT>(
+                      "count_min", size_t{4}, size_t{256}, uint64_t{7},
+                      false))
+                  .ok());
+  EXPECT_TRUE(engine
+                  .AddSketch(SketchFactory::Of<MisraGriesT>("misra_gries",
+                                                            size_t{64}))
+                  .ok());
+  return engine.Run(ZipfSource(5000, 1.2, 30000, /*seed=*/321));
+}
+
+// A checkpoint trigger landing mid-batch (checkpoint_every = 1000 items,
+// drain batches of 4096) must produce identical durability traffic for
+// the batch kernels and their scalar references: the trigger fires at
+// the same batch boundaries either way, and the delta checkpoints
+// serialize identical dirty sets.
+TEST(BatchUpdateTest, CheckpointStraddlingBatchMatchesScalar) {
+  const ShardedRunReport scalar =
+      RunStraddlingCheckpoints<ScalarOnly<CountMin>, ScalarOnly<MisraGries>>();
+  const ShardedRunReport batched =
+      RunStraddlingCheckpoints<CountMin, MisraGries>();
   ASSERT_EQ(scalar.sketches.size(), batched.sketches.size());
   EXPECT_EQ(scalar.items_ingested, batched.items_ingested);
   for (size_t i = 0; i < scalar.sketches.size(); ++i) {

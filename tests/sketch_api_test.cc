@@ -216,15 +216,20 @@ TEST(SketchApi, CsvRowsSanitizeCallerLabels) {
   EXPECT_EQ(SketchReportCsvRow("m", "a,b\"c", SketchRunReport()).rfind("m,a_b_c,", 0),
             0u);
 
-  // Every emitted row still has exactly the header's column count.
+  // Every emitted row still has exactly the header's column count, however
+  // long its label.
+  const std::string long_label(700, 'L');
+  const std::string long_csv = engine->last_report().ToCsv(long_label);
+  EXPECT_EQ(long_csv.rfind(long_label + ",count_min[shard0],", 0), 0u);
+  const std::string rows = csv + long_csv;
   const std::string header = ShardedRunReport::CsvHeader();
   const size_t header_commas = static_cast<size_t>(
       std::count(header.begin(), header.end(), ','));
   size_t start = 0;
-  while (start < csv.size()) {
-    size_t end = csv.find('\n', start);
-    if (end == std::string::npos) end = csv.size();
-    const std::string row = csv.substr(start, end - start);
+  while (start < rows.size()) {
+    size_t end = rows.find('\n', start);
+    if (end == std::string::npos) end = rows.size();
+    const std::string row = rows.substr(start, end - start);
     if (!row.empty()) {
       EXPECT_EQ(static_cast<size_t>(std::count(row.begin(), row.end(), ',')),
                 header_commas)
