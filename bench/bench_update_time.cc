@@ -13,6 +13,11 @@
 // without a batch kernel ride the default per-item loop, so their batch
 // rows measuring ~1.0x are the fallback's overhead, not a bug.
 //
+// Every row pair is also a batch ≡ scalar check: the two final states must
+// agree on every accountant count (and, for the stable sketches, on
+// EstimateLp and every tracked word). A mismatch is reported and makes
+// the binary exit 1, so the timing smoke doubles as an equivalence gate.
+//
 // Usage: bench_update_time [stream_length]   (default 2000000)
 
 #include <algorithm>
@@ -24,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "api/sketch.h"
 #include "baselines/ams_sketch.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
@@ -54,8 +60,34 @@ double SecondsSince(Clock::time_point start) {
 // modes ingest the identical stream from the identical initial state.
 struct Case {
   const char* name;
-  std::function<std::unique_ptr<StreamingAlgorithm>()> make;
+  std::function<std::unique_ptr<Sketch>()> make;
 };
+
+// Names the first difference between the scalar and batch final states,
+// or returns "" when they agree.
+std::string StateMismatch(const Sketch& scalar, const Sketch& batch) {
+  const StateAccountant& s = scalar.accountant();
+  const StateAccountant& b = batch.accountant();
+  if (s.updates() != b.updates()) return "updates";
+  if (s.state_changes() != b.state_changes()) return "state_changes";
+  if (s.word_writes() != b.word_writes()) return "word_writes";
+  if (s.suppressed_writes() != b.suppressed_writes()) {
+    return "suppressed_writes";
+  }
+  if (s.word_reads() != b.word_reads()) return "word_reads";
+  if (s.peak_allocated_words() != b.peak_allocated_words()) {
+    return "peak_allocated_words";
+  }
+  const auto* stable_s = dynamic_cast<const StableSketch*>(&scalar);
+  const auto* stable_b = dynamic_cast<const StableSketch*>(&batch);
+  if (stable_s != nullptr && stable_b != nullptr) {
+    if (stable_s->EstimateLp() != stable_b->EstimateLp()) return "EstimateLp";
+    if (stable_s->TrackedWords() != stable_b->TrackedWords()) {
+      return "tracked words";
+    }
+  }
+  return "";
+}
 
 double TimeScalarPass(StreamingAlgorithm& alg, const Stream& stream) {
   const Clock::time_point start = Clock::now();
@@ -117,7 +149,7 @@ int main(int argc, char** argv) {
          return std::make_unique<StableSketch>(
              0.5, 50, 7, StableSketch::CounterMode::kExact);
        }},
-      {"stable_sketch_morris",  // Morris mode: batch falls back to scalar
+      {"stable_sketch_morris",  // Morris mode: batched projection + Adds
        [] {
          return std::make_unique<StableSketch>(
              0.5, 50, 7, StableSketch::CounterMode::kMorris, 1e-3);
@@ -157,14 +189,21 @@ int main(int argc, char** argv) {
   bench::Section("ns per update (fresh instance per pass, same stream)");
   bench::CsvHeader(
       "sketch,mode,items,ns_per_item,mitems_per_sec,speedup_vs_scalar");
+  int mismatches = 0;
   for (const Case& c : cases) {
-    const std::unique_ptr<StreamingAlgorithm> scalar_alg = c.make();
+    const std::unique_ptr<Sketch> scalar_alg = c.make();
     const double scalar_wall = TimeScalarPass(*scalar_alg, stream);
-    const std::unique_ptr<StreamingAlgorithm> batch_alg = c.make();
+    const std::unique_ptr<Sketch> batch_alg = c.make();
     const double batch_wall = TimeBatchPass(*batch_alg, stream);
     EmitRow(c.name, "scalar", stream.size(), scalar_wall, 1.0);
     EmitRow(c.name, "batch", stream.size(), batch_wall,
             scalar_wall / batch_wall);
+    const std::string mismatch = StateMismatch(*scalar_alg, *batch_alg);
+    if (!mismatch.empty()) {
+      bench::Row("  MISMATCH %s: batch and scalar final %s differ", c.name,
+                 mismatch.c_str());
+      ++mismatches;
+    }
   }
 
   // MorrisCounter has no Item-keyed Update (it is a counter, not a
@@ -180,5 +219,9 @@ int main(int argc, char** argv) {
   }
 
   bench::Row("\npeak RSS: %.1f MiB", bench::PeakRssMiB());
+  if (mismatches > 0) {
+    bench::Row("%d row(s) with batch != scalar final state", mismatches);
+    return 1;
+  }
   return 0;
 }

@@ -328,24 +328,23 @@ void ReplicaPipeline::Checkpoint(Slot* slot, uint64_t processed) {
   // minted a snapshot that nothing will mutate again — every checkpoint
   // outside (kDelta && restorable) — publish it directly, zero-copy. In
   // delta mode the base snapshot is the mutation target of the *next*
-  // delta, so serve a double-buffered copy instead, priced as bulk reads
+  // delta, so serve a freshly minted copy instead, priced as bulk reads
   // of the checkpoint region (serving re-reads durable state; reads cost
-  // energy, never wear).
+  // energy, never wear). The copy is never written again once published,
+  // so readers release it through the shared_ptr count alone; reusing a
+  // buffer would need a hand-back that orders the readers' last reads
+  // before the next restore into it.
   std::shared_ptr<const Sketch> to_publish;
   if (policy.snapshot != CheckpointPolicy::Snapshot::kDelta ||
       !slot->restorable) {
     to_publish = slot->snapshot;
   } else {
-    std::shared_ptr<Sketch>& spare = track.serve_bufs[track.serve_cur ^ 1];
-    if (spare == nullptr || spare.use_count() > 1) {
-      spare = slot->factory->Make();
-    }
-    CheckOrDie(AsRestorable(spare.get())->RestoreFrom(live), "serving copy",
+    std::shared_ptr<Sketch> copy = slot->factory->Make();
+    CheckOrDie(AsRestorable(copy.get())->RestoreFrom(live), "serving copy",
                slot->name);
     slot->ckpt_sink->OnBulkReads(
         slot->snapshot->accountant().allocated_words());
-    track.serve_cur ^= 1;
-    to_publish = spare;
+    to_publish = std::move(copy);
   }
   auto published = std::make_shared<ShardSnapshot>();
   published->sketch = std::move(to_publish);

@@ -192,13 +192,6 @@ class ReplicaPipeline {
     uint64_t items_at_last = 0;     // items at last checkpoint
     // Snapshot accountant deltas plus the full/delta/published counts.
     SketchRunReport acc;
-    // Delta-mode serving buffers: the persistent base snapshot is mutated
-    // in place by the next delta, so publication serves a copy. Two
-    // buffers alternate; the spare (unpublished) one is reused only when
-    // no reader still pins it (use_count() == 1 — safe to test, since a
-    // buffer out of the slot can gain no new references).
-    std::shared_ptr<Sketch> serve_bufs[2];
-    int serve_cur = 0;  // index of the most recently published buffer
   };
 
   // Sinks are declared before the sketch whose accountant points at them,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -14,6 +15,12 @@ namespace {
 constexpr char kIncompatible[] =
     "StableSketch: incompatible configuration (p, rows, seed, counter "
     "mode and Morris growth must match)";
+
+// Byte budget of the projection memo's entries (the slot count is the
+// largest power of two that fits, at least one).
+constexpr size_t kMemoBytes = size_t{256} << 10;
+// Marks an empty memo slot; this one item value is never memoized.
+constexpr Item kNoItem = ~Item{0};
 
 }  // namespace
 
@@ -78,66 +85,124 @@ void StableSketch::Update(Item item) {
   }
 }
 
+void StableSketch::ProjectChunk(const Item* items, size_t n) {
+  if (memo_items_.empty()) {
+    size_t slots = 1;
+    while (slots * 2 * rows_ * sizeof(double) <= kMemoBytes) slots *= 2;
+    memo_items_.assign(slots, kNoItem);
+    memo_entries_.resize(slots * rows_);
+  }
+  const size_t mask = memo_items_.size() - 1;
+  batch_columns_.resize(n);
+  batch_misses_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t slot = Mix64(items[i]) & mask;
+    if (items[i] != kNoItem && memo_items_[slot] == items[i]) {
+      batch_columns_[i] = memo_entries_.data() + slot * rows_;
+    } else {
+      batch_misses_.push_back(i);
+    }
+  }
+  const size_t m = rows_ * batch_misses_.size();
+  if (m == 0) return;
+  batch_keys_.resize(m);
+  batch_raw_.resize(m);
+  batch_theta_.resize(m);
+  batch_entries_.resize(m);
+  for (size_t k = 0; k < batch_misses_.size(); ++k) {
+    const Item item = items[batch_misses_[k]];
+    uint64_t* keys = batch_keys_.data() + k * rows_;
+    for (size_t r = 0; r < rows_; ++r) {
+      keys[r] = Mix64(item * 0x100000001b3ULL + r + 1);
+    }
+  }
+  // Same uniform derivation (and clamps) as Entry(), batched: theta from
+  // the key, r from the xored key, then the CMS transform per element.
+  theta_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
+  for (size_t j = 0; j < m; ++j) {
+    double u_theta = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
+    if (u_theta <= 0.0) u_theta = 0x1.0p-53;
+    if (u_theta >= 1.0) u_theta = 1.0 - 0x1.0p-53;
+    batch_theta_[j] = (u_theta - 0.5) * M_PI;
+    batch_keys_[j] ^= 0xabcdef12345678ULL;
+  }
+  r_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
+  for (size_t j = 0; j < m; ++j) {
+    double u_r = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
+    if (u_r <= 0.0) u_r = 0x1.0p-53;
+    batch_entries_[j] = PStableFromUniform(p_, batch_theta_[j], u_r);
+  }
+  for (size_t k = 0; k < batch_misses_.size(); ++k) {
+    batch_columns_[batch_misses_[k]] = batch_entries_.data() + k * rows_;
+  }
+}
+
+void StableSketch::MemoizeMisses(const Item* items) {
+  const size_t mask = memo_items_.size() - 1;
+  for (size_t k = 0; k < batch_misses_.size(); ++k) {
+    const Item item = items[batch_misses_[k]];
+    if (item == kNoItem) continue;
+    const size_t slot = Mix64(item) & mask;
+    memo_items_[slot] = item;
+    std::copy_n(batch_entries_.data() + k * rows_, rows_,
+                memo_entries_.data() + slot * rows_);
+  }
+}
+
 void StableSketch::UpdateBatch(const Item* items, size_t n) {
-  if (mode_ != CounterMode::kExact || !manage_epochs_) {
-    // Morris counters flip RNG coins sequentially per update, and
-    // caller-managed epochs mean the caller drives BeginUpdate around
-    // each item — both are inherently scalar-path contracts.
+  if (!manage_epochs_) {
+    // The caller drives BeginUpdate around each item: a scalar-path
+    // contract.
     for (size_t i = 0; i < n; ++i) Update(items[i]);
     return;
   }
   constexpr size_t kChunk = 256;
-  double* rows = exact_rows_->BatchData();
-  const uint64_t base = exact_rows_->base_cell();
   const bool collect = accountant_->needs_cell_addresses();
   for (size_t off = 0; off < n; off += kChunk) {
     const size_t c = std::min(kChunk, n - off);
-    const size_t m = rows_ * c;
-    batch_keys_.resize(m);
-    batch_raw_.resize(m);
-    batch_theta_.resize(m);
-    batch_entries_.resize(m);
-    for (size_t r = 0; r < rows_; ++r) {
-      uint64_t* keys = batch_keys_.data() + r * c;
-      for (size_t i = 0; i < c; ++i) {
-        keys[i] = Mix64(items[off + i] * 0x100000001b3ULL + r + 1);
-      }
-    }
-    // Same uniform derivation (and clamps) as Entry(), batched: theta from
-    // the key, r from the xored key, then the CMS transform per element.
-    theta_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
-    for (size_t j = 0; j < m; ++j) {
-      double u_theta = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
-      if (u_theta <= 0.0) u_theta = 0x1.0p-53;
-      if (u_theta >= 1.0) u_theta = 1.0 - 0x1.0p-53;
-      batch_theta_[j] = (u_theta - 0.5) * M_PI;
-      batch_keys_[j] ^= 0xabcdef12345678ULL;
-    }
-    r_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
-    for (size_t j = 0; j < m; ++j) {
-      double u_r = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
-      if (u_r <= 0.0) u_r = 0x1.0p-53;
-      batch_entries_[j] = PStableFromUniform(p_, batch_theta_[j], u_r);
-    }
+    ProjectChunk(items + off, c);
     batch_scratch_.Begin(collect);
-    for (size_t i = 0; i < c; ++i) {
-      batch_scratch_.BeginItem();
-      for (size_t r = 0; r < rows_; ++r) {
-        const double e = batch_entries_[r * c + i];
-        const double next = rows[r] + e;
-        // Adding a tiny entry to a large accumulator can round back to
-        // the same double — a suppressed write, exactly as the tracked
-        // scalar Set() prices it.
-        if (next != rows[r]) {
-          rows[r] = next;
-          batch_scratch_.Write(base + r);
-        } else {
-          batch_scratch_.SuppressedWrite();
+    if (mode_ == CounterMode::kExact) {
+      double* rows = exact_rows_->BatchData();
+      const uint64_t base = exact_rows_->base_cell();
+      for (size_t i = 0; i < c; ++i) {
+        batch_scratch_.BeginItem();
+        const double* column = batch_columns_[i];
+        for (size_t r = 0; r < rows_; ++r) {
+          const double next = rows[r] + column[r];
+          // Adding a tiny entry to a large accumulator can round back to
+          // the same double — a suppressed write, exactly as the tracked
+          // scalar Set() prices it.
+          if (next != rows[r]) {
+            rows[r] = next;
+            batch_scratch_.Write(base + r);
+          } else {
+            batch_scratch_.SuppressedWrite();
+          }
+        }
+        batch_scratch_.Read(rows_);
+      }
+    } else {
+      // Entries are pure functions of (item, row), so only the Adds stay
+      // sequential: one per (item, row) in scalar order, which flips the
+      // shared RNG's coins in exactly the scalar sequence.
+      for (size_t i = 0; i < c; ++i) {
+        batch_scratch_.BeginItem();
+        const double* column = batch_columns_[i];
+        for (size_t r = 0; r < rows_; ++r) {
+          const double e = column[r];
+          if (e >= 0.0) {
+            pos_counters_[r].Add(e, &batch_scratch_);
+          } else {
+            neg_counters_[r].Add(-e, &batch_scratch_);
+          }
         }
       }
-      batch_scratch_.Read(rows_);
     }
     accountant_->ApplyBatch(batch_scratch_);
+    // Only now: a miss may evict a slot that an earlier hit's column
+    // still points at.
+    MemoizeMisses(items + off);
   }
 }
 
@@ -205,6 +270,22 @@ Status StableSketch::RestoreDirty(const Sketch& source,
   }
   rng_ = src->rng_;
   return Status::OK();
+}
+
+std::vector<uint64_t> StableSketch::TrackedWords() const {
+  std::vector<uint64_t> words;
+  words.reserve(mode_ == CounterMode::kExact ? rows_ : 2 * rows_);
+  for (size_t r = 0; r < rows_; ++r) {
+    if (mode_ == CounterMode::kExact) {
+      uint64_t bits;
+      std::memcpy(&bits, &exact_rows_->Peek(r), sizeof(bits));
+      words.push_back(bits);
+    } else {
+      words.push_back(pos_counters_[r].level());
+      words.push_back(neg_counters_[r].level());
+    }
+  }
+  return words;
 }
 
 double StableSketch::MedianAbsRowValue() const {

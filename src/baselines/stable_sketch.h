@@ -36,6 +36,14 @@ namespace fewstate {
 ///    only (1+eps) accuracy for p < 1 (|<D+,f>| + |<D-,f>| = O(||f||_p));
 ///    for p >= 1 the mode still runs but the guarantee degrades, matching
 ///    the paper's scoping of Theorem 3.2 to p in (0, 1].
+///
+/// The batch kernel memoizes hot items' projection columns (their `rows`
+/// p-stable entries) in a direct-mapped, item-keyed cache of ~256 KiB,
+/// allocated on the first `UpdateBatch`. Entries are pure functions of
+/// (seed, row, item), so the memo only saves CPU: like the RNG cursor and
+/// the batch scratch it is working memory outside the state model — never
+/// tracked, never counted in `peak_allocated_words`, never copied by
+/// `RestoreFrom`/`MergeFrom`.
 class StableSketch : public MergeableSketch, public RestorableSketch {
  public:
   enum class CounterMode { kExact, kMorris };
@@ -53,13 +61,14 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
 
   void Update(Item item) override;
 
-  /// \brief Batch kernel for `kExact` self-managed-epoch sketches: derives
-  /// the whole chunk's p-stable entries with batched tabulation hashing,
-  /// then accumulates rows in arrival order with accounting reconciled
-  /// once per chunk — bitwise identical to the scalar loop. Falls back to
-  /// the scalar path in `kMorris` mode (the Morris counters consume the
-  /// RNG sequentially per update) and under caller-managed epochs (the
-  /// caller drives `BeginUpdate`, a scalar-path contract).
+  /// \brief Batch kernel for self-managed-epoch sketches, both modes:
+  /// derives the chunk's p-stable entries with batched tabulation hashing
+  /// (or from the projection memo), then applies them in arrival order —
+  /// row accumulations in `kExact` mode, the positive/negative Morris
+  /// `Add`s in (item, row) order in `kMorris` mode, so the coin sequence is
+  /// the scalar one — with accounting reconciled once per chunk. Bitwise
+  /// identical to the scalar loop. Caller-managed epochs (the caller drives
+  /// `BeginUpdate` around each item) keep the scalar path.
   void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief Folds an identically-configured replica (same p, rows, seed,
@@ -86,6 +95,12 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// are dirty (plus the untracked RNG cursor, which is free wear-wise).
   Status RestoreDirty(const Sketch& source,
                       const DirtyTracker& dirty) override;
+
+  /// \brief Every tracked word's bits in allocation order, read without
+  /// accounting: the row accumulators in `kExact` mode, the interleaved
+  /// positive/negative Morris levels in `kMorris` mode. Two sketches with
+  /// equal words (and equal RNG cursors) are in the same state.
+  std::vector<uint64_t> TrackedWords() const;
 
   /// \brief Estimate of ||f||_p.
   double EstimateLp() const;
@@ -118,6 +133,13 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// the pair is visited).
   double Entry(size_t row, Item item) const;
 
+  /// Points `batch_columns_[i]` at the `rows_` entries of `items[i]`, from
+  /// the memo or computed into `batch_entries_` (misses listed in
+  /// `batch_misses_`).
+  void ProjectChunk(const Item* items, size_t n);
+  /// Stores the chunk's computed misses in the memo.
+  void MemoizeMisses(const Item* items);
+
   // Merge/restore compatibility: same p, rows, seed, counter mode and
   // Morris growth.
   bool SameConfig(const StableSketch& other) const {
@@ -147,6 +169,12 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   std::vector<uint64_t> batch_raw_;
   std::vector<double> batch_theta_;
   std::vector<double> batch_entries_;
+  std::vector<const double*> batch_columns_;
+  std::vector<size_t> batch_misses_;
+  // Projection memo: slot s holds memo_items_[s]'s entries at
+  // memo_entries_[s * rows_]. Empty until the first UpdateBatch.
+  std::vector<Item> memo_items_;
+  std::vector<double> memo_entries_;
 };
 
 }  // namespace fewstate

@@ -29,6 +29,13 @@ namespace fewstate {
 /// level and the counter jumps there with probabilistic rounding, keeping
 /// the estimate unbiased while performing at most two tracked writes (and
 /// usually zero when w is far below the current level gap).
+///
+/// The counter caches the closed forms it needs at its current level —
+/// value(X), value(X+1) and Increment's advance probability — and
+/// refreshes them only when the level moves, so the common no-advance
+/// update costs no transcendental call. The cache is a pure function of
+/// (a, X): every result, coin flip and tracked write is bitwise what the
+/// uncached formulas produce.
 class MorrisCounter {
  public:
   /// \brief Constructs a counter with growth parameter `a >= 0` drawing
@@ -49,6 +56,11 @@ class MorrisCounter {
 
   /// \brief Adds a non-negative real weight.
   void Add(double w);
+
+  /// \brief Batch-kernel `Add`: the same rounding and coin flip, with the
+  /// read and the level write mirrored into `scratch` instead of the
+  /// accountant (see `BatchUpdateScratch`).
+  void Add(double w, BatchUpdateScratch* scratch);
 
   /// \brief Folds another counter (same growth parameter `a`) into this
   /// one: the level jumps to represent the sum of both estimates, via the
@@ -88,13 +100,30 @@ class MorrisCounter {
   double ValueAt(double x) const;
   /// Inverse of ValueAt: (possibly fractional) level whose value is v.
   double LevelFor(double v) const;
+  /// The level `Add(w)` moves to from level x (flips at most one coin).
+  /// Both `Add` overloads share it, so the rounding exists only once.
+  uint32_t RoundedLevel(uint32_t x, double w);
+  /// Recomputes the `Add` cache for level x.
+  void RefreshAddCache(uint32_t x);
 
-  StateAccountant* accountant_;
+  // Sentinel for "cache describes no level" (levels are 32-bit).
+  static constexpr uint64_t kNoLevel = ~uint64_t{0};
+
   Rng* rng_;
   double a_;
   double log1p_a_;  // cached log(1+a); 0 when a == 0
   TrackedCell<uint32_t> level_;
   uint64_t level_changes_ = 0;
+  // `Add` cache: ValueAt(add_level_), ValueAt(add_level_ + 1), and the
+  // largest targets that provably round down to add_level_ (see
+  // RefreshAddCache). Working memory, not tracked state.
+  uint64_t add_level_ = kNoLevel;
+  double value_ = 0.0;
+  double next_value_ = 0.0;
+  double fast_limit_ = 0.0;
+  // `Increment` cache: (1+a)^{-inc_level_}.
+  uint64_t inc_level_ = kNoLevel;
+  double advance_prob_ = 1.0;
 };
 
 }  // namespace fewstate

@@ -65,7 +65,7 @@ struct ShardedEngineOptions {
   /// checkpoints). In `Snapshot::kFull` mode publication is free — the
   /// freshly-minted snapshot replica is published as-is; in
   /// `Snapshot::kDelta` mode the persistent base snapshot is mutated in
-  /// place by design, so the worker serves a double-buffered copy of it
+  /// place by design, so the worker serves a freshly minted copy of it
   /// and prices the copy as bulk reads of the checkpoint region (reads
   /// cost energy, not wear — the same pricing recovery uses for snapshot
   /// loads). Off by default: non-serving runs are bit-identical to

@@ -72,6 +72,18 @@ class TrackedCell {
     accountant_->RecordWrite(cell_);
   }
 
+  /// \brief Batch-kernel `Set`: the same suppression rule, with the write
+  /// mirrored into `scratch` (flushed later by `StateAccountant::ApplyBatch`)
+  /// instead of reported to the accountant.
+  void Set(const T& v, BatchUpdateScratch* scratch) {
+    if (v == value_) {
+      scratch->SuppressedWrite();
+      return;
+    }
+    value_ = v;
+    scratch->Write(cell_);
+  }
+
   /// \brief Logical cell address (used by write traces).
   uint64_t cell() const { return cell_; }
 

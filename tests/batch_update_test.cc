@@ -44,8 +44,9 @@ struct Maker {
 // Every sketch with a real `UpdateBatch` kernel, in the configurations
 // the kernels specialize on — CountMin both plain (closed-form
 // accounting + row-major sweep) and conservative (per-item min path, also
-// past 64 rows), and StableSketch both exact (batched hashing) and Morris
-// (documented scalar fallback: its RNG draws are sequential per update).
+// past 64 rows), and StableSketch both exact and Morris (one batched
+// projection stage plus memo; Morris mode then runs its Adds in scalar
+// (item, row) order so the shared RNG flips the same coins).
 // MisraGries and SpaceSaving have no kernel of their own; their rows pin
 // the inherited per-item loop, with evictions and slot recycling, under
 // the full sink-chain replay below.
@@ -103,30 +104,48 @@ void ExpectAccountantsEqual(const StateAccountant& scalar,
       << context;
 }
 
-// Exact (==, not near) estimate comparison over the whole universe: the
-// final structure state must be bitwise identical, and every point query
-// is a deterministic function of that state.
-void ExpectEstimatesEqual(const Sketch& scalar, const Sketch& batched,
-                          const std::string& context) {
+// Exact (==, not near) comparison of the final structure state. Every
+// point query is a deterministic function of that state, which covers the
+// counter sketches. StableSketch answers no point query (its
+// EstimateFrequency is identically 0), so its rows compare the norm
+// estimate and every tracked word — row accumulators or Morris levels —
+// directly.
+void ExpectStatesEqual(const Sketch& scalar, const Sketch& batched,
+                       const std::string& context) {
   for (Item item = 0; item < 5000; ++item) {
     ASSERT_EQ(scalar.EstimateFrequency(item), batched.EstimateFrequency(item))
         << context << " item=" << item;
   }
+  const auto* stable = dynamic_cast<const StableSketch*>(&scalar);
+  if (stable == nullptr) return;
+  const auto& stable_batched = dynamic_cast<const StableSketch&>(batched);
+  EXPECT_EQ(stable->EstimateLp(), stable_batched.EstimateLp()) << context;
+  EXPECT_EQ(stable->TrackedWords(), stable_batched.TrackedWords()) << context;
 }
 
 TEST(BatchUpdateTest, MatchesScalarAcrossBatchSizes) {
   const Stream stream = TestStream();
+  // Fed to both sides through the same scalar path after the comparison:
+  // any difference left in state the accessors cannot see — the Morris
+  // counters' RNG cursor — surfaces as diverging coin flips.
+  const Stream continuation = ZipfStream(5000, 1.2, 4000, /*seed=*/654);
   for (const Maker& maker : BatchSketches()) {
-    const std::unique_ptr<Sketch> scalar = maker.make();
-    FeedScalar(*scalar, stream);
     for (const size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
       const std::string context =
           std::string(maker.name) + " batch=" + std::to_string(batch);
+      const std::unique_ptr<Sketch> scalar = maker.make();
+      FeedScalar(*scalar, stream);
       const std::unique_ptr<Sketch> batched = maker.make();
       FeedBatched(*batched, stream, batch);
       ExpectAccountantsEqual(scalar->accountant(), batched->accountant(),
                              context);
-      ExpectEstimatesEqual(*scalar, *batched, context);
+      ExpectStatesEqual(*scalar, *batched, context);
+
+      FeedScalar(*scalar, continuation);
+      FeedScalar(*batched, continuation);
+      ExpectAccountantsEqual(scalar->accountant(), batched->accountant(),
+                             context + " continued");
+      ExpectStatesEqual(*scalar, *batched, context + " continued");
     }
   }
 }
@@ -183,7 +202,7 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
 
       ExpectAccountantsEqual(scalar->accountant(), batched->accountant(),
                              context);
-      ExpectEstimatesEqual(*scalar, *batched, context);
+      ExpectStatesEqual(*scalar, *batched, context);
       EXPECT_EQ(scalar_chain.dirty.SortedCells(),
                 batched_chain.dirty.SortedCells())
           << context;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
 
 #include "common/random.h"
 #include "state/state_accountant.h"
@@ -171,6 +175,164 @@ TEST(MorrisCounter, MonotoneEstimates) {
     const double now = counter.Estimate();
     ASSERT_GE(now, last);
     last = now;
+  }
+}
+
+// The uncached closed forms, as MorrisCounter computed them before it
+// cached its current-level boundaries: the reference the cached counter
+// must match bit for bit (same levels, same coins, same RNG cursor).
+class ReferenceMorris {
+ public:
+  ReferenceMorris(Rng* rng, double a)
+      : rng_(rng), a_(a < 0 ? 0.0 : a), log1p_a_(std::log1p(a_)) {}
+
+  double ValueAt(double x) const {
+    if (a_ == 0.0) return x;
+    return std::expm1(x * log1p_a_) / a_;
+  }
+
+  void Increment() {
+    if (a_ == 0.0 ||
+        rng_->Bernoulli(std::exp(-static_cast<double>(level_) * log1p_a_))) {
+      ++level_;
+      ++level_changes_;
+    }
+  }
+
+  void Add(double w) {
+    if (w <= 0.0) return;
+    const double target = ValueAt(level_) + w;
+    const double xf =
+        a_ == 0.0 ? target : std::log1p(a_ * target) / log1p_a_;
+    uint32_t base = static_cast<uint32_t>(xf);
+    if (base < level_) base = level_;
+    const double lo = ValueAt(base);
+    const double gap = ValueAt(base + 1) - lo;
+    double q = (target - lo) / gap;
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const uint32_t final_level = base + (rng_->Bernoulli(q) ? 1 : 0);
+    if (final_level != level_) {
+      level_ = final_level;
+      ++level_changes_;
+    }
+  }
+
+  void Merge(const ReferenceMorris& other) { Add(other.Estimate()); }
+
+  void RestoreFrom(const ReferenceMorris& other) {
+    level_ = other.level_;
+    level_changes_ = other.level_changes_;
+  }
+
+  double Estimate() const { return ValueAt(level_); }
+  uint32_t level() const { return level_; }
+  uint64_t level_changes() const { return level_changes_; }
+
+ private:
+  Rng* rng_;
+  double a_;
+  double log1p_a_;
+  uint32_t level_ = 0;
+  uint64_t level_changes_ = 0;
+};
+
+// Weight that lands the target `ulps` representable doubles away from the
+// reference's value(x+1) — the boundary where the cached shortcut must
+// hand over to the exact inverse.
+double NearBoundaryWeight(const ReferenceMorris& ref, int ulps) {
+  const double here = ref.ValueAt(ref.level());
+  double edge = ref.ValueAt(ref.level() + 1);
+  const double toward = ulps < 0 ? 0.0 : INFINITY;
+  for (int i = 0; i < std::abs(ulps); ++i) edge = std::nextafter(edge, toward);
+  return edge - here;
+}
+
+TEST(MorrisCounter, CachedBoundariesMatchUncachedFormulas) {
+  struct Config {
+    double a;
+    uint32_t level_cap;  // stop jumping here (a = 0.2 overflows ~3890)
+  };
+  for (const Config config : {Config{0.0, 200000}, Config{1e-3, 20000},
+                              Config{0.2, 3000}}) {
+    const double a = config.a;
+    StateAccountant accountant;
+    Rng rng(42);
+    Rng ref_rng(42);
+    Rng step_rng(7 + static_cast<uint64_t>(a * 1e6));
+    MorrisCounter counters[2] = {MorrisCounter(&accountant, &rng, a),
+                                 MorrisCounter(&accountant, &rng, a)};
+    ReferenceMorris refs[2] = {ReferenceMorris(&ref_rng, a),
+                               ReferenceMorris(&ref_rng, a)};
+    uint32_t max_level = 0;
+    for (int step = 0; step < 40000; ++step) {
+      const int c = static_cast<int>(step_rng.Next() & 1);
+      MorrisCounter& counter = counters[c];
+      ReferenceMorris& ref = refs[c];
+      const uint64_t op = step_rng.UniformInt(9);
+      const double gap = ref.ValueAt(ref.level() + 1) - ref.Estimate();
+      switch (op) {
+        case 0:
+          counter.Increment();
+          ref.Increment();
+          break;
+        case 1:
+        case 2: {  // fraction of the current level gap
+          const double w = step_rng.UniformDouble() * 1.5 * gap;
+          counter.Add(w);
+          ref.Add(w);
+          break;
+        }
+        case 3:
+        case 4: {  // target a few ulps either side of value(x+1)
+          const int ulps = static_cast<int>(step_rng.UniformInt(9)) - 4;
+          const double w = NearBoundaryWeight(ref, ulps);
+          counter.Add(w);
+          ref.Add(w);
+          break;
+        }
+        case 5: {  // multi-level jump
+          if (ref.level() >= config.level_cap) break;
+          const uint64_t span = a == 0.0 ? 400 : 60;
+          const uint32_t jump =
+              2 + static_cast<uint32_t>(step_rng.UniformInt(span));
+          const double w = ref.ValueAt(ref.level() + jump) - ref.Estimate() +
+                           step_rng.UniformDouble() * gap;
+          counter.Add(w);
+          ref.Add(w);
+          break;
+        }
+        case 6:
+          counter.Merge(counters[1 - c]);
+          ref.Merge(refs[1 - c]);
+          break;
+        case 7:
+          counter.RestoreFrom(counters[1 - c]);
+          ref.RestoreFrom(refs[1 - c]);
+          break;
+        default:  // no-op weights
+          counter.Add(op == 8 ? 0.0 : -1.0);
+          ref.Add(op == 8 ? 0.0 : -1.0);
+          break;
+      }
+      const std::string context = "a=" + std::to_string(a) +
+                                  " step=" + std::to_string(step) +
+                                  " op=" + std::to_string(op);
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_EQ(counters[k].level(), refs[k].level()) << context;
+        ASSERT_EQ(counters[k].level_changes(), refs[k].level_changes())
+            << context;
+      }
+      Rng next = rng;
+      Rng ref_next = ref_rng;
+      ASSERT_EQ(next.Next(), ref_next.Next()) << context;
+      max_level = std::max(max_level, counter.level());
+    }
+    // a = 0.2 overflows a double near level 3890, so only the two finer
+    // growth parameters reach past 4096.
+    if (a != 0.2) {
+      EXPECT_GT(max_level, 4096u) << "a=" << a;
+    }
   }
 }
 
