@@ -53,6 +53,29 @@ if [ "$batch_gate_failed" -ne 0 ]; then
   exit 1
 fi
 
+# Sink-span gate: `StateAccountant::ApplyBatch` hands each flushed batch
+# to the sink as one `OnWriteSpan` call, so sinks resolve their dispatch
+# (tee fan-out, wear-leveling scheme) once per batch instead of once per
+# word. A per-record `OnWrite` replay loop in ApplyBatch is the per-word
+# virtual chain creeping back into the batch hot path.
+apply_batch=$(awk '
+  /void ApplyBatch\(/ { inside = 1 }
+  inside { print }
+  inside && /^  }$/ { exit }
+' src/state/state_accountant.h)
+if [ -z "$apply_batch" ]; then
+  echo "lint.sh: StateAccountant::ApplyBatch not found in src/state/state_accountant.h" >&2
+  exit 1
+fi
+if ! printf '%s\n' "$apply_batch" | grep -q 'OnWriteSpan('; then
+  echo "lint.sh: StateAccountant::ApplyBatch no longer calls OnWriteSpan() — deliver each batch to the sink as one span" >&2
+  exit 1
+fi
+if printf '%s\n' "$apply_batch" | grep -n 'OnWrite(' >&2; then
+  echo "lint.sh: per-record OnWrite() in StateAccountant::ApplyBatch — replay the batch through one OnWriteSpan() instead" >&2
+  exit 1
+fi
+
 # Source-error gate: a `FileSource` or `SocketSource` constructed in
 # examples/ must have its error channel consulted in the same file
 # (`.ok()` or `.status()`). An unopenable trace — or a lossy, truncated,

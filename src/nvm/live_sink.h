@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_NVM_LIVE_SINK_H_
 #define FEWSTATE_NVM_LIVE_SINK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -59,7 +60,7 @@ struct NvmSpec {
 /// With a cache, writes land in the tier and only dirty evictions and
 /// `Flush()` write-backs reach the device; wear leveling therefore remaps
 /// at write-back time, downstream of the cache.
-class LiveNvmSink : public WriteSink {
+class LiveNvmSink final : public WriteSink {
  public:
   /// \brief Builds a fresh device, leveler and cache tier from `spec`.
   /// Aborts with the `NvmSpec::Validate` message on an invalid spec
@@ -74,6 +75,20 @@ class LiveNvmSink : public WriteSink {
       return;
     }
     cache_->Write(cell, [this](uint64_t victim) { WriteBack(victim); });
+  }
+
+  /// \brief Prices a batch of word writes in order. Uncached, the wear
+  /// leveling scheme is resolved once for the span and each word goes
+  /// straight onto the device; cached, each word goes through `OnWrite`
+  /// into the tier.
+  void OnWriteSpan(uint64_t base_epoch, const BatchWrite* writes,
+                   size_t n) override {
+    if (cache_ != nullptr) {
+      for (size_t i = 0; i < n; ++i) OnWrite(base_epoch, writes[i].cell);
+      return;
+    }
+    leveler_.MapSpan(writes, n,
+                     [this](uint64_t physical) { device_.Write(physical); });
   }
 
   /// \brief Prices `count` aggregate reads (energy/latency; no wear).

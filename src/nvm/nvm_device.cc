@@ -24,14 +24,6 @@ void NvmDevice::Read(uint64_t cell) {
   ++total_reads_;
 }
 
-void NvmDevice::Write(uint64_t cell) {
-  const uint64_t idx = cell % config_.num_cells;
-  const uint64_t w = ++wear_[idx];
-  ++total_writes_;
-  if (w > max_cell_wear_) max_cell_wear_ = w;
-  if (w == config_.endurance) ++worn_out_cells_;
-}
-
 double NvmDevice::energy_nj() const {
   return static_cast<double>(total_reads_) * config_.read_energy_nj +
          static_cast<double>(total_writes_) * config_.write_energy_nj;

@@ -45,8 +45,15 @@ class NvmDevice {
   /// the aggregate matters for energy/latency).
   void ReadBulk(uint64_t count) { total_reads_ += count; }
 
-  /// \brief Records a write of `cell` (mod device size).
-  void Write(uint64_t cell);
+  /// \brief Records a write of `cell` (mod device size). Inline: this is
+  /// the per-word end of every priced write.
+  void Write(uint64_t cell) {
+    const uint64_t n = config_.num_cells;
+    const uint64_t w = ++wear_[cell < n ? cell : cell % n];
+    ++total_writes_;
+    if (w > max_cell_wear_) max_cell_wear_ = w;
+    if (w == config_.endurance) ++worn_out_cells_;
+  }
 
   /// \brief Total writes across all cells.
   uint64_t total_writes() const { return total_writes_; }

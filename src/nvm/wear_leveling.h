@@ -1,10 +1,12 @@
 #ifndef FEWSTATE_NVM_WEAR_LEVELING_H_
 #define FEWSTATE_NVM_WEAR_LEVELING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/hashing.h"
+#include "state/write_sink.h"
 
 namespace fewstate {
 
@@ -47,29 +49,60 @@ class WearLeveler {
   /// scheme's remapping state.
   uint64_t MapWrite(uint64_t logical) {
     switch (leveling_) {
-      case WearLeveling::kRotating: {
-        const uint64_t physical = (logical + offset_) % num_cells_;
-        if (++writes_ % rotate_period_ == 0) {
-          offset_ = (offset_ + 1) % num_cells_;
-        }
-        return physical;
-      }
-      case WearLeveling::kHashed: {
-        // Version the logical cell so successive writes scatter.
-        if (logical >= write_counts_.size()) {
-          write_counts_.resize(logical + 1, 0);
-        }
-        const uint64_t version = write_counts_[logical]++;
-        return hash_.HashRange(
-            Mix64(logical * 0x9e3779b97f4a7c15ULL + version), num_cells_);
-      }
+      case WearLeveling::kRotating:
+        return MapRotating(logical);
+      case WearLeveling::kHashed:
+        return MapHashed(logical);
       case WearLeveling::kDirect:
         break;
     }
-    return logical % num_cells_;
+    return Wrap(logical);
+  }
+
+  /// \brief `MapWrite` over a span of writes in order, calling
+  /// `emit(physical)` once per record. The scheme is resolved once for
+  /// the whole span instead of once per word; the cells emitted and the
+  /// remapping state left behind are those of the per-word loop.
+  template <typename Emit>
+  void MapSpan(const BatchWrite* writes, size_t n, Emit&& emit) {
+    switch (leveling_) {
+      case WearLeveling::kRotating:
+        for (size_t i = 0; i < n; ++i) emit(MapRotating(writes[i].cell));
+        return;
+      case WearLeveling::kHashed:
+        for (size_t i = 0; i < n; ++i) emit(MapHashed(writes[i].cell));
+        return;
+      case WearLeveling::kDirect:
+        break;
+    }
+    for (size_t i = 0; i < n; ++i) emit(Wrap(writes[i].cell));
   }
 
  private:
+  // `x % num_cells_` without the division when `x` is already in range
+  // (the common case: state rarely outgrows the device).
+  uint64_t Wrap(uint64_t x) const {
+    return x < num_cells_ ? x : x % num_cells_;
+  }
+
+  uint64_t MapRotating(uint64_t logical) {
+    const uint64_t physical = Wrap(logical + offset_);
+    if (++writes_ % rotate_period_ == 0) {
+      offset_ = (offset_ + 1) % num_cells_;
+    }
+    return physical;
+  }
+
+  uint64_t MapHashed(uint64_t logical) {
+    // Version the logical cell so successive writes scatter.
+    if (logical >= write_counts_.size()) {
+      write_counts_.resize(logical + 1, 0);
+    }
+    const uint64_t version = write_counts_[logical]++;
+    return hash_.HashRange(Mix64(logical * 0x9e3779b97f4a7c15ULL + version),
+                           num_cells_);
+  }
+
   WearLeveling leveling_;
   uint64_t num_cells_;
   uint64_t rotate_period_;

@@ -18,17 +18,11 @@ namespace fewstate {
 /// the scalar path would have produced: per-update dirtiness (for the
 /// paper's state-change metric), aggregate word counts, and — only when the
 /// accountant says `needs_cell_addresses()` — the program-order list of
-/// (update, cell) write records needed to replay exact `WriteSink` traffic
-/// with scalar epoch numbering. Reuse one scratch across batches; `Begin()`
-/// resets it without releasing the record buffer.
+/// `BatchWrite` (update, cell) records needed to replay exact `WriteSink`
+/// traffic with scalar epoch numbering. Reuse one scratch across batches;
+/// `Begin()` resets it without releasing the record buffer.
 class BatchUpdateScratch {
  public:
-  /// \brief One changed word: which in-batch update wrote which cell.
-  struct WriteRecord {
-    uint64_t cell = 0;
-    uint32_t update_index = 0;
-  };
-
   /// \brief Starts a new batch. `collect_cells` must be
   /// `accountant->needs_cell_addresses()`; when false, Write() skips
   /// recording addresses and ApplyBatch reconciles aggregates only.
@@ -58,7 +52,7 @@ class BatchUpdateScratch {
     if (collect_cells_) {
       const uint32_t index = static_cast<uint32_t>(items_begun_ - 1);
       for (uint64_t w = 0; w < words; ++w) {
-        writes_.push_back(WriteRecord{cell + w, index});
+        writes_.push_back(BatchWrite{cell + w, index});
       }
     }
   }
@@ -102,10 +96,10 @@ class BatchUpdateScratch {
   uint64_t read_words() const { return read_words_; }
 
   /// \brief Program-order write records (empty unless collecting cells).
-  const std::vector<WriteRecord>& writes() const { return writes_; }
+  const std::vector<BatchWrite>& writes() const { return writes_; }
 
  private:
-  std::vector<WriteRecord> writes_;
+  std::vector<BatchWrite> writes_;
   bool collect_cells_ = false;
   uint64_t items_begun_ = 0;
   bool current_dirty_ = false;
@@ -179,8 +173,11 @@ class StateAccountant {
     return base;
   }
 
-  /// \brief Releases `words` cells (space accounting only; addresses are
-  /// never recycled so write logs stay unambiguous).
+  /// \brief Releases `words` cells (space accounting only). This lowers
+  /// the bump pointer, so the next `AllocateCells` can hand out an address
+  /// that still belongs to a live cell — write logs, per-cell wear and
+  /// dirty sets then merge two distinct words (a known allocator bug, not
+  /// yet fixed). Addresses always stay below `peak_allocated_words()`.
   void ReleaseCells(uint64_t words) {
     allocated_words_ = (words > allocated_words_) ? 0 : allocated_words_ - words;
   }
@@ -190,8 +187,9 @@ class StateAccountant {
   /// BeginUpdate/Record* sequence had run update by update: the pre-batch
   /// pending update is settled by the batch's first BeginItem, every
   /// finished in-batch update with a write counts toward the paper metric,
-  /// the last update's dirtiness stays pending, and write records replay
-  /// to the sink in program order under their scalar epoch numbers. Reads
+  /// the last update's dirtiness stays pending, and write records reach
+  /// the sink as one `OnWriteSpan` — program order, scalar epoch numbers
+  /// (`base_epoch + update_index + 1`). Reads
   /// are forwarded as one aggregate `OnBulkReads` (sinks price reads
   /// additively, so aggregation is exact).
   void ApplyBatch(const BatchUpdateScratch& scratch) {
@@ -206,8 +204,9 @@ class StateAccountant {
     suppressed_writes_ += scratch.suppressed_words();
     word_reads_ += scratch.read_words();
     if (sink_ != nullptr) {
-      for (const BatchUpdateScratch::WriteRecord& record : scratch.writes()) {
-        sink_->OnWrite(base_epoch + record.update_index + 1, record.cell);
+      const std::vector<BatchWrite>& writes = scratch.writes();
+      if (!writes.empty()) {
+        sink_->OnWriteSpan(base_epoch, writes.data(), writes.size());
       }
       if (scratch.read_words() > 0) sink_->OnBulkReads(scratch.read_words());
     }

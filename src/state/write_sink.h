@@ -1,11 +1,21 @@
 #ifndef FEWSTATE_STATE_WRITE_SINK_H_
 #define FEWSTATE_STATE_WRITE_SINK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace fewstate {
+
+/// \brief One changed word of a batch span: in-batch update
+/// `update_index` (0-based) wrote `cell`. Batch kernels collect these in
+/// program order (`BatchUpdateScratch`) and the accountant hands the whole
+/// batch to its sink as one `WriteSink::OnWriteSpan`.
+struct BatchWrite {
+  uint64_t cell = 0;
+  uint32_t update_index = 0;
+};
 
 /// \brief Streaming consumer of an algorithm's state-write events — the
 /// seam between state accounting and write pricing.
@@ -22,6 +32,12 @@ namespace fewstate {
 ///  * `OnWrite(epoch, cell)` fires once per word whose value actually
 ///    changed (suppressed writes never reach the sink — they are not state
 ///    changes and cost no wear), in the exact order the algorithm wrote.
+///  * `OnWriteSpan(base_epoch, writes, n)` delivers one batch of such
+///    events at once, still in program order: record i is the event
+///    `OnWrite(base_epoch + writes[i].update_index + 1, writes[i].cell)`.
+///    The default does exactly that loop; sinks on the hot path override
+///    it to hoist per-event dispatch out of the loop. A span must leave a
+///    sink bitwise as the equivalent per-word calls would.
 ///  * `OnBulkReads(count)` fires for aggregate read traffic (reads cost
 ///    energy/latency on asymmetric memories but never wear cells, so only
 ///    the count matters — no addresses).
@@ -39,6 +55,15 @@ class WriteSink {
   /// \brief One word of state changed: `cell` was written during stream
   /// update `epoch` (0 = initialisation).
   virtual void OnWrite(uint64_t epoch, uint64_t cell) = 0;
+
+  /// \brief A batch of `n` write events, in program order, whose epochs
+  /// are `base_epoch + update_index + 1`.
+  virtual void OnWriteSpan(uint64_t base_epoch, const BatchWrite* writes,
+                           size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      OnWrite(base_epoch + writes[i].update_index + 1, writes[i].cell);
+    }
+  }
 
   /// \brief `count` words of state were read (aggregate; no addresses).
   virtual void OnBulkReads(uint64_t count) { (void)count; }
@@ -62,6 +87,12 @@ class TeeSink : public WriteSink {
   /// \brief Forwards the write event to every sink, in order.
   void OnWrite(uint64_t epoch, uint64_t cell) override {
     for (WriteSink* sink : sinks_) sink->OnWrite(epoch, cell);
+  }
+  /// \brief Forwards the whole span to every sink, in order (each sink
+  /// still sees its own events in program order).
+  void OnWriteSpan(uint64_t base_epoch, const BatchWrite* writes,
+                   size_t n) override {
+    for (WriteSink* sink : sinks_) sink->OnWriteSpan(base_epoch, writes, n);
   }
   /// \brief Forwards the read count to every sink, in order.
   void OnBulkReads(uint64_t count) override {

@@ -2,12 +2,17 @@
 // recorded-log replay path on streams the log can hold (replay feeds the
 // log through the same sink), TeeSink must be equivalent to each sink
 // alone, truncated replays must say so, and sharded checkpoint wear must
-// be deterministic.
+// be deterministic. A batch span delivered through `OnWriteSpan` must
+// leave every sink exactly as the same records fed word by word, and the
+// bitmap `DirtyTracker` must answer like an ordered set.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "api/item_source.h"
@@ -18,6 +23,7 @@
 #include "nvm/nvm_adapter.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
+#include "state/dirty_tracker.h"
 #include "state/state_accountant.h"
 #include "state/write_log.h"
 #include "state/write_sink.h"
@@ -66,11 +72,17 @@ FullSampleAndHoldOptions FshOptions() {
 struct RecordingSink : public WriteSink {
   std::vector<WriteRecord> writes;
   uint64_t bulk_reads = 0;
+  int spans = 0;
   int flushes = 0;
   int resets = 0;
 
   void OnWrite(uint64_t epoch, uint64_t cell) override {
     writes.push_back(WriteRecord{epoch, cell});
+  }
+  void OnWriteSpan(uint64_t base_epoch, const BatchWrite* batch,
+                   size_t n) override {
+    ++spans;
+    WriteSink::OnWriteSpan(base_epoch, batch, n);
   }
   void OnBulkReads(uint64_t count) override { bulk_reads += count; }
   void Flush() override { ++flushes; }
@@ -100,6 +112,278 @@ TEST(WriteSink, AccountantStreamsEveryEventToTheSink) {
 
   a.Reset();
   EXPECT_EQ(sink.resets, 1);
+}
+
+// A flushed batch reaches the sink as one span whose events carry the
+// scalar path's epoch numbering.
+TEST(WriteSink, ApplyBatchDeliversOneSpanPerBatch) {
+  StateAccountant a;
+  RecordingSink sink;
+  a.set_write_sink(&sink);
+  a.BeginUpdate();
+  a.RecordWrite(1);  // the pending pre-batch update, epoch 1
+
+  BatchUpdateScratch scratch;
+  scratch.Begin(a.needs_cell_addresses());
+  scratch.BeginItem();
+  scratch.Write(7, 2);  // cells 7 and 8, epoch 2
+  scratch.BeginItem();
+  scratch.SuppressedWrite();
+  scratch.BeginItem();
+  scratch.Write(3);  // epoch 4
+  scratch.Read(5);
+  a.ApplyBatch(scratch);
+
+  EXPECT_EQ(sink.spans, 1);
+  const std::vector<WriteRecord> want = {{1, 1}, {2, 7}, {2, 8}, {4, 3}};
+  ASSERT_EQ(sink.writes.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(sink.writes[i].epoch, want[i].epoch) << i;
+    EXPECT_EQ(sink.writes[i].cell, want[i].cell) << i;
+  }
+  EXPECT_EQ(sink.bulk_reads, 5u);
+  EXPECT_EQ(a.updates(), 4u);
+  EXPECT_EQ(a.state_changes(), 3u);
+}
+
+// Every sink kind the span path specialises or defaults: a log, a dirty
+// tracker, and a live device under each leveling scheme, uncached and
+// behind a small cache that evicts.
+struct SinkSet {
+  WriteLog log{1ULL << 20};
+  DirtyTracker dirty;
+  std::vector<std::unique_ptr<LiveNvmSink>> nvm;
+
+  SinkSet() {
+    for (NvmSpec::Leveling leveling :
+         {NvmSpec::Leveling::kDirect, NvmSpec::Leveling::kRotating,
+          NvmSpec::Leveling::kHashed}) {
+      NvmSpec spec = SmallSpec(leveling);
+      nvm.push_back(std::make_unique<LiveNvmSink>(spec));
+      spec.cache.sets = 4;
+      spec.cache.ways = 2;
+      spec.cache.line_words = 8;
+      spec.cache.reuse_stack_max = 64;
+      nvm.push_back(std::make_unique<LiveNvmSink>(spec));
+    }
+  }
+
+  std::vector<WriteSink*> All() {
+    std::vector<WriteSink*> sinks = {&log, &dirty};
+    for (const std::unique_ptr<LiveNvmSink>& sink : nvm) {
+      sinks.push_back(sink.get());
+    }
+    return sinks;
+  }
+};
+
+// One seeded batch stream: spans of varying length (some empty), each
+// with nondecreasing update indices, over cells up to three times the
+// device size so the in-range shortcut and the wrap are both exercised.
+struct SeededSpan {
+  uint64_t base_epoch = 0;
+  std::vector<BatchWrite> writes;
+};
+
+std::vector<SeededSpan> SeededSpans(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const uint64_t device_cells = SmallSpec(NvmSpec::Leveling::kDirect)
+                                    .config.num_cells;
+  std::vector<SeededSpan> spans;
+  uint64_t epoch = 0;
+  for (int s = 0; s < 40; ++s) {
+    SeededSpan span;
+    span.base_epoch = epoch;
+    const uint32_t items = static_cast<uint32_t>(rng() % 300);
+    for (uint32_t item = 0; item < items; ++item) {
+      const uint64_t words = rng() % 5;
+      for (uint64_t w = 0; w < words; ++w) {
+        // Mostly a hot region (so the cache absorbs and levelers revisit
+        // cells), sometimes anywhere up to 3x the device.
+        const uint64_t cell =
+            (rng() % 4 == 0) ? rng() % (3 * device_cells) : rng() % 96;
+        span.writes.push_back(BatchWrite{cell, item});
+      }
+    }
+    epoch += items;
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+void FeedSpans(WriteSink* sink, const std::vector<SeededSpan>& spans) {
+  for (const SeededSpan& span : spans) {
+    sink->OnWriteSpan(span.base_epoch, span.writes.data(),
+                      span.writes.size());
+  }
+}
+
+void FeedWords(WriteSink* sink, const std::vector<SeededSpan>& spans) {
+  for (const SeededSpan& span : spans) {
+    for (const BatchWrite& w : span.writes) {
+      sink->OnWrite(span.base_epoch + w.update_index + 1, w.cell);
+    }
+  }
+}
+
+void ExpectCacheStatsIdentical(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.total_writes, b.total_writes);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.absorbed_writes, b.absorbed_writes);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+  EXPECT_EQ(a.clean_evictions, b.clean_evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.writebacks_pending, b.writebacks_pending);
+  EXPECT_EQ(a.flushes, b.flushes);
+  EXPECT_EQ(a.reuse_hist, b.reuse_hist);
+  EXPECT_EQ(a.reuse_cold, b.reuse_cold);
+}
+
+void ExpectSinkSetsIdentical(SinkSet* spanned, SinkSet* worded) {
+  const std::vector<WriteRecord>& a = spanned->log.records();
+  const std::vector<WriteRecord>& b = worded->log.records();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].epoch, b[i].epoch) << i;
+    EXPECT_EQ(a[i].cell, b[i].cell) << i;
+  }
+  EXPECT_EQ(spanned->log.total_appends(), worded->log.total_appends());
+
+  EXPECT_EQ(spanned->dirty.dirty_words(), worded->dirty.dirty_words());
+  const std::vector<uint64_t> cells = spanned->dirty.SortedCells();
+  EXPECT_EQ(cells, worded->dirty.SortedCells());
+  for (uint64_t cell : cells) EXPECT_TRUE(worded->dirty.Contains(cell));
+
+  ASSERT_EQ(spanned->nvm.size(), worded->nvm.size());
+  for (size_t i = 0; i < spanned->nvm.size(); ++i) {
+    SCOPED_TRACE(i);
+    // Compare before flushing too: pending cache contents must match.
+    if (spanned->nvm[i]->cache() != nullptr) {
+      ExpectCacheStatsIdentical(spanned->nvm[i]->cache()->stats(),
+                                worded->nvm[i]->cache()->stats());
+    }
+    const NvmReplayReport ra = spanned->nvm[i]->Report();
+    const NvmReplayReport rb = worded->nvm[i]->Report();
+    ExpectReportsIdentical(ra, rb);
+    EXPECT_EQ(ra.cache_enabled, rb.cache_enabled);
+    ExpectCacheStatsIdentical(ra.cache, rb.cache);
+    EXPECT_EQ(spanned->nvm[i]->device().cell_wear(),
+              worded->nvm[i]->device().cell_wear());
+    EXPECT_EQ(spanned->nvm[i]->device().worn_out_cells(),
+              worded->nvm[i]->device().worn_out_cells());
+  }
+}
+
+TEST(WriteSinkSpan, EverySinkMatchesPerWordDelivery) {
+  const std::vector<SeededSpan> spans = SeededSpans(/*seed=*/2024);
+  SinkSet spanned;
+  SinkSet worded;
+  const std::vector<WriteSink*> a = spanned.All();
+  const std::vector<WriteSink*> b = worded.All();
+  for (size_t i = 0; i < a.size(); ++i) {
+    FeedSpans(a[i], spans);
+    FeedWords(b[i], spans);
+  }
+  // The stream must reach past the device (the wrap) and evict.
+  EXPECT_GT(spanned.dirty.SortedCells().back(),
+            SmallSpec(NvmSpec::Leveling::kDirect).config.num_cells);
+  EXPECT_GT(spanned.nvm[1]->cache()->stats().dirty_evictions, 0u);
+  ExpectSinkSetsIdentical(&spanned, &worded);
+
+  // Both deliveries share the in-range shortcut, so pin it against plain
+  // `%` arithmetic: direct and start-gap rotation wear, recomputed here.
+  const NvmSpec rotating = SmallSpec(NvmSpec::Leveling::kRotating);
+  const uint64_t n = rotating.config.num_cells;
+  std::vector<uint64_t> direct_wear(n, 0);
+  std::vector<uint64_t> rotating_wear(n, 0);
+  uint64_t offset = 0;
+  uint64_t writes = 0;
+  for (const SeededSpan& span : spans) {
+    for (const BatchWrite& w : span.writes) {
+      ++direct_wear[w.cell % n];
+      ++rotating_wear[(w.cell + offset) % n];
+      if (++writes % rotating.rotate_period == 0) offset = (offset + 1) % n;
+    }
+  }
+  EXPECT_EQ(spanned.nvm[0]->device().cell_wear(), direct_wear);
+  EXPECT_EQ(spanned.nvm[2]->device().cell_wear(), rotating_wear);
+}
+
+TEST(WriteSinkSpan, TeeOfEverySinkMatchesPerWordDelivery) {
+  const std::vector<SeededSpan> spans = SeededSpans(/*seed=*/77);
+  SinkSet spanned;
+  SinkSet worded;
+  TeeSink spanned_tee(spanned.All());
+  TeeSink worded_tee(worded.All());
+  FeedSpans(&spanned_tee, spans);
+  FeedWords(&worded_tee, spans);
+  ExpectSinkSetsIdentical(&spanned, &worded);
+}
+
+// The bitmap tracker against an ordered-set oracle, across several
+// checkpoint intervals, a sparse high cell, repeated marks and a reset.
+TEST(DirtyTrackerBitmap, MatchesOrderedSetOracle) {
+  std::mt19937_64 rng(31);
+  DirtyTracker dirty;
+  std::set<uint64_t> oracle;
+  auto expect_same = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(dirty.dirty_words(), oracle.size());
+    const std::vector<uint64_t> want(oracle.begin(), oracle.end());
+    EXPECT_EQ(dirty.SortedCells(), want);
+    for (uint64_t cell = 0; cell < 2048; ++cell) {
+      ASSERT_EQ(dirty.Contains(cell), oracle.count(cell) > 0) << cell;
+    }
+  };
+
+  for (int interval = 0; interval < 5; ++interval) {
+    // Half the marks per word, half through a span.
+    std::vector<BatchWrite> span;
+    for (int i = 0; i < 400; ++i) {
+      const uint64_t cell = rng() % 2000;
+      oracle.insert(cell);
+      if (i % 2 == 0) {
+        dirty.OnWrite(/*epoch=*/0, cell);
+      } else {
+        span.push_back(BatchWrite{cell, 0});
+      }
+    }
+    dirty.OnWriteSpan(/*base_epoch=*/0, span.data(), span.size());
+    expect_same("interval");
+    dirty.ClearDirty();
+    oracle.clear();
+    expect_same("cleared");
+  }
+
+  // Repeated marks count once.
+  for (int i = 0; i < 10; ++i) dirty.OnWrite(1, 42);
+  oracle.insert(42);
+  expect_same("repeated");
+
+  // A sparse high cell grows the bitmap; the scan stays ascending.
+  const uint64_t high = uint64_t{1} << 20;
+  dirty.OnWrite(1, high);
+  dirty.OnWrite(1, high - 1);
+  oracle.insert(high);
+  oracle.insert(high - 1);
+  expect_same("sparse high");
+  EXPECT_TRUE(dirty.Contains(high));
+  EXPECT_FALSE(dirty.Contains(high + 1));
+  // Far past the bitmap's end is a plain miss, not an out-of-range read.
+  EXPECT_FALSE(dirty.Contains(high << 8));
+  EXPECT_FALSE(dirty.Contains(~uint64_t{0}));
+
+  dirty.Reset();
+  oracle.clear();
+  expect_same("reset");
+  EXPECT_FALSE(dirty.Contains(high));
+  EXPECT_TRUE(dirty.SortedCells().empty());
+
+  // A reset tracker keeps working.
+  dirty.OnWrite(2, 5);
+  oracle.insert(5);
+  expect_same("after reset");
 }
 
 // The acceptance bar: for every wear policy, the live path's report is
