@@ -76,6 +76,45 @@ if printf '%s\n' "$apply_batch" | grep -n 'OnWrite(' >&2; then
   exit 1
 fi
 
+# Shared-state gate: `ReplicaPipeline::Drain` runs a shard's replicas on
+# parallel lanes, which is only sound while replicas share no mutable
+# state. Below the `Sketch` API (src/{baselines,core,counters,state,nvm,
+# common}) a non-const `static` variable, at function or class scope, or
+# a non-const variable at namespace scope (column 0), would be that
+# shared state. Functions and const/constexpr data are fine. The one
+# allowlisted cache, `StableSketch::MedianAbsPStable`'s p -> scale map,
+# is guarded by its own mutex.
+shared_state=$(awk '
+  # Enclosing function: the last column-0 line opening a definition.
+  /^[A-Za-z].*\(/ && $0 !~ /;[[:space:]]*$/ { fn = $0 }
+  {
+    line = $0
+    sub(/\/\/.*/, "", line)
+    decl = ""
+    if (line ~ /^[[:space:]]*static[[:space:]]/) {
+      decl = line
+      sub(/^[[:space:]]*static[[:space:]]+/, "", decl)
+    } else if (line ~ /^[A-Za-z_]/ && (line ~ /;[[:space:]]*$/ || line ~ /=/) &&
+               line !~ /^(namespace|class|struct|union|enum|using|typedef|template|extern "C")[[:space:]]/) {
+      decl = line
+    }
+    if (decl == "") next
+    if (decl ~ /^(inline[[:space:]]+)?(const|constexpr)[[:space:]]/) next
+    head = decl
+    sub(/[=;{].*/, "", head)
+    if (head ~ /\(/) next  # a function declaration or definition
+    if (head ~ /[[:space:]]const[[:space:]]/) next  # e.g. `T const kX`
+    if (fn ~ /StableSketch::MedianAbsPStable\(/) next
+    print FILENAME ":" FNR ": " $0
+  }
+' $(find src/baselines src/core src/counters src/state src/nvm src/common \
+      -name '*.h' -o -name '*.cc' | sort))
+if [ -n "$shared_state" ]; then
+  echo "lint.sh: mutable static or namespace-scope state below the Sketch API — replicas drained on parallel lanes must share no mutable state:" >&2
+  echo "$shared_state" >&2
+  exit 1
+fi
+
 # Source-error gate: a `FileSource` or `SocketSource` constructed in
 # examples/ must have its error channel consulted in the same file
 # (`.ok()` or `.status()`). An unopenable trace — or a lossy, truncated,

@@ -1,8 +1,10 @@
 #include "api/replica_pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <utility>
 
 #include "api/item_source.h"
@@ -25,6 +27,15 @@ MetricLabels With(MetricLabels labels, const std::string& key,
                   const std::string& value) {
   labels.emplace_back(key, value);
   return labels;
+}
+
+// "shard-<s>-lane-<k>" under a `shard` label, "lane-<k>" without one.
+std::string LaneThreadName(const MetricLabels& labels, size_t lane) {
+  std::string name;
+  for (const auto& [key, value] : labels) {
+    if (key == "shard") name = "shard-" + value + "-";
+  }
+  return name + "lane-" + std::to_string(lane);
 }
 
 // Failures here are a broken factory or sketch (every Make() must mint an
@@ -86,6 +97,8 @@ ReplicaPipeline::ReplicaPipeline(ReplicaPipelineOptions options)
   }
 }
 
+ReplicaPipeline::~ReplicaPipeline() { StopLanes(); }
+
 void ReplicaPipeline::Add(std::string name, std::unique_ptr<Sketch> sketch) {
   Slot slot;
   slot.update_span = "update:" + name;
@@ -144,6 +157,11 @@ void ReplicaPipeline::BeginRun(MetricsRegistry* metrics,
                                TraceRecorder* trace) {
   metrics_ = metrics;
   trace_ = trace;
+  const size_t lanes =
+      std::max<size_t>(1, std::min(options_.drain_lanes, slots_.size()));
+  for (size_t lane = 1; lane < lanes; ++lane) {
+    lanes_.emplace_back([this, lane, lanes] { LaneLoop(lane, lanes); });
+  }
   if (metrics_ == nullptr) return;
   items_ = metrics_->GetCounter("fewstate_shard_items_total", options_.labels);
   batches_ =
@@ -177,18 +195,94 @@ void ReplicaPipeline::BeginRun(MetricsRegistry* metrics,
 }
 
 void ReplicaPipeline::Drain(const Item* items, size_t n) {
+  if (trace_ != nullptr) trace_->Begin("batch_drain", "ingest");
+  const size_t lanes = drain_lanes();
+  if (lanes > 1) {
+    {
+      std::lock_guard<std::mutex> lock(lane_mu_);
+      batch_items_ = items;
+      batch_n_ = n;
+      ++batch_seq_;
+      lanes_busy_ = lanes - 1;
+    }
+    lane_wake_.notify_all();
+  }
+  // A throwing replica must not end the barrier early: the lanes still
+  // read `items`, which the caller may free once `Drain` leaves.
+  std::exception_ptr error;
+  try {
+    DrainLane(0, lanes, items, n);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  if (lanes > 1) {
+    // The barrier: every replica has consumed the batch, and the lanes'
+    // writes are visible here, before any boundary work reads them.
+    std::unique_lock<std::mutex> lock(lane_mu_);
+    lane_done_.wait(lock, [this] { return lanes_busy_ == 0; });
+    if (error == nullptr) error = lane_error_;
+    lane_error_ = nullptr;
+  }
+  if (trace_ != nullptr) trace_->End("batch_drain", "ingest");
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+void ReplicaPipeline::DrainLane(size_t lane, size_t lanes, const Item* items,
+                                size_t n) {
   // Blocked: each sketch consumes the whole batch in turn, so timing costs
   // two clock reads per (sketch, batch), and each sketch's update order is
   // that of a single pass over the items.
-  if (trace_ != nullptr) trace_->Begin("batch_drain", "ingest");
-  for (Slot& slot : slots_) {
+  for (size_t i = lane; i < slots_.size(); i += lanes) {
+    Slot& slot = slots_[i];
     if (trace_ != nullptr) trace_->Begin(slot.update_span, "update");
     const Clock::time_point t0 = Clock::now();
     slot.sketch->UpdateBatch(items, n);
     slot.busy_seconds += Seconds(t0, Clock::now());
     if (trace_ != nullptr) trace_->End(slot.update_span, "update");
   }
-  if (trace_ != nullptr) trace_->End("batch_drain", "ingest");
+}
+
+void ReplicaPipeline::LaneLoop(size_t lane, size_t lanes) {
+  if (trace_ != nullptr) {
+    trace_->SetCurrentThreadName(LaneThreadName(options_.labels, lane));
+  }
+  uint64_t seen = 0;
+  for (;;) {
+    const Item* items = nullptr;
+    size_t n = 0;
+    {
+      std::unique_lock<std::mutex> lock(lane_mu_);
+      lane_wake_.wait(lock,
+                      [&] { return stopping_ || batch_seq_ != seen; });
+      // The owning thread stops the lanes only between batches.
+      if (stopping_) return;
+      seen = batch_seq_;
+      items = batch_items_;
+      n = batch_n_;
+    }
+    // A lane's failure is forwarded to the owning thread, which rethrows
+    // it from `Drain` after the barrier.
+    std::exception_ptr error;
+    try {
+      DrainLane(lane, lanes, items, n);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(lane_mu_);
+    if (lane_error_ == nullptr) lane_error_ = error;
+    if (--lanes_busy_ == 0) lane_done_.notify_one();
+  }
+}
+
+void ReplicaPipeline::StopLanes() {
+  if (lanes_.empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(lane_mu_);
+    stopping_ = true;
+  }
+  lane_wake_.notify_all();
+  for (std::thread& lane : lanes_) lane.join();
+  lanes_.clear();
 }
 
 void ReplicaPipeline::AtBatchBoundary(uint64_t processed) {
@@ -358,6 +452,7 @@ void ReplicaPipeline::Checkpoint(Slot* slot, uint64_t processed) {
 }
 
 std::vector<ReplicaSketchReport> ReplicaPipeline::Report() {
+  StopLanes();
   std::vector<ReplicaSketchReport> rows(slots_.size());
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];

@@ -2,10 +2,14 @@
 #define FEWSTATE_API_REPLICA_PIPELINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/sketch.h"
@@ -94,6 +98,11 @@ struct ReplicaPipelineOptions {
   /// counter, zeroed at construction and stored with release order at
   /// every batch boundary before any checkpoint trigger is evaluated.
   std::atomic<uint64_t>* progress = nullptr;
+  /// Parallel lanes `Drain` runs the replicas on: slot `i` belongs to
+  /// lane `i mod L`, lane 0 is the calling thread and lanes 1..L-1 are
+  /// threads `BeginRun` starts. Clamped to [1, number of sketches]; 1
+  /// spawns nothing. `ShardedEngine` sizes it from the CPUs it can see.
+  size_t drain_lanes = 1;
 };
 
 /// \brief One sketch's outcome of a pipeline run.
@@ -125,11 +134,22 @@ struct ReplicaSketchReport {
 /// publishes the rows' growth, so metrics attach no sink and leave the
 /// batch kernels' closed-form settle intact. Rows cover exactly what the
 /// pipeline drained: writes after the last boundary (a merge into the
-/// replica) stay out of them. Not thread-safe: one thread drives a
-/// pipeline between `BeginRun` and `Report`.
+/// replica) stay out of them.
+///
+/// Lanes: one thread (the owner) calls every method, in the order above.
+/// With `drain_lanes` L > 1, `Drain` hands each replica's `UpdateBatch` to
+/// its lane and returns only once every lane has finished the batch, so
+/// all per-batch state — sketches, sinks, busy time — is quiescent and
+/// visible to the owner whenever `Drain` is not running. Replicas must
+/// share no mutable state (scripts/lint.sh gates `static` variables
+/// below the `Sketch` API); each replica sees exactly the serial item
+/// order, so states, reports and checkpoints are bitwise those of L = 1.
+/// `AtBatchBoundary` and everything after it run on the owner alone.
+/// `Report` and the destructor stop and join the lanes.
 class ReplicaPipeline {
  public:
   explicit ReplicaPipeline(ReplicaPipelineOptions options = {});
+  ~ReplicaPipeline();
   ReplicaPipeline(const ReplicaPipeline&) = delete;
   ReplicaPipeline& operator=(const ReplicaPipeline&) = delete;
 
@@ -150,6 +170,8 @@ class ReplicaPipeline {
   size_t size() const { return slots_.size(); }
   const std::string& name(size_t i) const { return slots_[i].name; }
   Sketch* sketch(size_t i) const { return slots_[i].sketch.get(); }
+  /// \brief Sketch `i`'s live update device, or nullptr.
+  LiveNvmSink* live_sink(size_t i) const { return slots_[i].nvm.get(); }
   /// \brief Sketch `i`'s checkpoint device, or nullptr.
   LiveNvmSink* checkpoint_sink(size_t i) const {
     return slots_[i].ckpt_sink.get();
@@ -157,19 +179,27 @@ class ReplicaPipeline {
   /// \brief Sketch `i`'s most recent checkpoint, or nullptr.
   const Sketch* snapshot(size_t i) const { return slots_[i].snapshot.get(); }
 
-  /// \brief Starts the run: binds telemetry (both borrowed; null = off).
+  /// \brief Starts the run: binds telemetry (both borrowed; null = off)
+  /// and starts lanes 1..L-1.
   void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace);
 
-  /// \brief Feeds one batch to every sketch, in registration order,
-  /// through `UpdateBatch`.
+  /// \brief Lanes this run drains on (1 before `BeginRun` and after
+  /// `Report`).
+  size_t drain_lanes() const { return lanes_.size() + 1; }
+
+  /// \brief Feeds one batch to every sketch through `UpdateBatch`, each
+  /// lane's sketches in registration order, and returns once every lane
+  /// has consumed it. An exception from any sketch is rethrown here, on
+  /// the owner, after the barrier.
   void Drain(const Item* items, size_t n);
 
   /// \brief Batch-boundary work after `processed` items this run:
   /// telemetry, serving progress, then checkpoint triggers.
   void AtBatchBoundary(uint64_t processed);
 
-  /// \brief End-of-run barrier: flushes every device and returns one row
-  /// per sketch, publishing the end-of-run wear and cache probes.
+  /// \brief End-of-run barrier: joins the lanes, flushes every device and
+  /// returns one row per sketch, publishing the end-of-run wear and cache
+  /// probes.
   std::vector<ReplicaSketchReport> Report();
 
  private:
@@ -219,6 +249,11 @@ class ReplicaPipeline {
 
   void Rewire(Slot* slot);
   void Checkpoint(Slot* slot, uint64_t processed);
+  // Drains one batch into lane `lane`'s slots, of `lanes` in all.
+  void DrainLane(size_t lane, size_t lanes, const Item* items, size_t n);
+  // Body of lane thread `lane`: drains each published batch, then checks in.
+  void LaneLoop(size_t lane, size_t lanes);
+  void StopLanes();
 
   ReplicaPipelineOptions options_;
   std::vector<Slot> slots_;
@@ -227,6 +262,22 @@ class ReplicaPipeline {
   uint64_t processed_ = 0;
   Counter* items_ = nullptr;    // telemetry on only
   Counter* batches_ = nullptr;
+
+  // Lane hand-off: the owning thread publishes a batch (a new
+  // `batch_seq_`) under `lane_mu_`; each lane drains it and decrements
+  // `lanes_busy_`.
+  std::mutex lane_mu_;
+  std::condition_variable lane_wake_;
+  std::condition_variable lane_done_;
+  const Item* batch_items_ = nullptr;
+  size_t batch_n_ = 0;
+  uint64_t batch_seq_ = 0;
+  size_t lanes_busy_ = 0;
+  std::exception_ptr lane_error_;  // first lane failure of the batch
+  bool stopping_ = false;
+  // Declared after `slots_`, which the lanes update; joined by
+  // `StopLanes` before either is destroyed.
+  std::vector<std::thread> lanes_;
 };
 
 }  // namespace fewstate

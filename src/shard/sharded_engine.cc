@@ -1,5 +1,6 @@
 #include "shard/sharded_engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdarg>
@@ -423,12 +424,20 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   // for delta policies) go to the entries that can be snapshotted —
   // mergeable or restorable ones. A serving pipeline starts from zero
   // published state (its progress counter and publication slots cleared).
+  // Each shard drains its replicas on up to (CPUs - 1) / S lanes: one CPU
+  // stays with the partitioner, so S workers and their lanes never
+  // oversubscribe the machine, and a multi-shard engine on a small box
+  // keeps one lane per shard.
+  const size_t cpus = std::max(1u, std::thread::hardware_concurrency());
+  const size_t drain_lanes =
+      std::min(num_sketches, std::max<size_t>(1, (cpus - 1) / num_shards));
   pipelines_.clear();
   for (size_t s = 0; s < num_shards; ++s) {
     ReplicaPipelineOptions po;
     po.labels = {{"shard", std::to_string(s)}};
     po.checkpoint_policy = options_.checkpoint_policy;
     po.checkpoint_nvm = options_.checkpoint_nvm;
+    po.drain_lanes = drain_lanes;
     if (options_.serve_snapshots) po.progress = &shard_progress_[s];
     auto pipeline = std::make_unique<ReplicaPipeline>(std::move(po));
     for (size_t i = 0; i < num_sketches; ++i) {
@@ -457,9 +466,10 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   }
 
   // Ingest: one bounded queue + worker thread per shard. Each worker is
-  // the only thread touching its pipeline (replicas, accountants, sinks)
-  // between thread start and join; the queue provides the ordering handoff
-  // for the batches themselves.
+  // the only thread driving its pipeline between thread start and join
+  // (its lanes update replicas only inside `Drain`, which returns after
+  // they all finish); the queue provides the ordering handoff for the
+  // batches themselves.
   const Clock::time_point ingest_start = Clock::now();
   std::vector<std::thread> workers;
   workers.reserve(num_shards);

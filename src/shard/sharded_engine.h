@@ -192,8 +192,10 @@ std::string SketchReportCsvRow(const std::string& label,
 ///  * each registered `SketchFactory` mints one replica per shard;
 ///  * a partitioner thread hash-routes items to per-shard bounded batch
 ///    queues; one worker thread per shard drives that shard's
-///    `ReplicaPipeline`, so every replica (and its `StateAccountant`)
-///    stays thread-confined;
+///    `ReplicaPipeline`, which drains the replicas on up to
+///    min(#sketches, (CPUs - 1) / S) lanes with a barrier per batch, so
+///    every replica (and its `StateAccountant`) is touched by one thread
+///    at a time and ends bitwise as a serial drain leaves it;
 ///  * after the stream ends and workers join, shards 1..S-1 are merged
 ///    into shard 0's replica through `MergeableSketch::MergeFrom`, with
 ///    merge-time writes accounted on the destination;
