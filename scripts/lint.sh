@@ -32,6 +32,16 @@ if grep -rnE '\bStreamEngine\b|api/stream_engine\.h' src bench examples tests; t
   exit 1
 fi
 
+# Deleted-surface gate: epoch ownership follows the accountant (a
+# structure that owns its accountant opens one epoch per item; one handed
+# a shared accountant leaves the epochs to its owner), and options,
+# triggers and adapters that no workload, bench or example drove are gone.
+# None of them may come back as a second way to configure the same thing.
+if grep -rnE '\bmanage_epochs\b|\buse_full_sample_and_hold\b|\b(ConcatSource|InterleaveSource)\b|\bkDirtyWords\b|\bDirtyWords\(|\bpartition_seed\b' src bench examples tests; then
+  echo "lint.sh: deleted surface (manage_epochs, use_full_sample_and_hold, ConcatSource/InterleaveSource, kDirtyWords/DirtyWords(), partition_seed) in src/, bench/, examples/ or tests/ — derive it, or keep it deleted" >&2
+  exit 1
+fi
+
 # Batch-drain gate: the drain loops feed sketches through `UpdateBatch`
 # (the vectorized hot path). `ReplicaPipeline::Drain` is the only engine
 # drain loop; item_source.cc holds the single-sketch `Drain`. A per-item

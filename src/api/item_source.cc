@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 
 namespace fewstate {
 
@@ -142,96 +141,6 @@ Status WriteTrace(const std::string& path, const Stream& stream) {
   const bool closed_ok = std::fclose(file) == 0;
   if (written != stream.size() || !closed_ok) {
     return Status::Internal("WriteTrace: short write to '" + path + "'");
-  }
-  return Status::OK();
-}
-
-// --- ConcatSource
-
-size_t ConcatSource::NextBatch(Item* out, size_t cap) {
-  if (cap == 0) return 0;  // a 0-cap probe must not consume segments
-  while (current_ < sources_.size()) {
-    const size_t got = sources_[current_]->NextBatch(out, cap);
-    if (got > 0) return got;
-    ++current_;  // this source is done; fall through to the next
-  }
-  return 0;
-}
-
-std::optional<uint64_t> ConcatSource::SizeHint() const {
-  uint64_t total = 0;
-  for (size_t i = current_; i < sources_.size(); ++i) {
-    const std::optional<uint64_t> hint = sources_[i]->SizeHint();
-    if (!hint) return std::nullopt;
-    // A sum that would wrap is unknown, not a small number.
-    if (*hint > std::numeric_limits<uint64_t>::max() - total) {
-      return std::nullopt;
-    }
-    total += *hint;
-  }
-  return total;
-}
-
-Status ConcatSource::status() const {
-  for (const ItemSource* s : sources_) {
-    Status st = s->status();
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-// --- InterleaveSource
-
-InterleaveSource::InterleaveSource(std::vector<ItemSource*> sources,
-                                   size_t chunk_items)
-    : sources_(std::move(sources)),
-      all_(sources_),
-      chunk_items_(chunk_items == 0 ? 1 : chunk_items),
-      chunk_left_(chunk_items_) {}
-
-size_t InterleaveSource::NextBatch(Item* out, size_t cap) {
-  size_t filled = 0;
-  while (filled < cap && !sources_.empty()) {
-    const size_t want = std::min(cap - filled, chunk_left_);
-    const size_t got = sources_[current_]->NextBatch(out + filled, want);
-    filled += got;
-    chunk_left_ -= got;
-    if (got == 0) {
-      // End-of-stream (a short but non-empty batch is NOT end-of-stream —
-      // the contract only promises 0 at EOS, so a short read just loops
-      // and asks the same source again): drop the source mid-chunk.
-      sources_.erase(sources_.begin() + static_cast<std::ptrdiff_t>(current_));
-      if (current_ >= sources_.size()) current_ = 0;
-      chunk_left_ = chunk_items_;
-    } else if (chunk_left_ == 0) {
-      current_ = (current_ + 1) % sources_.size();
-      chunk_left_ = chunk_items_;
-    }
-  }
-  return filled;
-}
-
-std::optional<uint64_t> InterleaveSource::SizeHint() const {
-  uint64_t total = 0;
-  for (const ItemSource* s : sources_) {
-    const std::optional<uint64_t> hint = s->SizeHint();
-    if (!hint) return std::nullopt;
-    // A sum that would wrap is unknown, not a small number.
-    if (*hint > std::numeric_limits<uint64_t>::max() - total) {
-      return std::nullopt;
-    }
-    total += *hint;
-  }
-  return total;
-}
-
-Status InterleaveSource::status() const {
-  // Scan every composed source, not just the live rotation: a failed
-  // source returns 0 from NextBatch and gets dropped exactly like one
-  // that ended cleanly, so the rotation alone cannot testify.
-  for (const ItemSource* s : all_) {
-    Status st = s->status();
-    if (!st.ok()) return st;
   }
   return Status::OK();
 }

@@ -188,61 +188,6 @@ class FileSource : public ItemSource {
 /// (host-endian u64 per item; same-machine capture/replay).
 Status WriteTrace(const std::string& path, const Stream& stream);
 
-/// \brief Drains borrowed sources back to back, in order — workload
-/// phases composed into one stream (e.g. a warmup trace followed by a live
-/// generator). Sources must outlive this adapter.
-class ConcatSource : public ItemSource {
- public:
-  /// \brief Borrows `sources`; they drain back to back, in order.
-  explicit ConcatSource(std::vector<ItemSource*> sources)
-      : sources_(std::move(sources)) {}
-
-  /// \brief Pulls from the current segment, advancing past exhausted
-  /// ones.
-  size_t NextBatch(Item* out, size_t cap) override;
-
-  /// \brief Sum of the segments' hints; nullopt if any segment is
-  /// unsized or the sum would overflow uint64 (unknown, not wrapped).
-  std::optional<uint64_t> SizeHint() const override;
-
-  /// \brief The first non-OK status among the segments (including
-  /// already-drained ones), else OK.
-  Status status() const override;
-
- private:
-  std::vector<ItemSource*> sources_;
-  size_t current_ = 0;
-};
-
-/// \brief Round-robin composition of borrowed sources: `chunk_items` from
-/// each live source in turn (multi-tenant traffic interleaved onto one
-/// ingest path). A source that ends drops out of the rotation; the rest
-/// keep going. Sources must outlive this adapter.
-class InterleaveSource : public ItemSource {
- public:
-  /// \brief Borrows `sources`; `chunk_items` from each in rotation.
-  InterleaveSource(std::vector<ItemSource*> sources, size_t chunk_items = 1);
-
-  /// \brief Pulls the rotation's next chunk(s), dropping ended sources.
-  size_t NextBatch(Item* out, size_t cap) override;
-
-  /// \brief Sum of the live sources' hints; nullopt if any is unsized or
-  /// the sum would overflow uint64 (unknown, not wrapped).
-  std::optional<uint64_t> SizeHint() const override;
-
-  /// \brief The first non-OK status among *all* composed sources — a
-  /// source that failed mid-stream leaves the rotation like one that
-  /// ended, but its failure still surfaces here.
-  Status status() const override;
-
- private:
-  std::vector<ItemSource*> sources_;  // live sources, rotation order
-  std::vector<ItemSource*> all_;      // every composed source, for status()
-  size_t chunk_items_;
-  size_t current_ = 0;
-  size_t chunk_left_;
-};
-
 /// \brief Forwards a borrowed source but hides its `SizeHint()` —
 /// simulates a feed with no declared horizon (what a socket looks like).
 /// Consumers must behave identically with and without the hint; the

@@ -342,11 +342,6 @@ void ReplicaPipeline::AtBatchBoundary(uint64_t processed) {
           Checkpoint(&slot, processed);
         }
         break;
-      case CheckpointPolicy::Trigger::kDirtyWords:
-        if (slot.dirty->dirty_words() >= policy.dirty_words) {
-          Checkpoint(&slot, processed);
-        }
-        break;
       case CheckpointPolicy::Trigger::kNone:
         break;
     }

@@ -37,8 +37,7 @@ class Sketch : public StreamingAlgorithm {
   virtual const StateAccountant& accountant() const = 0;
 
   /// \brief State-change instrumentation (mutable, e.g. to attach a
-  /// `WriteSink` — a recording `WriteLog` or a `LiveNvmSink` — or `Reset`
-  /// between runs).
+  /// `WriteSink` — a recording `WriteLog` or a `LiveNvmSink`).
   virtual StateAccountant* mutable_accountant() = 0;
 };
 

@@ -75,8 +75,7 @@ class MisraGries : public MergeableSketch,
   // Each tracked entry owns a 2-word slot: key word at
   // `cells_base_ + 2*slot`, count word at `cells_base_ + 2*slot + 1`.
   // Per-slot addresses let `DirtyTracker` see the true touched set per
-  // checkpoint interval, which the `CheckpointPolicy::kDirtyWords`
-  // trigger counts.
+  // checkpoint interval, so a delta checkpoint rewrites only those slots.
   struct Entry {
     uint64_t count = 0;
     uint32_t slot = 0;

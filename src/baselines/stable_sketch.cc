@@ -26,14 +26,12 @@ constexpr Item kNoItem = ~Item{0};
 
 StableSketch::StableSketch(double p, size_t rows, uint64_t seed,
                            CounterMode mode, double morris_a,
-                           StateAccountant* shared_accountant,
-                           bool manage_epochs)
+                           StateAccountant* shared_accountant)
     : p_(p),
       rows_(rows == 0 ? 1 : rows),
       seed_(seed),
       mode_(mode),
       morris_a_(morris_a),
-      manage_epochs_(manage_epochs),
       rng_(Mix64(seed ^ 0x57ab1e5ce7c4ULL)),
       theta_hash_(Mix64(seed * 3 + 1)),
       r_hash_(Mix64(seed * 5 + 2)) {
@@ -72,7 +70,7 @@ double StableSketch::Entry(size_t row, Item item) const {
 }
 
 void StableSketch::Update(Item item) {
-  if (manage_epochs_) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   for (size_t r = 0; r < rows_; ++r) {
     const double e = Entry(r, item);
     if (mode_ == CounterMode::kExact) {
@@ -150,9 +148,9 @@ void StableSketch::MemoizeMisses(const Item* items) {
 }
 
 void StableSketch::UpdateBatch(const Item* items, size_t n) {
-  if (!manage_epochs_) {
-    // The caller drives BeginUpdate around each item: a scalar-path
-    // contract.
+  if (owned_accountant_ == nullptr) {
+    // The accountant's owner drives BeginUpdate around each item: a
+    // scalar-path contract.
     for (size_t i = 0; i < n; ++i) Update(items[i]);
     return;
   }
@@ -211,7 +209,7 @@ Status StableSketch::MergeFrom(const Sketch& other) {
   const auto* src = MergeSourceAs<StableSketch>(this, other, &status);
   if (src == nullptr) return status;
   if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
-  if (manage_epochs_) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     AddTrackedArray(exact_rows_.get(), *src->exact_rows_);
     return Status::OK();
@@ -230,7 +228,7 @@ Status StableSketch::RestoreFrom(const Sketch& source) {
   const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
   if (src == nullptr) return status;
   if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
-  if (manage_epochs_) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     CopyTrackedArray(exact_rows_.get(), *src->exact_rows_);
   } else {
@@ -254,7 +252,7 @@ Status StableSketch::RestoreDirty(const Sketch& source,
   const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
   if (src == nullptr) return status;
   if (!SameConfig(*src)) return Status::InvalidArgument(kIncompatible);
-  if (manage_epochs_) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     CopyTrackedArrayCells(exact_rows_.get(), *src->exact_rows_,
                           dirty.SortedCells());

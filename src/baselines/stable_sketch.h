@@ -53,22 +53,21 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// \param morris_a Morris growth parameter for kMorris mode (ignored in
   ///        kExact mode).
   /// \param shared_accountant when non-null, state is accounted there and
-  ///        the caller drives BeginUpdate (manage_epochs = false).
+  ///        the accountant's owner drives BeginUpdate.
   StableSketch(double p, size_t rows, uint64_t seed, CounterMode mode,
                double morris_a = 1e-3,
-               StateAccountant* shared_accountant = nullptr,
-               bool manage_epochs = true);
+               StateAccountant* shared_accountant = nullptr);
 
   void Update(Item item) override;
 
-  /// \brief Batch kernel for self-managed-epoch sketches, both modes:
+  /// \brief Batch kernel for owned-accountant sketches, both modes:
   /// derives the chunk's p-stable entries with batched tabulation hashing
   /// (or from the projection memo), then applies them in arrival order —
   /// row accumulations in `kExact` mode, the positive/negative Morris
   /// `Add`s in (item, row) order in `kMorris` mode, so the coin sequence is
   /// the scalar one — with accounting reconciled once per chunk. Bitwise
-  /// identical to the scalar loop. Caller-managed epochs (the caller drives
-  /// `BeginUpdate` around each item) keep the scalar path.
+  /// identical to the scalar loop. A sketch on a shared accountant (whose
+  /// owner drives `BeginUpdate` around each item) keeps the scalar path.
   void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief Folds an identically-configured replica (same p, rows, seed,
@@ -152,7 +151,6 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   uint64_t seed_;
   CounterMode mode_;
   double morris_a_;
-  bool manage_epochs_;
   std::unique_ptr<StateAccountant> owned_accountant_;
   StateAccountant* accountant_;
   Rng rng_;

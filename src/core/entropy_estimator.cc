@@ -41,7 +41,7 @@ EntropyEstimator::EntropyEstimator(const EntropyEstimatorOptions& options)
   for (double p : nodes_) {
     node_sketches_.push_back(std::make_unique<StableSketch>(
         p, rows, sketch_seed, StableSketch::CounterMode::kMorris, a,
-        &accountant_, /*manage_epochs=*/false));
+        &accountant_));
   }
   // Length counter: (1+~1%) accuracy costs only O(log m / 2e-4) changes.
   length_counter_ =

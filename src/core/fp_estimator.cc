@@ -52,46 +52,26 @@ FpEstimator::FpEstimator(const FpEstimatorOptions& options,
       options_.morris_a != 0.0 ? options_.morris_a : eps * eps / 32.0;
   for (size_t r = 0; r < repetitions_; ++r) {
     for (size_t ell = 0; ell < levels_; ++ell) {
-      const uint64_t universe_hint = std::max<uint64_t>(1, n >> ell);
-      const uint64_t length_hint = std::max<uint64_t>(1, m_hint >> ell);
-      if (options_.use_full_sample_and_hold) {
-        FullSampleAndHoldOptions inner;
-        inner.universe = universe_hint;
-        inner.stream_length_hint = length_hint;
-        inner.p = options_.p;
-        inner.eps = eps;
-        inner.seed = Mix64(options_.seed + 0x20001 * r + 0x403 * ell + 13);
-        inner.repetitions = options_.inner_repetitions;
-        inner.sample_rate_scale = options_.sample_rate_scale;
-        inner.reservoir_scale = options_.reservoir_scale;
-        inner.counter_budget_scale = options_.counter_budget_scale;
-        inner.morris_a = inner_morris_a;
-        inner.manage_epochs = false;
-        fsah_instances_.push_back(
-            std::make_unique<FullSampleAndHold>(inner, accountant_));
-      } else {
-        SampleAndHoldOptions inner;
-        inner.universe = universe_hint;
-        inner.stream_length_hint = length_hint;
-        inner.p = options_.p;
-        inner.eps = eps;
-        inner.seed = Mix64(options_.seed + 0x20001 * r + 0x403 * ell + 13);
-        inner.sample_rate_scale = options_.sample_rate_scale;
-        inner.reservoir_scale = options_.reservoir_scale;
-        inner.counter_budget_scale = options_.counter_budget_scale;
-        inner.morris_a = inner_morris_a;
-        inner.manage_epochs = false;
-        // A level set mapped to this instance can have ~2^{shift+2}
-        // surviving items (that is what the shift is for); the instance
-        // must be able to hold them all or eviction churn silently drops
-        // contribution mass (the role of the paper's huge kappa constant).
-        const size_t floor_slots = static_cast<size_t>(1) << (shift_ + 2);
-        const size_t derived = SampleAndHold::DerivedReservoirSlots(inner);
-        inner.reservoir_slots_override = std::max(derived, floor_slots);
-        inner.counter_budget_override = 4 * inner.reservoir_slots_override;
-        sah_instances_.push_back(
-            std::make_unique<SampleAndHold>(inner, accountant_));
-      }
+      SampleAndHoldOptions inner;
+      inner.universe = std::max<uint64_t>(1, n >> ell);
+      inner.stream_length_hint = std::max<uint64_t>(1, m_hint >> ell);
+      inner.p = options_.p;
+      inner.eps = eps;
+      inner.seed = Mix64(options_.seed + 0x20001 * r + 0x403 * ell + 13);
+      inner.sample_rate_scale = options_.sample_rate_scale;
+      inner.reservoir_scale = options_.reservoir_scale;
+      inner.counter_budget_scale = options_.counter_budget_scale;
+      inner.morris_a = inner_morris_a;
+      // A level set mapped to this instance can have ~2^{shift+2}
+      // surviving items (that is what the shift is for); the instance
+      // must be able to hold them all or eviction churn silently drops
+      // contribution mass (the role of the paper's huge kappa constant).
+      const size_t floor_slots = static_cast<size_t>(1) << (shift_ + 2);
+      const size_t derived = SampleAndHold::DerivedReservoirSlots(inner);
+      inner.reservoir_slots_override = std::max(derived, floor_slots);
+      inner.counter_budget_override = 4 * inner.reservoir_slots_override;
+      sah_instances_.push_back(
+          std::make_unique<SampleAndHold>(inner, accountant_));
     }
   }
 }
@@ -105,7 +85,7 @@ Status FpEstimator::Create(const FpEstimatorOptions& options,
 }
 
 void FpEstimator::Update(Item item) {
-  if (options_.manage_epochs) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   ++t_;
   for (size_t r = 0; r < repetitions_; ++r) {
     // Universe subsampling is nested by construction: item j reaches
@@ -115,28 +95,16 @@ void FpEstimator::Update(Item item) {
             item, static_cast<int>(levels_) - 1)),
         levels_ - 1);
     for (size_t ell = 0; ell <= deepest; ++ell) {
-      if (options_.use_full_sample_and_hold) {
-        fsah_instances_[Index(r, ell)]->Update(item);
-      } else {
-        sah_instances_[Index(r, ell)]->Update(item);
-      }
+      sah_instances_[Index(r, ell)]->Update(item);
     }
   }
-}
-
-std::vector<HeavyHitter> FpEstimator::InnerTracked(size_t r,
-                                                   size_t ell) const {
-  if (options_.use_full_sample_and_hold) {
-    return fsah_instances_[Index(r, ell)]->TrackedItems();
-  }
-  return sah_instances_[Index(r, ell)]->TrackedItems();
 }
 
 std::vector<std::vector<HeavyHitter>> FpEstimator::SnapshotTracked() const {
   std::vector<std::vector<HeavyHitter>> snapshot(repetitions_ * levels_);
   for (size_t r = 0; r < repetitions_; ++r) {
     for (size_t ell = 0; ell < levels_; ++ell) {
-      snapshot[Index(r, ell)] = InnerTracked(r, ell);
+      snapshot[Index(r, ell)] = sah_instances_[Index(r, ell)]->TrackedItems();
     }
   }
   return snapshot;

@@ -10,7 +10,6 @@
 #include "common/hashing.h"
 #include "common/random.h"
 #include "common/stream_types.h"
-#include "core/full_sample_and_hold.h"
 #include "core/options.h"
 #include "core/sample_and_hold.h"
 #include "state/state_accountant.h"
@@ -34,6 +33,8 @@ namespace fewstate {
 ///    rate; Fp-hat is the sum of estimated contributions.
 class FpEstimator : public Sketch {
  public:
+  /// \brief Epoch ownership follows the accountant, as for
+  /// `SampleAndHold`.
   explicit FpEstimator(const FpEstimatorOptions& options,
                        StateAccountant* shared_accountant = nullptr);
 
@@ -82,9 +83,6 @@ class FpEstimator : public Sketch {
   StateAccountant* mutable_accountant() override { return accountant_; }
 
  private:
-  /// Tracked (item, estimate) pairs of inner structure (r, ell).
-  std::vector<HeavyHitter> InnerTracked(size_t r, size_t ell) const;
-
   /// Snapshot of all inner tracked sets (query-time cache).
   std::vector<std::vector<HeavyHitter>> SnapshotTracked() const;
 
@@ -101,9 +99,7 @@ class FpEstimator : public Sketch {
   double lambda_;  // random level-set boundary scale in [1/2, 1]
   uint64_t t_ = 0;
   std::vector<PolynomialHash> universe_hashes_;  // one per repetition
-  // Exactly one of the two instance grids is populated (r-major).
-  std::vector<std::unique_ptr<SampleAndHold>> sah_instances_;
-  std::vector<std::unique_ptr<FullSampleAndHold>> fsah_instances_;
+  std::vector<std::unique_ptr<SampleAndHold>> sah_instances_;  // r-major
 
   size_t Index(size_t r, size_t ell) const { return r * levels_ + ell; }
 };

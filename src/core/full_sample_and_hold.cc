@@ -53,7 +53,6 @@ FullSampleAndHold::FullSampleAndHold(const FullSampleAndHoldOptions& options,
       inner.counter_budget_scale = options_.counter_budget_scale;
       inner.morris_a = options_.morris_a;
       inner.eviction = options_.eviction;
-      inner.manage_epochs = false;  // this class drives the epochs
       instances_.push_back(
           std::make_unique<SampleAndHold>(inner, accountant_));
       length_counters_.emplace_back(accountant_, &rng_,
@@ -71,7 +70,7 @@ Status FullSampleAndHold::Create(const FullSampleAndHoldOptions& options,
 }
 
 void FullSampleAndHold::Update(Item item) {
-  if (options_.manage_epochs) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   ++t_;
   for (size_t r = 0; r < repetitions_; ++r) {
     // Nested subsampling: the update reaches level x iff the geometric

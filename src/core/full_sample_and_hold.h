@@ -34,6 +34,8 @@ namespace fewstate {
 /// Morris counter (paper Alg. 2 line 4), not an exact counter.
 class FullSampleAndHold : public Sketch {
  public:
+  /// \brief Epoch ownership follows the accountant, as for
+  /// `SampleAndHold`.
   explicit FullSampleAndHold(const FullSampleAndHoldOptions& options,
                              StateAccountant* shared_accountant = nullptr);
 

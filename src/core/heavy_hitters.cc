@@ -13,7 +13,6 @@ LpHeavyHitters::LpHeavyHitters(const HeavyHittersOptions& options)
   freq.eps = options_.eps;
   freq.seed = Mix64(options_.seed + 1);
   freq.repetitions = options_.repetitions;
-  freq.manage_epochs = false;
   frequencies_ = std::make_unique<FullSampleAndHold>(freq, &accountant_);
 
   // The norm estimator only needs a 2-approximation of ||f||_p, so it runs
@@ -25,7 +24,6 @@ LpHeavyHitters::LpHeavyHitters(const HeavyHittersOptions& options)
   norm.eps = 0.5;
   norm.seed = Mix64(options_.seed + 2);
   norm.repetitions = 3;
-  norm.manage_epochs = false;
   norm_ = std::make_unique<FpEstimator>(norm, &accountant_);
 }
 

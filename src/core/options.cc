@@ -40,6 +40,10 @@ Status FullSampleAndHoldOptions::Validate() const {
   if (repetitions == 0) {
     return Status::InvalidArgument("repetitions must be >= 1");
   }
+  // Level x is rescaled by 1 << x.
+  if (levels >= 64) {
+    return Status::InvalidArgument("levels must be <= 63");
+  }
   return Status::OK();
 }
 
@@ -49,8 +53,13 @@ Status FpEstimatorOptions::Validate() const {
   if (repetitions == 0) {
     return Status::InvalidArgument("repetitions must be >= 1");
   }
-  if (use_full_sample_and_hold && inner_repetitions == 0) {
-    return Status::InvalidArgument("inner_repetitions must be >= 1");
+  // Level ell subsamples the universe hint as n >> ell.
+  if (levels >= 64) {
+    return Status::InvalidArgument("levels must be <= 63");
+  }
+  // Each inner reservoir holds at least 1 << (shift + 2) slots.
+  if (level_set_shift >= 62) {
+    return Status::InvalidArgument("level_set_shift must be <= 61");
   }
   return Status::OK();
 }

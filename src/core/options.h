@@ -58,9 +58,6 @@ struct SampleAndHoldOptions {
   double morris_a = 0.0;
   /// Eviction policy under counter-budget pressure.
   EvictionPolicy eviction = EvictionPolicy::kDyadicAge;
-  /// Internal: when false, the caller drives StateAccountant::BeginUpdate
-  /// (used when many instances share one accountant).
-  bool manage_epochs = true;
 
   /// \brief Validates ranges (universe > 0, p >= 1, eps in (0,1), ...).
   Status Validate() const;
@@ -77,8 +74,8 @@ struct FullSampleAndHoldOptions {
   /// Independent repetitions (medians boost per-item success probability;
   /// paper: R = O(log n)).
   size_t repetitions = 3;
-  /// Stream-subsampling levels (paper: Y = O(log m)); 0 derives
-  /// log2(stream hint) + 1.
+  /// Stream-subsampling levels (paper: Y = O(log m)), at most 63; 0
+  /// derives log2(stream hint) + 1.
   size_t levels = 0;
   /// Knobs forwarded to every inner SampleAndHold.
   double sample_rate_scale = 4.0;
@@ -86,7 +83,6 @@ struct FullSampleAndHoldOptions {
   double counter_budget_scale = 4.0;
   double morris_a = 0.0;
   EvictionPolicy eviction = EvictionPolicy::kDyadicAge;
-  bool manage_epochs = true;
 
   Status Validate() const;
 };
@@ -101,24 +97,18 @@ struct FpEstimatorOptions {
 
   /// Universe-subsampling repetitions (paper: R = O(log log n)).
   size_t repetitions = 3;
-  /// Universe-subsampling levels L; 0 derives from the universe size.
+  /// Universe-subsampling levels L, at most 63; 0 derives from the
+  /// universe size.
   size_t levels = 0;
   /// Level-set index shift (the paper's floor(log(gamma^2 log(nm)/eps^2))
-  /// linking level set i to subsampling level ell = max(1, i - shift));
-  /// negative derives from eps and the stream hint.
+  /// linking level set i to subsampling level ell = max(1, i - shift)),
+  /// at most 61; negative derives from eps and the stream hint.
   int level_set_shift = -1;
-  /// Use the full Algorithm 2 grid inside each substream instead of a
-  /// single SampleAndHold (more faithful, considerably more instances).
-  bool use_full_sample_and_hold = false;
-  /// Repetitions inside FullSampleAndHold when enabled.
-  size_t inner_repetitions = 2;
   /// Knobs forwarded to the inner heavy-hitter structures.
   double sample_rate_scale = 4.0;
   double reservoir_scale = 1.0;
   double counter_budget_scale = 4.0;
   double morris_a = 0.0;
-  /// Internal: when false, the caller drives BeginUpdate.
-  bool manage_epochs = true;
 
   Status Validate() const;
 };

@@ -103,7 +103,7 @@ void SampleAndHold::DrawCounterBudget() {
 }
 
 void SampleAndHold::Update(Item item) {
-  if (options_.manage_epochs) accountant_->BeginUpdate();
+  if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   ++t_;
 
   accountant_->RecordRead();  // counter lookup

@@ -46,7 +46,9 @@ namespace fewstate {
 class SampleAndHold : public Sketch {
  public:
   /// \brief Creates the structure; dies on invalid options (use
-  /// `Create()` for Status-returning construction).
+  /// `Create()` for Status-returning construction). Without
+  /// `shared_accountant` it owns its accountant and opens one epoch per
+  /// item; with one, the accountant's owner opens the epochs.
   explicit SampleAndHold(const SampleAndHoldOptions& options,
                          StateAccountant* shared_accountant = nullptr);
 

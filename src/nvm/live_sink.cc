@@ -52,8 +52,6 @@ LiveNvmSink::LiveNvmSink(const NvmSpec& spec)
       cache_(spec.cache.enabled() ? std::make_unique<CacheTier>(spec.cache)
                                   : nullptr) {}
 
-void LiveNvmSink::Reset() { *this = LiveNvmSink(spec_); }
-
 NvmReplayReport LiveNvmSink::Report() const {
   if (cache_ != nullptr && !cache_->flushed()) {
     // Wear, imbalance and projected lifetime would silently exclude the

@@ -104,11 +104,6 @@ class LiveNvmSink final : public WriteSink {
     cache_->Flush([this](uint64_t victim) { WriteBack(victim); });
   }
 
-  /// \brief Renews the attachment: a fresh device, leveler and cache
-  /// tier, as if just constructed (mirrors `WriteLog::Clear` on accountant
-  /// reset).
-  void Reset() override;
-
   /// \brief Costing outcome so far. `dropped_writes` is always 0: the
   /// live path never drops. Flushes the cache tier first, so a mid-run
   /// report on a cached path reflects flushed state (pending write-backs

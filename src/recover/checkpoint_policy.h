@@ -21,13 +21,8 @@ namespace fewstate {
 ///    device. A sketch with Õ(n^{1-1/p}) state changes crosses the budget
 ///    Õ(n^{1-1/p}/budget) times instead of m/N — the few-state-changes
 ///    guarantee transfers directly to durability frequency.
-///  * `kDirtyWords` — recovery-bound-aware: a checkpoint whenever the
-///    dirty set (distinct words changed since the last checkpoint, via
-///    `DirtyTracker`) reaches `dirty_words`. Bounds both the size of the
-///    next delta checkpoint and the amount of replayed work lost to a
-///    crash, again in units of state change rather than stream length.
 ///
-/// All three triggers are evaluated at shard batch boundaries on the
+/// Both triggers are evaluated at shard batch boundaries on the
 /// shard's own worker thread, so checkpoint counts and wear are
 /// deterministic for a fixed source/seed/shard count.
 ///
@@ -49,7 +44,6 @@ struct CheckpointPolicy {
     kNone,        ///< checkpointing disabled
     kEveryItems,  ///< every `every_items` items per shard
     kWriteBudget, ///< every `write_budget` replica word writes
-    kDirtyWords,  ///< when the dirty set reaches `dirty_words`
   };
 
   enum class Snapshot {
@@ -63,30 +57,26 @@ struct CheckpointPolicy {
   uint64_t every_items = 0;
   /// kWriteBudget: replica word writes between checkpoints.
   uint64_t write_budget = 0;
-  /// kDirtyWords: dirty-set size that triggers a checkpoint.
-  uint64_t dirty_words = 0;
   /// kDelta only: force a full snapshot when dirty/allocated reaches this
   /// fraction (1.0 = only the first checkpoint is full).
   double full_snapshot_dirty_fraction = 0.5;
 
   /// \brief True iff a trigger is configured with a nonzero parameter. A
   /// zero one is a degenerate schedule (kEveryItems would spin forever,
-  /// the others would fire every batch) and counts as disabled.
+  /// kWriteBudget would fire every batch) and counts as disabled.
   bool enabled() const {
     switch (trigger) {
       case Trigger::kEveryItems: return every_items > 0;
       case Trigger::kWriteBudget: return write_budget > 0;
-      case Trigger::kDirtyWords: return dirty_words > 0;
       case Trigger::kNone: break;
     }
     return false;
   }
 
   /// \brief True iff the policy needs a `DirtyTracker` on each replica
-  /// (delta serialization, or the dirty-set trigger itself).
+  /// (delta serialization).
   bool needs_dirty_tracking() const {
-    return enabled() && (snapshot == Snapshot::kDelta ||
-                         trigger == Trigger::kDirtyWords);
+    return enabled() && snapshot == Snapshot::kDelta;
   }
 
   /// \brief No checkpointing (the default).
@@ -114,29 +104,12 @@ struct CheckpointPolicy {
     return p;
   }
 
-  /// \brief Checkpoint when `words` distinct words have changed since the
-  /// last checkpoint (0 disables). Deltas by default: the trigger equals
-  /// the delta size, so every checkpoint writes ~`words` words. The
-  /// count is at the accountant's cell granularity — a sketch with
-  /// coarse write addressing (SpaceSaving maps all writes onto its first
-  /// three cells) under-reports dirtiness and may never reach a large
-  /// threshold; prefer `WriteBudget` for such sketches.
-  static CheckpointPolicy DirtyWords(uint64_t words,
-                                     Snapshot mode = Snapshot::kDelta) {
-    CheckpointPolicy p;
-    p.trigger = words == 0 ? Trigger::kNone : Trigger::kDirtyWords;
-    p.snapshot = mode;
-    p.dirty_words = words;
-    return p;
-  }
-
   /// \brief Trigger label for reports/benches ("none" / "every_items" /
-  /// "write_budget" / "dirty_words").
+  /// "write_budget").
   const char* trigger_name() const {
     switch (trigger) {
       case Trigger::kEveryItems: return "every_items";
       case Trigger::kWriteBudget: return "write_budget";
-      case Trigger::kDirtyWords: return "dirty_words";
       case Trigger::kNone: break;
     }
     return "none";

@@ -21,6 +21,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Seed of the item -> shard hash. Partitioning is by item identity, so all
+// occurrences of an item land on one shard — required for the
+// counter-based summaries to merge meaningfully.
+constexpr uint64_t kPartitionSeed = 0x5a4dedb175ULL;
+
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -340,7 +345,7 @@ Status ShardedEngine::AddSketchEntry(SketchFactory factory, bool has_nvm,
 size_t ShardedEngine::ShardOf(Item item) const {
   return options_.shards == 1
              ? 0
-             : static_cast<size_t>(Mix64(item ^ options_.partition_seed) %
+             : static_cast<size_t>(Mix64(item ^ kPartitionSeed) %
                                    options_.shards);
 }
 

@@ -32,10 +32,6 @@ struct ShardedEngineOptions {
   /// partitioner blocks when a shard falls this far behind (backpressure
   /// instead of unbounded buffering).
   size_t max_queued_batches = 8;
-  /// Seed of the item -> shard hash. Partitioning is by item identity, so
-  /// all occurrences of an item land on one shard — required for the
-  /// counter-based summaries to merge meaningfully.
-  uint64_t partition_seed = 0x5a4dedb175ULL;
   /// Durability checkpointing schedule and snapshot mode (see
   /// `CheckpointPolicy`). Checkpoints fire at batch boundaries on the
   /// shard's own worker thread and serialize the shard's live replicas
@@ -200,8 +196,8 @@ std::string SketchReportCsvRow(const std::string& label,
 ///    into shard 0's replica through `MergeableSketch::MergeFrom`, with
 ///    merge-time writes accounted on the destination;
 ///  * optionally (`checkpoint_policy`), each worker serializes its live
-///    replicas into NVM-backed snapshot sketches — on an every-N-items,
-///    wear-budget or dirty-set schedule, as full rewrites or as delta
+///    replicas into NVM-backed snapshot sketches — on an every-N-items
+///    or wear-budget schedule, as full rewrites or as delta
 ///    checkpoints of just the changed words — so durability traffic is
 ///    priced through the same `WriteSink` pipeline as update wear.
 ///    Deterministic for a fixed source/seed/S, since each shard's item

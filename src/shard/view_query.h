@@ -65,9 +65,9 @@ struct ConsistentViews {
 /// `CheckpointPolicy::EveryItems` — the engine evaluates all of a shard's
 /// sketches at the same batch boundaries, so their checkpoints land at
 /// identical item counts — and guaranteed once ingest has quiesced. Under
-/// per-sketch triggers (`WriteBudget`, `DirtyWords`) different sketches
-/// checkpoint at genuinely different points and the result is best-effort:
-/// the last round's views with `consistent == false`.
+/// the per-sketch `WriteBudget` trigger different sketches checkpoint at
+/// genuinely different points and the result is best-effort: the last
+/// round's views with `consistent == false`.
 ConsistentViews AcquireAll(const std::vector<ServingHandle>& handles,
                            int max_attempts = 64);
 

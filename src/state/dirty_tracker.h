@@ -54,12 +54,8 @@ class DirtyTracker final : public WriteSink {
   /// \brief Reads never dirty a word; nothing to record.
   void OnBulkReads(uint64_t count) override { (void)count; }
 
-  /// \brief A reset accountant has no pending delta.
-  void Reset() override { ClearDirty(); }
-
   /// \brief Number of distinct words written since the last clear — the
-  /// exact size of the next delta checkpoint, and the quantity the
-  /// `CheckpointPolicy` dirty-set trigger watches.
+  /// exact size of the next delta checkpoint.
   uint64_t dirty_words() const { return dirty_words_; }
 
   /// \brief True iff `cell` was written since the last clear.

@@ -249,20 +249,6 @@ class StateAccountant {
   /// \brief High-water mark of allocated state, in words.
   uint64_t peak_allocated_words() const { return peak_allocated_words_; }
 
-  /// \brief Resets all counters (the attached sink is reset too, so a log
-  /// clears and a live device is renewed in step with the accountant).
-  void Reset() {
-    epoch_ = 0;
-    dirty_ = false;
-    updates_with_change_ = 0;
-    word_writes_ = 0;
-    suppressed_writes_ = 0;
-    word_reads_ = 0;
-    allocated_words_ = 0;
-    peak_allocated_words_ = 0;
-    if (sink_ != nullptr) sink_->Reset();
-  }
-
  private:
   uint64_t epoch_ = 0;
   bool dirty_ = false;

@@ -41,9 +41,6 @@ class WriteLog : public WriteSink {
     Append(epoch, cell);
   }
 
-  /// \brief Sink hook: a reset log is a cleared log.
-  void Reset() override { Clear(); }
-
   /// \brief Stored records, in write order.
   const std::vector<WriteRecord>& records() const { return records_; }
 

@@ -43,8 +43,6 @@ struct BatchWrite {
 ///    the count matters — no addresses).
 ///  * `Flush()` is an end-of-run barrier for buffering sinks; callers that
 ///    finish a measurement phase should invoke it before reading results.
-///  * `Reset()` discards sink state; `StateAccountant::Reset` forwards
-///    here so a reset accountant and its sink stay in step.
 ///
 /// Sinks are not thread-safe; like the accountant they belong to exactly
 /// one algorithm instance (thread-confined in the sharded engine).
@@ -70,9 +68,6 @@ class WriteSink {
 
   /// \brief End-of-run barrier for buffering sinks.
   virtual void Flush() {}
-
-  /// \brief Discards sink state (a log clears, a live device is renewed).
-  virtual void Reset() {}
 };
 
 /// \brief Fans every event out to several borrowed sinks, in order — e.g.
@@ -101,10 +96,6 @@ class TeeSink : public WriteSink {
   /// \brief Flushes every sink, in order.
   void Flush() override {
     for (WriteSink* sink : sinks_) sink->Flush();
-  }
-  /// \brief Resets every sink, in order.
-  void Reset() override {
-    for (WriteSink* sink : sinks_) sink->Reset();
   }
 
  private:

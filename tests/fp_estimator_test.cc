@@ -56,6 +56,24 @@ TEST(FpEstimator, CreateFactory) {
   EXPECT_FALSE(FpEstimator::Create(bad, &alg).ok());
 }
 
+TEST(FpEstimator, CreateRejectsOverwideShifts) {
+  // levels feeds n >> ell and level_set_shift feeds 1 << (shift + 2);
+  // Validate keeps both shifts below the 64-bit word width.
+  std::unique_ptr<FpEstimator> alg;
+  FpEstimatorOptions options = BaseOptions(100, 100, 2.0);
+  options.levels = 64;
+  EXPECT_EQ(FpEstimator::Create(options, &alg).code(),
+            Status::Code::kInvalidArgument);
+  options.levels = 63;
+  EXPECT_TRUE(options.Validate().ok());
+  options = BaseOptions(100, 100, 2.0);
+  options.level_set_shift = 62;
+  EXPECT_EQ(FpEstimator::Create(options, &alg).code(),
+            Status::Code::kInvalidArgument);
+  options.level_set_shift = 61;
+  EXPECT_TRUE(options.Validate().ok());
+}
+
 TEST(FpEstimator, AccurateOnSkewedStreamsAcrossP) {
   const uint64_t n = 10000, m = 100000;
   const Stream stream = ZipfStream(n, 1.3, m, 20);

@@ -36,6 +36,18 @@ TEST(FullSampleAndHold, CreateFactory) {
   EXPECT_FALSE(FullSampleAndHold::Create(bad, &alg).ok());
 }
 
+TEST(FullSampleAndHold, CreateRejectsOverwideLevels) {
+  // Level x shifts by x bits (1 << x, m_hint >> x); Validate keeps the
+  // level count below the 64-bit word width.
+  std::unique_ptr<FullSampleAndHold> alg;
+  FullSampleAndHoldOptions options = BaseOptions(100, 100);
+  options.levels = 64;
+  EXPECT_EQ(FullSampleAndHold::Create(options, &alg).code(),
+            Status::Code::kInvalidArgument);
+  options.levels = 63;
+  EXPECT_TRUE(options.Validate().ok());
+}
+
 TEST(FullSampleAndHold, LevelsDeriveFromStreamHint) {
   FullSampleAndHoldOptions options = BaseOptions(1000, 1 << 12);
   FullSampleAndHold alg(options);

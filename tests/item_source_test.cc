@@ -1,8 +1,7 @@
 // The pull-based ingestion API: every ItemSource adapter must be
 // indistinguishable, at the engine boundary, from the materialized vector
-// it stands for — bitwise on estimates and on StateAccountant totals —
-// and the composition adapters (Concat/Interleave) must equal the
-// composed vectors. FileSource round-trips a written trace.
+// it stands for — bitwise on estimates and on StateAccountant totals.
+// FileSource round-trips a written trace.
 
 #include "api/item_source.h"
 
@@ -11,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -263,114 +261,17 @@ TEST(FileSource, TruncatedTraceIsAnError) {
   std::remove(path.c_str());
 }
 
-TEST(SizeHints, CompositeSumsDoNotWrap) {
-  // Child hints that sum past uint64 must yield "unknown", not a wrapped
-  // small number that a consumer would happily reserve() or plan around.
-  const uint64_t huge = std::numeric_limits<uint64_t>::max() - 10;
-  GeneratorSource a(huge, [] { return Item{1}; });
-  GeneratorSource b(huge, [] { return Item{2}; });
-  ASSERT_EQ(*a.SizeHint(), huge);
-
-  ConcatSource concat({&a, &b});
-  EXPECT_FALSE(concat.SizeHint().has_value());
-  InterleaveSource interleave({&a, &b}, /*chunk_items=*/4);
-  EXPECT_FALSE(interleave.SizeHint().has_value());
-
-  // Small sums still add exactly.
-  GeneratorSource c(100, [] { return Item{3}; });
-  GeneratorSource d(23, [] { return Item{4}; });
-  ConcatSource small_concat({&c, &d});
-  EXPECT_EQ(*small_concat.SizeHint(), 123u);
-}
-
-TEST(CompositeSources, PropagateChildFailures) {
-  // A failed child reads as end-of-stream inside a composition; without
-  // status propagation the composite would testify to a clean (short)
-  // stream.
-  const Stream good_items = UniformStream(kUniverse, 500, kSeed);
-  VectorSource good(good_items);
-  FileSource bad(::testing::TempDir() + "/concat_missing_trace.u64");
+TEST(UnsizedSource, ForwardsTheInnerStatus) {
+  // Hiding the hint must not hide a failure: a failed inner source reads
+  // as end-of-stream, so only status() tells it from a clean stream.
+  FileSource bad(::testing::TempDir() + "/unsized_missing_trace.u64");
   ASSERT_FALSE(bad.ok());
-
-  ConcatSource concat({&good, &bad});
-  EXPECT_FALSE(concat.status().ok());
-
-  VectorSource good2(good_items);
-  FileSource bad2(::testing::TempDir() + "/interleave_missing_trace.u64");
-  InterleaveSource interleave({&good2, &bad2}, /*chunk_items=*/8);
-  // Drain fully: the failed source is dropped from the rotation like an
-  // ended one, but its failure must still be visible afterwards.
-  EXPECT_EQ(Materialize(interleave).size(), good_items.size());
-  EXPECT_FALSE(interleave.status().ok());
-
-  VectorSource good3(good_items);
   UnsizedSource unsized(&bad);
   EXPECT_FALSE(unsized.status().ok());
-  EXPECT_TRUE(UnsizedSource(&good3).status().ok());
-}
 
-TEST(ConcatSource, EqualsConcatenatedVectors) {
-  const Stream a = ZipfStream(kUniverse, 1.2, 7001, kSeed);
-  const Stream b = UniformStream(kUniverse, 4999, kSeed + 1);
-  const Stream c;  // empty segment in the middle must be skipped cleanly
-  const Stream d = ZipfStream(kUniverse, 1.4, 3000, kSeed + 2);
-
-  Stream expected = a;
-  expected.insert(expected.end(), b.begin(), b.end());
-  expected.insert(expected.end(), d.begin(), d.end());
-
-  VectorSource sa(a), sb(b), sc(c), sd(d);
-  ConcatSource concat({&sa, &sb, &sc, &sd});
-  ASSERT_TRUE(concat.SizeHint().has_value());
-  EXPECT_EQ(*concat.SizeHint(), expected.size());
-  Item probe[1];
-  EXPECT_EQ(concat.NextBatch(probe, 0), 0u);  // 0-cap probe consumes nothing
-  ExpectEngineEquivalence(concat, expected);
-}
-
-TEST(ConcatSource, UnsizedSegmentPoisonsTheHint) {
-  const Stream a = ZipfStream(kUniverse, 1.2, 100, kSeed);
-  VectorSource sa(a);
-  GeneratorSource gen = UniformSource(kUniverse, 100, kSeed);
-  UnsizedSource hidden(&gen);
-  ConcatSource concat({&sa, &hidden});
-  EXPECT_EQ(concat.SizeHint(), std::nullopt);
-  EXPECT_EQ(Materialize(concat).size(), 200u);
-}
-
-TEST(InterleaveSource, RoundRobinsInChunks) {
-  // Two tenants of different lengths, chunk 3: the rotation emits 3 from
-  // each in turn, and the longer tenant finishes alone after the shorter
-  // drops out.
-  const Stream a{1, 1, 1, 1, 1, 1, 1, 1};           // 8 items
-  const Stream b{2, 2, 2, 2};                       // 4 items
-  VectorSource sa(a), sb(b);
-  InterleaveSource inter({&sa, &sb}, /*chunk_items=*/3);
-  ASSERT_TRUE(inter.SizeHint().has_value());
-  EXPECT_EQ(*inter.SizeHint(), 12u);
-
-  const Stream expected{1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 1, 1};
-  EXPECT_EQ(Materialize(inter), expected);
-}
-
-TEST(InterleaveSource, EngineEquivalenceOnComposedWorkload) {
-  // A multi-tenant mix: a skewed tenant and a uniform tenant interleaved
-  // in 64-item chunks must drive an engine exactly like the equivalent
-  // materialized interleaving.
-  const Stream a = ZipfStream(kUniverse, 1.3, 20000, kSeed);
-  const Stream b = UniformStream(kUniverse, 10000, kSeed + 1);
-
-  Stream expected;
-  {
-    VectorSource sa(a), sb(b);
-    InterleaveSource inter({&sa, &sb}, /*chunk_items=*/64);
-    expected = Materialize(inter);
-  }
-  ASSERT_EQ(expected.size(), a.size() + b.size());
-
-  VectorSource sa(a), sb(b);
-  InterleaveSource inter({&sa, &sb}, /*chunk_items=*/64);
-  ExpectEngineEquivalence(inter, expected);
+  const Stream good_items = UniformStream(kUniverse, 500, kSeed);
+  VectorSource good(good_items);
+  EXPECT_TRUE(UnsizedSource(&good).status().ok());
 }
 
 TEST(UnsizedSource, HidesTheHintButNotTheItems) {

@@ -197,7 +197,6 @@ TEST(CheckpointPolicy, EveryPolicyIsDeterministicForFixedSeedAndShards) {
       CheckpointPolicy::EveryItems(10000, CheckpointPolicy::Snapshot::kFull),
       CheckpointPolicy::EveryItems(10000, CheckpointPolicy::Snapshot::kDelta),
       CheckpointPolicy::WriteBudget(500),
-      CheckpointPolicy::DirtyWords(2),
   };
   for (const CheckpointPolicy& policy : policies) {
     const ShardedRunReport first = RunWithPolicy(policy, 2, 60000);
@@ -284,21 +283,6 @@ TEST(CheckpointPolicy, WriteBudgetAdaptsFrequencyToWriteFrugality) {
   EXPECT_GT(count_min->checkpoints_taken,
             2 * misra_gries->checkpoints_taken);
   EXPECT_GT(misra_gries->checkpoints_taken, morris->checkpoints_taken);
-}
-
-TEST(CheckpointPolicy, DirtyWordsTriggersDeltaCheckpoints) {
-  // Trigger at 600 dirty words: well under the 0.5 dirty fraction of
-  // CountMin's 2048-word table, so after the base snapshot every
-  // checkpoint is a delta of roughly trigger size.
-  const ShardedRunReport report =
-      RunWithPolicy(CheckpointPolicy::DirtyWords(600), 1, 60000);
-  const ShardedSketchReport* count_min = report.Find("count_min");
-  ASSERT_NE(count_min, nullptr);
-  ASSERT_GT(count_min->checkpoints_taken, 1u);
-  EXPECT_GT(count_min->checkpoint.delta_checkpoints, 0u);
-  // Cheaper than rewriting the whole table at every checkpoint.
-  EXPECT_LT(count_min->checkpoint.word_writes,
-            count_min->checkpoints_taken * 2048);
 }
 
 // --- Kill-and-recover ------------------------------------------------------

@@ -181,7 +181,6 @@ TEST(SampleAndHold, DyadicAgePolicySurvivesCounterexample) {
 TEST(SampleAndHold, SharedAccountantAggregatesAcrossInstances) {
   StateAccountant shared;
   SampleAndHoldOptions options = BaseOptions(1000, 5000);
-  options.manage_epochs = false;
   SampleAndHold a(options, &shared);
   SampleAndHold b(options, &shared);
   const Stream stream = ZipfStream(1000, 1.2, 5000, 16);

@@ -18,9 +18,13 @@
 #include "baselines/misra_gries.h"
 #include "baselines/space_saving.h"
 #include "baselines/stable_sketch.h"
+#include "core/entropy_estimator.h"
+#include "core/fp_estimator.h"
 #include "core/full_sample_and_hold.h"
 #include "core/heavy_hitters.h"
 #include "core/sample_and_hold.h"
+#include "core/small_p_estimator.h"
+#include "core/sparse_recovery.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
 #include "stream/generators.h"
@@ -64,11 +68,50 @@ HeavyHittersOptions HhOptions() {
   return o;
 }
 
+FpEstimatorOptions FpOptions() {
+  FpEstimatorOptions o;
+  o.universe = kUniverse;
+  o.stream_length_hint = kLength;
+  o.p = 2.0;
+  o.eps = 0.4;
+  o.seed = 14;
+  o.repetitions = 2;
+  return o;
+}
+
+EntropyEstimatorOptions EntropyOptions() {
+  EntropyEstimatorOptions o;
+  o.universe = kUniverse;
+  o.stream_length_hint = kLength;
+  o.eps = 0.2;
+  o.seed = 15;
+  return o;
+}
+
+SmallPEstimatorOptions SmallPOptions() {
+  SmallPEstimatorOptions o;
+  o.p = 0.5;
+  o.eps = 0.3;
+  o.seed = 16;
+  return o;
+}
+
+SparseRecoveryOptions SparseOptions() {
+  SparseRecoveryOptions o;
+  o.universe = kUniverse;
+  o.sparsity = 8;
+  o.stream_length_hint = kLength;
+  o.seed = 17;
+  return o;
+}
+
 // One factory per Sketch implementation in the library's core + Table 1
 // baselines — the non-mergeable sample-and-hold structures included, which
 // a single-shard engine accepts. Each call builds an identically-seeded
 // fresh instance, so standalone and engine-driven copies are exact
-// replicas.
+// replicas. The composite estimators nest structures on one shared
+// accountant; `row.updates == kLength` pins that only the accountant's
+// owner opens each update's epoch.
 std::vector<SketchFactory> AllFactories() {
   return {
       SketchFactory("sample_and_hold",
@@ -92,6 +135,15 @@ std::vector<SketchFactory> AllFactories() {
       SketchFactory::Of<StableSketch>("stable_sketch", 0.5, size_t{32},
                                       uint64_t{24},
                                       StableSketch::CounterMode::kMorris),
+      SketchFactory::Of<StableSketch>("stable_sketch_exact", 1.0, size_t{32},
+                                      uint64_t{25},
+                                      StableSketch::CounterMode::kExact),
+      SketchFactory::Of<FpEstimator>("fp_estimator", FpOptions()),
+      SketchFactory::Of<EntropyEstimator>("entropy_estimator",
+                                          EntropyOptions()),
+      SketchFactory::Of<SmallPEstimator>("small_p_estimator",
+                                         SmallPOptions()),
+      SketchFactory::Of<SparseRecovery>("sparse_recovery", SparseOptions()),
   };
 }
 
@@ -196,6 +248,20 @@ TEST(SketchApi, AccountantsAreIsolatedAcrossSketches) {
   EXPECT_LT(report.Find("sample_and_hold")->total.state_changes, kLength);
   EXPECT_EQ(report.Find("sample_and_hold")->total.state_changes,
             engine->Merged("sample_and_hold")->accountant().state_changes());
+
+  // Every roster sketch accounts the same alone as beside all the others.
+  std::unique_ptr<ShardedEngine> shared = SingleShard(AllFactories());
+  shared->Run(VectorSource(stream));
+  for (const SketchFactory& factory : AllFactories()) {
+    std::unique_ptr<ShardedEngine> alone = SingleShard({factory});
+    alone->Run(VectorSource(stream));
+    const StateAccountant& a = alone->Merged(factory.name())->accountant();
+    const StateAccountant& b = shared->Merged(factory.name())->accountant();
+    EXPECT_EQ(a.updates(), b.updates()) << factory.name();
+    EXPECT_EQ(a.state_changes(), b.state_changes()) << factory.name();
+    EXPECT_EQ(a.word_writes(), b.word_writes()) << factory.name();
+    EXPECT_EQ(a.word_reads(), b.word_reads()) << factory.name();
+  }
 }
 
 TEST(SketchApi, CsvRowsSanitizeCallerLabels) {

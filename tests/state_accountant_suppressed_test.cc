@@ -108,18 +108,5 @@ TEST(SuppressedWrites, TrackedArrayIdempotentInitialisationAndUpdates) {
   EXPECT_EQ(a.suppressed_writes(), 8u);
 }
 
-TEST(SuppressedWrites, SuppressedWritesSurviveResetSemantics) {
-  StateAccountant a;
-  a.BeginUpdate();
-  a.RecordSuppressedWrite(3);
-  a.Reset();
-  EXPECT_EQ(a.suppressed_writes(), 0u);
-  EXPECT_EQ(a.state_changes(), 0u);
-  // Post-reset epoch numbering restarts at initialisation semantics.
-  a.RecordSuppressedWrite();
-  a.BeginUpdate();
-  EXPECT_EQ(a.state_changes(), 0u);
-}
-
 }  // namespace
 }  // namespace fewstate

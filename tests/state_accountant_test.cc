@@ -100,21 +100,6 @@ TEST(StateAccountant, ReleaseMoreThanAllocatedClampsToZero) {
   EXPECT_EQ(a.allocated_words(), 0u);
 }
 
-TEST(StateAccountant, ResetClearsEverything) {
-  StateAccountant a;
-  a.BeginUpdate();
-  a.RecordWrite(0);
-  a.RecordRead();
-  a.AllocateCells(4);
-  a.Reset();
-  EXPECT_EQ(a.state_changes(), 0u);
-  EXPECT_EQ(a.word_writes(), 0u);
-  EXPECT_EQ(a.word_reads(), 0u);
-  EXPECT_EQ(a.updates(), 0u);
-  EXPECT_EQ(a.allocated_words(), 0u);
-  EXPECT_EQ(a.peak_allocated_words(), 0u);
-}
-
 TEST(StateAccountant, WritesFlowToAttachedLog) {
   StateAccountant a;
   WriteLog log(100);

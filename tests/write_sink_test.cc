@@ -74,7 +74,6 @@ struct RecordingSink : public WriteSink {
   uint64_t bulk_reads = 0;
   int spans = 0;
   int flushes = 0;
-  int resets = 0;
 
   void OnWrite(uint64_t epoch, uint64_t cell) override {
     writes.push_back(WriteRecord{epoch, cell});
@@ -86,7 +85,6 @@ struct RecordingSink : public WriteSink {
   }
   void OnBulkReads(uint64_t count) override { bulk_reads += count; }
   void Flush() override { ++flushes; }
-  void Reset() override { ++resets; }
 };
 
 TEST(WriteSink, AccountantStreamsEveryEventToTheSink) {
@@ -109,9 +107,6 @@ TEST(WriteSink, AccountantStreamsEveryEventToTheSink) {
   EXPECT_EQ(sink.writes[2].epoch, 2u);
   EXPECT_EQ(sink.writes[2].cell, 9u);
   EXPECT_EQ(sink.bulk_reads, 3u);
-
-  a.Reset();
-  EXPECT_EQ(sink.resets, 1);
 }
 
 // A flushed batch reaches the sink as one span whose events carry the
@@ -374,7 +369,7 @@ TEST(DirtyTrackerBitmap, MatchesOrderedSetOracle) {
   EXPECT_FALSE(dirty.Contains(high << 8));
   EXPECT_FALSE(dirty.Contains(~uint64_t{0}));
 
-  dirty.Reset();
+  dirty.ClearDirty();
   oracle.clear();
   expect_same("reset");
   EXPECT_FALSE(dirty.Contains(high));
@@ -491,22 +486,6 @@ TEST(WriteSink, ReplaySurfacesDroppedWritesAndLiveSinkNeverDrops) {
   EXPECT_EQ(exact.writes_replayed, alg.accountant().word_writes());
   // Truncation under-reports wear; the live device saw everything.
   EXPECT_LT(replayed.max_cell_wear, exact.max_cell_wear);
-}
-
-TEST(WriteSink, AccountantResetRenewsTheLiveDevice) {
-  const NvmSpec spec = SmallSpec(NvmSpec::Leveling::kDirect);
-  LiveNvmSink live(spec);
-  StateAccountant a;
-  a.set_write_sink(&live);
-  a.BeginUpdate();
-  a.RecordWrite(3);
-  a.RecordRead(2);
-  EXPECT_EQ(live.Report().writes_replayed, 1u);
-  a.Reset();
-  const NvmReplayReport fresh = live.Report();
-  EXPECT_EQ(fresh.writes_replayed, 0u);
-  EXPECT_EQ(fresh.reads_replayed, 0u);
-  EXPECT_EQ(fresh.max_cell_wear, 0u);
 }
 
 TEST(ShardedNvm, AddSketchWithNvmPricesWritesLive) {
