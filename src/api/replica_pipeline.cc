@@ -102,6 +102,7 @@ ReplicaPipeline::~ReplicaPipeline() { StopLanes(); }
 void ReplicaPipeline::Add(std::string name, std::unique_ptr<Sketch> sketch) {
   Slot slot;
   slot.update_span = "update:" + name;
+  slot.prepare_span = "prepare:" + name;
   slot.name = std::move(name);
   slot.sketch = std::move(sketch);
   slot.row.peak_allocated_words =
@@ -197,6 +198,25 @@ void ReplicaPipeline::BeginRun(MetricsRegistry* metrics,
 void ReplicaPipeline::Drain(const Item* items, size_t n) {
   if (trace_ != nullptr) trace_->Begin("batch_drain", "ingest");
   const size_t lanes = drain_lanes();
+  // Every pre-stage is planned here, before any lane sees the batch. A
+  // sketch whose plan fails skips the batch, like one whose part fails.
+  std::exception_ptr error;
+  for (Slot& slot : slots_) {
+    const Clock::time_point t0 = Clock::now();
+    slot.parts = 0;
+    slot.part_failed = false;
+    try {
+      slot.parts = slot.sketch->PrepareBatch(items, n, lanes);
+    } catch (...) {
+      slot.part_failed = true;
+      if (error == nullptr) error = std::current_exception();
+    }
+    slot.busy_seconds += Seconds(t0, Clock::now());
+    slot.parts_left = slot.parts;
+    if (slot.part_seconds.size() < slot.parts) {
+      slot.part_seconds.resize(slot.parts, 0.0);
+    }
+  }
   if (lanes > 1) {
     {
       std::lock_guard<std::mutex> lock(lane_mu_);
@@ -207,14 +227,11 @@ void ReplicaPipeline::Drain(const Item* items, size_t n) {
     }
     lane_wake_.notify_all();
   }
-  // A throwing replica must not end the barrier early: the lanes still
-  // read `items`, which the caller may free once `Drain` leaves.
-  std::exception_ptr error;
-  try {
-    DrainLane(0, lanes, items, n);
-  } catch (...) {
-    error = std::current_exception();
-  }
+  // DrainLane returns failures rather than throwing them: the barrier
+  // must hold, since the lanes still read `items`, which the caller may
+  // free once `Drain` leaves.
+  const std::exception_ptr lane_zero_error = DrainLane(0, lanes, items, n);
+  if (error == nullptr) error = lane_zero_error;
   if (lanes > 1) {
     // The barrier: every replica has consumed the batch, and the lanes'
     // writes are visible here, before any boundary work reads them.
@@ -223,23 +240,64 @@ void ReplicaPipeline::Drain(const Item* items, size_t n) {
     if (error == nullptr) error = lane_error_;
     lane_error_ = nullptr;
   }
+  // Each lane timed the parts it ran in its own accumulator; the sketch
+  // they served is charged here, on the owner.
+  for (Slot& slot : slots_) {
+    for (double& seconds : slot.part_seconds) {
+      slot.busy_seconds += seconds;
+      seconds = 0.0;
+    }
+  }
   if (trace_ != nullptr) trace_->End("batch_drain", "ingest");
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ReplicaPipeline::DrainLane(size_t lane, size_t lanes, const Item* items,
-                                size_t n) {
+std::exception_ptr ReplicaPipeline::DrainLane(size_t lane, size_t lanes,
+                                              const Item* items, size_t n) {
+  std::exception_ptr error;
+  // Part `lane` of every planned pre-stage first: no lane waits below
+  // until it has run all of its own parts, so every wait ends.
+  for (Slot& slot : slots_) {
+    if (lane >= slot.parts) continue;
+    if (trace_ != nullptr) trace_->Begin(slot.prepare_span, "prepare");
+    const Clock::time_point t0 = Clock::now();
+    bool failed = false;
+    try {
+      slot.sketch->PreparePart(lane);
+    } catch (...) {
+      failed = true;
+      if (error == nullptr) error = std::current_exception();
+    }
+    slot.part_seconds[lane] += Seconds(t0, Clock::now());
+    if (trace_ != nullptr) trace_->End(slot.prepare_span, "prepare");
+    std::lock_guard<std::mutex> lock(lane_mu_);
+    slot.part_failed = slot.part_failed || failed;
+    if (--slot.parts_left == 0) parts_done_.notify_all();
+  }
   // Blocked: each sketch consumes the whole batch in turn, so timing costs
   // two clock reads per (sketch, batch), and each sketch's update order is
-  // that of a single pass over the items.
+  // that of a single pass over the items. A failure skips only the sketch
+  // that failed.
   for (size_t i = lane; i < slots_.size(); i += lanes) {
     Slot& slot = slots_[i];
+    if (slot.parts > 0) {
+      std::unique_lock<std::mutex> lock(lane_mu_);
+      parts_done_.wait(lock, [&slot] { return slot.parts_left == 0; });
+    }
+    // Final once the parts are done: a sketch whose plan or part failed
+    // misses this batch, and whoever ran that reports the failure.
+    if (slot.part_failed) continue;
     if (trace_ != nullptr) trace_->Begin(slot.update_span, "update");
     const Clock::time_point t0 = Clock::now();
-    slot.sketch->UpdateBatch(items, n);
+    try {
+      slot.sketch->UpdateBatch(items, n);
+    } catch (...) {
+      if (error == nullptr) error = std::current_exception();
+    }
     slot.busy_seconds += Seconds(t0, Clock::now());
     if (trace_ != nullptr) trace_->End(slot.update_span, "update");
   }
+  return error;
 }
 
 void ReplicaPipeline::LaneLoop(size_t lane, size_t lanes) {
@@ -262,12 +320,7 @@ void ReplicaPipeline::LaneLoop(size_t lane, size_t lanes) {
     }
     // A lane's failure is forwarded to the owning thread, which rethrows
     // it from `Drain` after the barrier.
-    std::exception_ptr error;
-    try {
-      DrainLane(lane, lanes, items, n);
-    } catch (...) {
-      error = std::current_exception();
-    }
+    const std::exception_ptr error = DrainLane(lane, lanes, items, n);
     std::lock_guard<std::mutex> lock(lane_mu_);
     if (lane_error_ == nullptr) lane_error_ = error;
     if (--lanes_busy_ == 0) lane_done_.notify_one();

@@ -29,7 +29,7 @@ class TraceRecorder;
 
 /// \brief Per-sketch outcome of one engine run: the sketch's
 /// `StateAccountant` counters over the run, plus wall time spent in its
-/// `Update` calls.
+/// `Update` calls and its pre-stage, on whichever lanes ran them.
 struct SketchRunReport {
   std::string name;
   uint64_t updates = 0;
@@ -146,6 +146,17 @@ struct ReplicaSketchReport {
 /// order, so states, reports and checkpoints are bitwise those of L = 1.
 /// `AtBatchBoundary` and everything after it run on the owner alone.
 /// `Report` and the destructor stop and join the lanes.
+///
+/// Pre-stages: before publishing a batch the owner calls every sketch's
+/// `PrepareBatch(items, n, L)`. Part k of each plan runs on lane k, so
+/// which thread ran what is fixed; each lane runs its parts before its
+/// own sketches' `UpdateBatch`, and a sketch with parts first waits for
+/// all of them. A sketch's busy time (`wall_seconds`) includes its plan
+/// and every part, wherever they ran, and each part is traced as a
+/// `prepare:<name>` span on its lane. A failing plan or part is
+/// forwarded like a failing `UpdateBatch`, and its sketch skips the
+/// batch. With no parts anywhere, `Drain` is the plain per-lane
+/// `UpdateBatch` loop.
 class ReplicaPipeline {
  public:
   explicit ReplicaPipeline(ReplicaPipelineOptions options = {});
@@ -187,10 +198,12 @@ class ReplicaPipeline {
   /// `Report`).
   size_t drain_lanes() const { return lanes_.size() + 1; }
 
-  /// \brief Feeds one batch to every sketch through `UpdateBatch`, each
-  /// lane's sketches in registration order, and returns once every lane
-  /// has consumed it. An exception from any sketch is rethrown here, on
-  /// the owner, after the barrier.
+  /// \brief Feeds one batch to every sketch through its pre-stage and
+  /// `UpdateBatch`, each lane's sketches in registration order, and
+  /// returns once every lane has consumed it. An exception from any
+  /// sketch (its plan, a part or its update) is rethrown here, on the
+  /// owner, after the barrier; the other sketches still consume the
+  /// batch.
   void Drain(const Item* items, size_t n);
 
   /// \brief Batch-boundary work after `processed` items this run:
@@ -228,7 +241,8 @@ class ReplicaPipeline {
   // so they are destroyed after it.
   struct Slot {
     std::string name;
-    std::string update_span;  // "update:<name>", preformatted
+    std::string update_span;   // "update:<name>", preformatted
+    std::string prepare_span;  // "prepare:<name>", likewise
     std::unique_ptr<LiveNvmSink> nvm;        // live update device
     std::unique_ptr<DirtyTracker> dirty;     // delta checkpoints
     std::unique_ptr<TeeSink> tee;            // when both of the above
@@ -243,14 +257,25 @@ class ReplicaPipeline {
     std::unique_ptr<Sketch> sketch;
     CkptTrack ckpt;
     SketchRunReport row;        // counters at the last batch boundary
-    double busy_seconds = 0.0;  // in updates
+    double busy_seconds = 0.0;  // in updates and pre-stages
     Telemetry tele;
+    // This batch's pre-stage: its part count (set by the owner before the
+    // batch is published) and the seconds lane k spent in part k, written
+    // by lane k alone and folded into busy_seconds after the barrier.
+    size_t parts = 0;
+    std::vector<double> part_seconds;
+    // Parts still running, and whether the plan or a part failed; under
+    // lane_mu_ while parts run.
+    size_t parts_left = 0;
+    bool part_failed = false;
   };
 
   void Rewire(Slot* slot);
   void Checkpoint(Slot* slot, uint64_t processed);
-  // Drains one batch into lane `lane`'s slots, of `lanes` in all.
-  void DrainLane(size_t lane, size_t lanes, const Item* items, size_t n);
+  // Runs part `lane` of every pre-stage, then drains one batch into lane
+  // `lane`'s slots, of `lanes` in all; returns the lane's first failure.
+  std::exception_ptr DrainLane(size_t lane, size_t lanes, const Item* items,
+                               size_t n);
   // Body of lane thread `lane`: drains each published batch, then checks in.
   void LaneLoop(size_t lane, size_t lanes);
   void StopLanes();
@@ -269,6 +294,7 @@ class ReplicaPipeline {
   std::mutex lane_mu_;
   std::condition_variable lane_wake_;
   std::condition_variable lane_done_;
+  std::condition_variable parts_done_;  // some slot's last part finished
   const Item* batch_items_ = nullptr;
   size_t batch_n_ = 0;
   uint64_t batch_seq_ = 0;

@@ -39,6 +39,27 @@ class Sketch : public StreamingAlgorithm {
   /// \brief State-change instrumentation (mutable, e.g. to attach a
   /// `WriteSink` — a recording `WriteLog` or a `LiveNvmSink`).
   virtual StateAccountant* mutable_accountant() = 0;
+
+  /// \brief Optional pure pre-stage of the next `UpdateBatch(items, n)`:
+  /// plans it and returns how many independent parts (at most `parts`,
+  /// which is at least 1) it split into. Serial. The default returns 0:
+  /// no pre-stage.
+  ///
+  /// Each planned part must then run exactly once through `PreparePart`,
+  /// in any order and on any thread, before that `UpdateBatch`; `items`
+  /// must stay unchanged until it. The parts are pure: each writes only
+  /// its own disjoint output and touches no state the accountant sees, so
+  /// splitting them across threads cannot change any result. An
+  /// `UpdateBatch` that finds no complete plan for its own `(items, n)` —
+  /// none made, a stale one, or a part missing — plans and runs the
+  /// pre-stage itself, so every caller takes the same path.
+  virtual size_t PrepareBatch(const Item* /*items*/, size_t /*n*/,
+                              size_t /*parts*/) {
+    return 0;
+  }
+
+  /// \brief Runs part `k` of the plan `PrepareBatch` made (see there).
+  virtual void PreparePart(size_t /*k*/) {}
 };
 
 /// \brief Optional capability of sketches that *track identities*: counter

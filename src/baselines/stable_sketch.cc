@@ -83,68 +83,99 @@ void StableSketch::Update(Item item) {
   }
 }
 
-void StableSketch::ProjectChunk(const Item* items, size_t n) {
+size_t StableSketch::PrepareBatch(const Item* items, size_t n,
+                                  size_t parts) {
+  planned_ = false;
+  // A shared accountant keeps the scalar path: nothing to plan.
+  if (owned_accountant_ == nullptr) return 0;
   if (memo_items_.empty()) {
     size_t slots = 1;
     while (slots * 2 * rows_ * sizeof(double) <= kMemoBytes) slots *= 2;
     memo_items_.assign(slots, kNoItem);
-    memo_entries_.resize(slots * rows_);
   }
-  const size_t mask = memo_items_.size() - 1;
-  batch_columns_.resize(n);
+  const size_t slots = memo_items_.size();
+  size_t table = 1;
+  while (table < 2 * n) table *= 2;
+  miss_table_.assign(table, 0);
+  batch_column_.resize(n);
   batch_misses_.clear();
   for (size_t i = 0; i < n; ++i) {
-    const size_t slot = Mix64(items[i]) & mask;
-    if (items[i] != kNoItem && memo_items_[slot] == items[i]) {
-      batch_columns_[i] = memo_entries_.data() + slot * rows_;
-    } else {
-      batch_misses_.push_back(i);
+    const Item item = items[i];
+    const uint64_t h = Mix64(item);
+    const size_t slot = h & (slots - 1);
+    if (item != kNoItem && memo_items_[slot] == item) {
+      batch_column_[i] = static_cast<uint32_t>(slot);
+      continue;
     }
-  }
-  const size_t m = rows_ * batch_misses_.size();
-  if (m == 0) return;
-  batch_keys_.resize(m);
-  batch_raw_.resize(m);
-  batch_theta_.resize(m);
-  batch_entries_.resize(m);
-  for (size_t k = 0; k < batch_misses_.size(); ++k) {
-    const Item item = items[batch_misses_[k]];
-    uint64_t* keys = batch_keys_.data() + k * rows_;
-    for (size_t r = 0; r < rows_; ++r) {
-      keys[r] = Mix64(item * 0x100000001b3ULL + r + 1);
+    // A miss: one column per distinct item, in first-occurrence order.
+    size_t j = (h >> 32) & (table - 1);
+    uint32_t k;
+    while ((k = miss_table_[j]) != 0 && batch_misses_[k - 1] != item) {
+      j = (j + 1) & (table - 1);
     }
+    if (k == 0) {
+      batch_misses_.push_back(item);
+      k = static_cast<uint32_t>(batch_misses_.size());
+      miss_table_[j] = k;
+    }
+    batch_column_[i] = static_cast<uint32_t>(slots + k - 1);
   }
-  // Same uniform derivation (and clamps) as Entry(), batched: theta from
-  // the key, r from the xored key, then the CMS transform per element.
-  theta_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
-  for (size_t j = 0; j < m; ++j) {
-    double u_theta = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
-    if (u_theta <= 0.0) u_theta = 0x1.0p-53;
-    if (u_theta >= 1.0) u_theta = 1.0 - 0x1.0p-53;
-    batch_theta_[j] = (u_theta - 0.5) * M_PI;
-    batch_keys_[j] ^= 0xabcdef12345678ULL;
+  const size_t m = batch_misses_.size();
+  // Grown to exactly what this batch needs, never shrunk; the parts write
+  // into it, so it never moves while they run.
+  const size_t words = (slots + m) * rows_;
+  if (columns_.size() < words) {
+    columns_.reserve(words);
+    columns_.resize(words);
   }
-  r_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
-  for (size_t j = 0; j < m; ++j) {
-    double u_r = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
-    if (u_r <= 0.0) u_r = 0x1.0p-53;
-    batch_entries_[j] = PStableFromUniform(p_, batch_theta_[j], u_r);
-  }
-  for (size_t k = 0; k < batch_misses_.size(); ++k) {
-    batch_columns_[batch_misses_[k]] = batch_entries_.data() + k * rows_;
-  }
+  const size_t made = std::min(std::max<size_t>(parts, 1), m);
+  part_done_.assign(made, 0);
+  plan_items_ = items;
+  plan_n_ = n;
+  planned_ = true;
+  return made;
 }
 
-void StableSketch::MemoizeMisses(const Item* items) {
-  const size_t mask = memo_items_.size() - 1;
-  for (size_t k = 0; k < batch_misses_.size(); ++k) {
-    const Item item = items[batch_misses_[k]];
-    if (item == kNoItem) continue;
-    const size_t slot = Mix64(item) & mask;
-    memo_items_[slot] = item;
-    std::copy_n(batch_entries_.data() + k * rows_, rows_,
-                memo_entries_.data() + slot * rows_);
+void StableSketch::PreparePart(size_t k) {
+  // Entry() batched over the part's flat (miss, row) range, a block at a
+  // time: the same uniforms (and clamps), theta from the key, r from the
+  // xored key, then the CMS transform per entry.
+  constexpr size_t kBlock = 256;
+  uint64_t keys[kBlock];
+  uint64_t raw[kBlock];
+  double theta[kBlock];
+  // Part k of P covers misses [k m / P, (k + 1) m / P).
+  const size_t m = batch_misses_.size();
+  const size_t parts = part_done_.size();
+  const size_t last = (k + 1) * m / parts * rows_;
+  for (size_t first = k * m / parts * rows_; first < last; first += kBlock) {
+    const size_t c = std::min(kBlock, last - first);
+    size_t miss = first / rows_;
+    size_t r = first % rows_;
+    for (size_t j = 0; j < c; ++j) {
+      keys[j] = Mix64(batch_misses_[miss] * 0x100000001b3ULL + r + 1);
+      if (++r == rows_) {
+        r = 0;
+        ++miss;
+      }
+    }
+    theta_hash_.HashBatch(keys, c, raw);
+    for (size_t j = 0; j < c; ++j) {
+      double u_theta = static_cast<double>(raw[j] >> 11) * 0x1.0p-53;
+      if (u_theta <= 0.0) u_theta = 0x1.0p-53;
+      if (u_theta >= 1.0) u_theta = 1.0 - 0x1.0p-53;
+      theta[j] = (u_theta - 0.5) * M_PI;
+      keys[j] ^= 0xabcdef12345678ULL;
+    }
+    r_hash_.HashBatch(keys, c, raw);
+    double* out = columns_.data() + memo_items_.size() * rows_ + first;
+    for (size_t j = 0; j < c; ++j) {
+      double u_r = static_cast<double>(raw[j] >> 11) * 0x1.0p-53;
+      if (u_r <= 0.0) u_r = 0x1.0p-53;
+      out[j] = PStableFromUniform(p_, theta[j], u_r);
+    }
   }
+  part_done_[k] = 1;
 }
 
 void StableSketch::UpdateBatch(const Item* items, size_t n) {
@@ -154,18 +185,27 @@ void StableSketch::UpdateBatch(const Item* items, size_t n) {
     for (size_t i = 0; i < n; ++i) Update(items[i]);
     return;
   }
+  const bool ready =
+      planned_ && plan_items_ == items && plan_n_ == n &&
+      std::all_of(part_done_.begin(), part_done_.end(),
+                  [](uint8_t done) { return done != 0; });
+  if (!ready) {
+    const size_t parts = PrepareBatch(items, n, 1);
+    for (size_t k = 0; k < parts; ++k) PreparePart(k);
+  }
+  planned_ = false;
   constexpr size_t kChunk = 256;
   const bool collect = accountant_->needs_cell_addresses();
   for (size_t off = 0; off < n; off += kChunk) {
     const size_t c = std::min(kChunk, n - off);
-    ProjectChunk(items + off, c);
+    const uint32_t* columns = batch_column_.data() + off;
     batch_scratch_.Begin(collect);
     if (mode_ == CounterMode::kExact) {
       double* rows = exact_rows_->BatchData();
       const uint64_t base = exact_rows_->base_cell();
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
-        const double* column = batch_columns_[i];
+        const double* column = columns_.data() + columns[i] * rows_;
         for (size_t r = 0; r < rows_; ++r) {
           const double next = rows[r] + column[r];
           // Adding a tiny entry to a large accumulator can round back to
@@ -186,7 +226,7 @@ void StableSketch::UpdateBatch(const Item* items, size_t n) {
       // shared RNG's coins in exactly the scalar sequence.
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
-        const double* column = batch_columns_[i];
+        const double* column = columns_.data() + columns[i] * rows_;
         for (size_t r = 0; r < rows_; ++r) {
           const double e = column[r];
           if (e >= 0.0) {
@@ -198,9 +238,17 @@ void StableSketch::UpdateBatch(const Item* items, size_t n) {
       }
     }
     accountant_->ApplyBatch(batch_scratch_);
-    // Only now: a miss may evict a slot that an earlier hit's column
-    // still points at.
-    MemoizeMisses(items + off);
+  }
+  // Only after the last Add: a miss may evict a slot that a hit's column
+  // still points at.
+  const size_t slots = memo_items_.size();
+  for (size_t k = 0; k < batch_misses_.size(); ++k) {
+    const Item item = batch_misses_[k];
+    if (item == kNoItem) continue;
+    const size_t slot = Mix64(item) & (slots - 1);
+    memo_items_[slot] = item;
+    std::copy_n(columns_.data() + (slots + k) * rows_, rows_,
+                columns_.data() + slot * rows_);
   }
 }
 

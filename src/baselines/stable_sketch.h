@@ -39,11 +39,14 @@ namespace fewstate {
 ///
 /// The batch kernel memoizes hot items' projection columns (their `rows`
 /// p-stable entries) in a direct-mapped, item-keyed cache of ~256 KiB,
-/// allocated on the first `UpdateBatch`. Entries are pure functions of
-/// (seed, row, item), so the memo only saves CPU: like the RNG cursor and
-/// the batch scratch it is working memory outside the state model — never
-/// tracked, never counted in `peak_allocated_words`, never copied by
-/// `RestoreFrom`/`MergeFrom`.
+/// allocated on the first batch. Entries are pure functions of (seed, row,
+/// item), so the memo only saves CPU: like the RNG cursor and the batch
+/// buffers it is working memory outside the state model — never tracked,
+/// never counted in `peak_allocated_words`, never copied by
+/// `RestoreFrom`/`MergeFrom`. The projection of a batch's memo misses is
+/// this sketch's pure pre-stage (`PrepareBatch`/`PreparePart`): each
+/// distinct missed item gets one column, computed once per batch, and a
+/// `ReplicaPipeline` splits those columns across its drain lanes.
 class StableSketch : public MergeableSketch, public RestorableSketch {
  public:
   enum class CounterMode { kExact, kMorris };
@@ -60,14 +63,29 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
 
   void Update(Item item) override;
 
-  /// \brief Batch kernel for owned-accountant sketches, both modes:
-  /// derives the chunk's p-stable entries with batched tabulation hashing
-  /// (or from the projection memo), then applies them in arrival order —
-  /// row accumulations in `kExact` mode, the positive/negative Morris
-  /// `Add`s in (item, row) order in `kMorris` mode, so the coin sequence is
-  /// the scalar one — with accounting reconciled once per chunk. Bitwise
-  /// identical to the scalar loop. A sketch on a shared accountant (whose
-  /// owner drives `BeginUpdate` around each item) keeps the scalar path.
+  /// \brief Plans the pre-stage of `UpdateBatch(items, n)`: reads the
+  /// memo for the whole batch, gives each distinct missed item one column
+  /// (first-occurrence order) and splits those columns into at most
+  /// `parts` equal contiguous ranges. Returns 0 — no pre-stage — when
+  /// every item hits the memo or the accountant is shared.
+  size_t PrepareBatch(const Item* items, size_t n, size_t parts) override;
+
+  /// \brief Computes part `k`'s columns: the p-stable entries of its
+  /// missed items, written only into their own columns.
+  void PreparePart(size_t k) override;
+
+  /// \brief Batch kernel for owned-accountant sketches, both modes: takes
+  /// each item's projection column from the planned pre-stage (planning
+  /// and running it itself when no complete plan for `(items, n)`
+  /// exists), then applies the columns in arrival order — row
+  /// accumulations in `kExact` mode, the positive/negative Morris `Add`s
+  /// in (item, row) order in `kMorris` mode, so the coin sequence is the
+  /// scalar one — with accounting reconciled once per 256-item chunk.
+  /// After the last `Add` it memoizes the batch's distinct misses in
+  /// first-occurrence order, so the memo is never written while a part
+  /// reads it or a column points into it. Bitwise identical to the scalar
+  /// loop. A sketch on a shared accountant (whose owner drives
+  /// `BeginUpdate` around each item) keeps the scalar path.
   void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief Folds an identically-configured replica (same p, rows, seed,
@@ -132,13 +150,6 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// the pair is visited).
   double Entry(size_t row, Item item) const;
 
-  /// Points `batch_columns_[i]` at the `rows_` entries of `items[i]`, from
-  /// the memo or computed into `batch_entries_` (misses listed in
-  /// `batch_misses_`).
-  void ProjectChunk(const Item* items, size_t n);
-  /// Stores the chunk's computed misses in the memo.
-  void MemoizeMisses(const Item* items);
-
   // Merge/restore compatibility: same p, rows, seed, counter mode and
   // Morris growth.
   bool SameConfig(const StableSketch& other) const {
@@ -163,16 +174,22 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   std::vector<MorrisCounter> neg_counters_;
   // Reused batch-kernel scratch (bounded by the internal chunk size).
   BatchUpdateScratch batch_scratch_;
-  std::vector<uint64_t> batch_keys_;
-  std::vector<uint64_t> batch_raw_;
-  std::vector<double> batch_theta_;
-  std::vector<double> batch_entries_;
-  std::vector<const double*> batch_columns_;
-  std::vector<size_t> batch_misses_;
-  // Projection memo: slot s holds memo_items_[s]'s entries at
-  // memo_entries_[s * rows_]. Empty until the first UpdateBatch.
+  // Projection columns, `rows_` entries each: memo slot s (holding
+  // memo_items_[s]'s entries) at column s, then the current batch's
+  // distinct miss k at column slots + k. Both empty until the first plan.
   std::vector<Item> memo_items_;
-  std::vector<double> memo_entries_;
+  std::vector<double> columns_;
+  // The plan of the next UpdateBatch (see PrepareBatch): item i's column,
+  // the distinct missed items, and one flag per part, which the part sets
+  // once its columns are written. miss_table_ is the planner's
+  // open-addressing dedup table (miss index + 1, 0 = empty).
+  bool planned_ = false;
+  const Item* plan_items_ = nullptr;
+  size_t plan_n_ = 0;
+  std::vector<uint32_t> batch_column_;
+  std::vector<Item> batch_misses_;
+  std::vector<uint32_t> miss_table_;
+  std::vector<uint8_t> part_done_;
 };
 
 }  // namespace fewstate

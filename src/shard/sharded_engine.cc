@@ -1,5 +1,7 @@
 #include "shard/sharded_engine.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -28,6 +30,17 @@ constexpr uint64_t kPartitionSeed = 0x5a4dedb175ULL;
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+// CPUs the calling thread may run on: its affinity mask (which `taskset`
+// and cpusets narrow), else every online CPU.
+size_t UsableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<size_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /// Bounded FIFO of item batches between the partitioner and one shard
@@ -431,9 +444,9 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   // published state (its progress counter and publication slots cleared).
   // Each shard drains its replicas on up to (CPUs - 1) / S lanes: one CPU
   // stays with the partitioner, so S workers and their lanes never
-  // oversubscribe the machine, and a multi-shard engine on a small box
-  // keeps one lane per shard.
-  const size_t cpus = std::max(1u, std::thread::hardware_concurrency());
+  // oversubscribe the CPUs this process may use, and a multi-shard engine
+  // on a small box keeps one lane per shard.
+  const size_t cpus = UsableCpus();
   const size_t drain_lanes =
       std::min(num_sketches, std::max<size_t>(1, (cpus - 1) / num_shards));
   pipelines_.clear();

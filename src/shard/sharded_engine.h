@@ -189,9 +189,11 @@ std::string SketchReportCsvRow(const std::string& label,
 ///  * a partitioner thread hash-routes items to per-shard bounded batch
 ///    queues; one worker thread per shard drives that shard's
 ///    `ReplicaPipeline`, which drains the replicas on up to
-///    min(#sketches, (CPUs - 1) / S) lanes with a barrier per batch, so
-///    every replica (and its `StateAccountant`) is touched by one thread
-///    at a time and ends bitwise as a serial drain leaves it;
+///    min(#sketches, (CPUs - 1) / S) lanes (CPUs in the affinity mask)
+///    with a barrier per batch, splitting each sketch's pure pre-stage
+///    across the lanes, so every replica (and its `StateAccountant`) is
+///    touched by one thread at a time and ends bitwise as a serial drain
+///    leaves it;
 ///  * after the stream ends and workers join, shards 1..S-1 are merged
 ///    into shard 0's replica through `MergeableSketch::MergeFrom`, with
 ///    merge-time writes accounted on the destination;

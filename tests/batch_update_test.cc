@@ -150,6 +150,39 @@ TEST(BatchUpdateTest, MatchesScalarAcrossBatchSizes) {
   }
 }
 
+// StableSketch's pre-stage plans one column per distinct memo miss of a
+// whole batch and memoizes them after the last Add. A stream over a
+// universe far wider than the memo repeats misses inside every batch, and
+// the ~Item{0} sentinel (the memo's empty-slot marker, never memoized)
+// misses every time; batch sizes straddle the kernel's 256-item chunks
+// and the 4096-item drain batch.
+TEST(BatchUpdateTest, StableSketchPreStageMatchesScalar) {
+  Stream stream = ZipfStream(uint64_t{1} << 20, 1.1, 20000, /*seed=*/987);
+  for (size_t i = 0; i < stream.size(); i += 97) stream[i] = ~Item{0};
+  const Stream continuation = ZipfStream(5000, 1.2, 2000, /*seed=*/988);
+  for (const auto mode : {StableSketch::CounterMode::kExact,
+                          StableSketch::CounterMode::kMorris}) {
+    for (const size_t batch : {size_t{1}, size_t{255}, size_t{256},
+                               size_t{257}, size_t{4096}, size_t{4097}}) {
+      const std::string context =
+          std::string(mode == StableSketch::CounterMode::kExact ? "exact"
+                                                                 : "morris") +
+          " batch=" + std::to_string(batch);
+      StableSketch scalar(0.5, 16, 11, mode, 0.2);
+      FeedScalar(scalar, stream);
+      StableSketch batched(0.5, 16, 11, mode, 0.2);
+      FeedBatched(batched, stream, batch);
+      ExpectAccountantsEqual(scalar.accountant(), batched.accountant(),
+                             context);
+      ExpectStatesEqual(scalar, batched, context);
+
+      FeedScalar(scalar, continuation);
+      FeedScalar(batched, continuation);
+      ExpectStatesEqual(scalar, batched, context + " continued");
+    }
+  }
+}
+
 void ExpectLogMatchesAccountant(const WriteLog& log, const StateAccountant& a,
                                 const std::string& context) {
   ASSERT_EQ(log.dropped(), 0u) << context;

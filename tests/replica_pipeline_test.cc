@@ -2,15 +2,19 @@
 // L > 1 lanes must be bitwise the L = 1 pipeline — final sketch states
 // (and their random cursors), every report counter but wall time, live
 // and checkpoint device wear cell by cell, checkpoint counts and the
-// sequence of published serving snapshots. Lane counts above the roster
-// size clamp, and a pipeline torn down mid-run joins its lanes.
+// sequence of published serving snapshots — also when stable_morris's
+// pure pre-stage is split across the lanes. Lane counts above the roster
+// size clamp, a pipeline torn down mid-run joins its lanes, and a failing
+// update or pre-stage part reaches the caller after the barrier.
 
 #include "api/replica_pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +26,7 @@
 #include "baselines/stable_sketch.h"
 #include "core/fp_estimator.h"
 #include "core/full_sample_and_hold.h"
+#include "json_lite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recover/checkpoint_policy.h"
@@ -38,18 +43,22 @@ constexpr uint64_t kCheckpointEvery = 2000;
 constexpr size_t kCachedSlot = 3;   // count_min's live device is cached
 constexpr size_t kServingSlot = 3;  // count_min publishes to serving
 
+// Far wider than stable_morris's projection memo, so it misses in every
+// batch and its pre-stage has parts for every lane.
+constexpr uint64_t kWideFlows = uint64_t{1} << 20;
+
 // The paper's write-frugal structures plus two baselines: restorable
 // (delta checkpoints), mergeable-only (full checkpoints) and neither
-// (never checkpointed) replicas on one pipeline.
-std::vector<SketchFactory> Roster() {
+// (never checkpointed) replicas on one pipeline, sized for `flows`.
+std::vector<SketchFactory> Roster(uint64_t flows = kFlows) {
   FullSampleAndHoldOptions fsh;
-  fsh.universe = kFlows;
+  fsh.universe = flows;
   fsh.stream_length_hint = kLength;
   fsh.p = 2.0;
   fsh.eps = 0.4;
   fsh.seed = 5;
   FpEstimatorOptions fp;
-  fp.universe = kFlows;
+  fp.universe = flows;
   fp.stream_length_hint = kLength;
   fp.p = 2.0;
   fp.eps = 0.35;
@@ -81,6 +90,7 @@ NvmSpec Nvm(bool cached) {
 
 // Everything a run leaves behind that must not depend on the lane count.
 struct Outcome {
+  std::vector<SketchFactory> roster;
   // Declared before the pipeline, which holds a pointer to it.
   std::shared_ptr<const ShardSnapshot> serving;
   std::unique_ptr<ReplicaPipeline> pipeline;
@@ -118,10 +128,10 @@ std::unique_ptr<ReplicaPipeline> BuildPipeline(
 
 // Uneven batch sizes, so checkpoints straddle batch boundaries.
 void RunPipeline(size_t drain_lanes, const Stream& stream,
-                 MetricsRegistry* metrics, TraceRecorder* trace,
-                 Outcome* out) {
-  const std::vector<SketchFactory> roster = Roster();
-  out->pipeline = BuildPipeline(drain_lanes, roster, &out->serving);
+                 MetricsRegistry* metrics, TraceRecorder* trace, Outcome* out,
+                 uint64_t flows = kFlows) {
+  out->roster = Roster(flows);
+  out->pipeline = BuildPipeline(drain_lanes, out->roster, &out->serving);
   ReplicaPipeline& p = *out->pipeline;
   p.BeginRun(metrics, trace);
   out->lanes = p.drain_lanes();
@@ -218,7 +228,7 @@ void ExpectSameState(const SketchFactory& factory, const Sketch& a,
 
 void ExpectSameOutcome(const Outcome& serial, const Outcome& lanes,
                        const Stream& continuation) {
-  const std::vector<SketchFactory> roster = Roster();
+  const std::vector<SketchFactory>& roster = serial.roster;
   ASSERT_EQ(serial.rows.size(), lanes.rows.size());
   for (size_t i = 0; i < roster.size(); ++i) {
     SCOPED_TRACE(roster[i].name());
@@ -252,6 +262,30 @@ void ExpectSameOutcome(const Outcome& serial, const Outcome& lanes,
     ExpectSameCounters(a->accountant(), b->accountant());
     ExpectSameState(roster[i], *a, *b);
   }
+}
+
+// (thread name, span name) of every span `trace` recorded; threads that
+// were never named have the empty name.
+std::set<std::pair<std::string, std::string>> SpansByThread(
+    const TraceRecorder& trace) {
+  json_lite::Value root;
+  EXPECT_TRUE(json_lite::Parse(trace.ToJson(), &root));
+  std::map<double, std::string> names;
+  std::vector<std::pair<double, std::string>> spans;
+  const json_lite::Value* events = root.Get("traceEvents");
+  if (events == nullptr) return {};
+  for (const json_lite::Value& e : events->array) {
+    const std::string& ph = e.Get("ph")->string_value;
+    const double tid = e.Get("tid")->number;
+    if (ph == "M") {
+      names[tid] = e.Get("args")->Get("name")->string_value;
+    } else if (ph == "B") {
+      spans.emplace_back(tid, e.Get("name")->string_value);
+    }
+  }
+  std::set<std::pair<std::string, std::string>> out;
+  for (const auto& [tid, name] : spans) out.emplace(names[tid], name);
+  return out;
 }
 
 TEST(ReplicaPipelineLanes, LaneDrainIsBitwiseTheSerialDrain) {
@@ -300,6 +334,35 @@ TEST(ReplicaPipelineLanes, TelemetryAndTraceNameEveryLane) {
   EXPECT_NE(json.find("shard-0-lane-2"), std::string::npos);
   EXPECT_EQ(json.find("shard-0-lane-3"), std::string::npos);
   EXPECT_NE(json.find("update:fp_estimator"), std::string::npos);
+  // stable_morris (lane 0) misses its cold memo in the first batch, so
+  // its pre-stage parts 1 and 2 run on the helper lanes.
+  const auto spans = SpansByThread(trace);
+  EXPECT_EQ(spans.count({"shard-0-lane-1", "prepare:stable_morris"}), 1u);
+  EXPECT_EQ(spans.count({"shard-0-lane-2", "prepare:stable_morris"}), 1u);
+  EXPECT_EQ(spans.count({"shard-0-lane-1", "update:full_sample_and_hold"}),
+            1u);
+}
+
+TEST(ReplicaPipelineLanes, WideUniversePreStageSplitsAcrossEveryLane) {
+  const Stream stream = ZipfStream(kWideFlows, 1.1, kLength, 46);
+  const Stream continuation = ZipfStream(kWideFlows, 1.1, 3000, 47);
+  for (size_t lanes : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE("drain_lanes=" + std::to_string(lanes));
+    TraceRecorder trace;
+    Outcome parallel;
+    RunPipeline(lanes, stream, nullptr, &trace, &parallel, kWideFlows);
+    Outcome reference;
+    RunPipeline(1, stream, nullptr, nullptr, &reference, kWideFlows);
+    ExpectSameOutcome(reference, parallel, continuation);
+    const auto spans = SpansByThread(trace);
+    EXPECT_EQ(spans.count({"", "prepare:stable_morris"}), 1u);
+    for (size_t k = 1; k < parallel.lanes; ++k) {
+      EXPECT_EQ(spans.count({"shard-0-lane-" + std::to_string(k),
+                             "prepare:stable_morris"}),
+                1u)
+          << "lane " << k;
+    }
+  }
 }
 
 TEST(ReplicaPipelineLanes, LaneCountClampsToTheRoster) {
@@ -366,6 +429,68 @@ TEST(ReplicaPipelineLanes, ReplicaFailureReachesTheCallerAfterTheBarrier) {
     p.AtBatchBoundary(stream.size());
     EXPECT_EQ(p.Report()[throwing].ingest.updates, stream.size());
   }
+}
+
+// A Morris StableSketch whose pre-stage part 1 throws on a batch of
+// `kPoisonPart` items, and whose plan throws on one of `kPoisonPlan`.
+constexpr size_t kPoisonPart = 64;
+constexpr size_t kPoisonPlan = 32;
+class ThrowingPrepareSketch : public StableSketch {
+ public:
+  ThrowingPrepareSketch()
+      : StableSketch(0.5, 16, 31, StableSketch::CounterMode::kMorris, 0.2) {}
+  size_t PrepareBatch(const Item* items, size_t n, size_t parts) override {
+    if (n == kPoisonPlan) throw std::runtime_error("plan failed");
+    poisoned_ = n == kPoisonPart;
+    return StableSketch::PrepareBatch(items, n, parts);
+  }
+  void PreparePart(size_t k) override {
+    if (poisoned_ && k == 1) throw std::runtime_error("part failed");
+    StableSketch::PreparePart(k);
+  }
+
+ private:
+  bool poisoned_ = false;
+};
+
+TEST(ReplicaPipelineLanes, PreStageFailureReachesTheCallerAfterTheBarrier) {
+  // Distinct items: every one misses the cold memo, so the poisoned batch
+  // has a part for each of the three lanes.
+  const Stream stream = PermutationStream(4096, 48);
+  ReplicaPipelineOptions options;
+  options.drain_lanes = 3;
+  ReplicaPipeline p(options);
+  p.Add("stable", std::make_unique<ThrowingPrepareSketch>());
+  p.Add("cm1", std::make_unique<CountMin>(4, 64, 3));
+  p.Add("cm2", std::make_unique<CountMin>(4, 64, 3));
+  p.BeginRun(nullptr, nullptr);
+  // A failing part (on lane 1), then a failing plan: the failed sketch
+  // skips each batch, and the others consume it.
+  size_t drained = 0;
+  for (const size_t poison : {kPoisonPart, kPoisonPlan}) {
+    SCOPED_TRACE("poisoned batch of " + std::to_string(poison));
+    EXPECT_THROW(p.Drain(stream.data() + drained, poison),
+                 std::runtime_error);
+    drained += poison;
+    EXPECT_EQ(p.sketch(0)->accountant().updates(), 0u);
+    EXPECT_EQ(p.sketch(1)->accountant().updates(), drained);
+    EXPECT_EQ(p.sketch(2)->accountant().updates(), drained);
+  }
+  // The next batch works, and leaves the failed sketch exactly where a
+  // sketch that only ever saw that batch is.
+  const Item* rest = stream.data() + drained;
+  const size_t rest_n = stream.size() - drained;
+  p.Drain(rest, rest_n);
+  p.AtBatchBoundary(stream.size());
+  StableSketch reference(0.5, 16, 31, StableSketch::CounterMode::kMorris, 0.2);
+  reference.UpdateBatch(rest, rest_n);
+  const auto& stable = static_cast<const StableSketch&>(*p.sketch(0));
+  EXPECT_EQ(stable.TrackedWords(), reference.TrackedWords());
+  EXPECT_EQ(stable.accountant().word_writes(),
+            reference.accountant().word_writes());
+  const std::vector<ReplicaSketchReport> rows = p.Report();
+  EXPECT_EQ(rows[0].ingest.updates, rest_n);
+  EXPECT_EQ(rows[1].ingest.updates, stream.size());
 }
 
 }  // namespace

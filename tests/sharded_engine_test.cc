@@ -8,6 +8,7 @@
 #include "shard/sharded_engine.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "baselines/space_saving.h"
 #include "baselines/stable_sketch.h"
 #include "core/sample_and_hold.h"
+#include "obs/trace.h"
 #include "shard/sketch_factory.h"
 #include "stream/generators.h"
 
@@ -373,6 +375,49 @@ TEST(ShardedEngine, UnsizedSourceIngestsIdentically) {
           << w.name << " diverged at item " << j;
     }
   }
+}
+
+// Restores the calling thread's CPU affinity mask on scope exit.
+class AffinityGuard {
+ public:
+  AffinityGuard() { ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0; }
+  ~AffinityGuard() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  bool ok() const { return ok_; }
+  const cpu_set_t& saved() const { return saved_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+// Lanes are sized from the CPUs the process may run on, not from every
+// online CPU: a run pinned to one CPU spawns no lane thread.
+TEST(ShardedEngine, PinnedRunSpawnsNoLanes) {
+  AffinityGuard guard;
+  ASSERT_TRUE(guard.ok());
+  int cpu = 0;
+  while (cpu + 1 < CPU_SETSIZE && !CPU_ISSET(cpu, &guard.saved())) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  TraceRecorder trace;
+  ShardedEngineOptions options;
+  options.shards = 1;
+  options.trace = &trace;
+  ShardedEngine engine(options);
+  for (const char* name : {"cm0", "cm1", "cm2"}) {
+    ASSERT_TRUE(engine
+                    .AddSketch(SketchFactory::Of<CountMin>(
+                        name, size_t{4}, size_t{64}, uint64_t{3}, false))
+                    .ok());
+  }
+  const Stream stream = ZipfStream(kUniverse, 1.2, 5000, kSeed);
+  EXPECT_EQ(engine.Run(VectorSource(stream)).items_ingested, stream.size());
+  EXPECT_EQ(trace.ToJson().find("shard-0-lane-1"), std::string::npos);
 }
 
 }  // namespace
