@@ -5,20 +5,19 @@
 // `SocketSource`, which feeds the sharded engine exactly like any other
 // `ItemSource`. This bench prices that path: it runs the same Zipf
 // workload (a) straight from the generator (the no-transport upper
-// bound), (b) over a TCP stream, (c) over UDP datagrams, and each socket
-// mode again behind a `PrefetchSource` (receive on a background thread,
-// overlapping the engine's hashing) — and reports sustained items/sec,
-// wire throughput, and the receiver's loss/timeout tallies.
+// bound), (b) over a TCP stream and (c) over UDP datagrams, and reports
+// sustained items/sec, wire throughput, and the receiver's loss/timeout
+// tallies. The engine's partitioner pulls the socket while its shard
+// workers ingest, so receive already overlaps hashing.
 //
 // Expected shape: TCP lands within a small factor of direct ingest (one
 // memcpy and a read(2) per 64 KiB chunk of frames); UDP pays one recvfrom
 // per ~1000-item datagram and may drop under burst (drops are *counted*,
-// never silent — the drops column is the point); prefetch helps exactly
-// when receive and ingest otherwise contend for the one drain thread.
+// never silent — the drops column is the point).
 //
 // Usage: bench_net_ingest [items] [mode_list]
-// (defaults: 2000000, "direct,tcp,udp,tcp+prefetch,udp+prefetch").
-// Modes: direct | tcp | udp, each optionally suffixed "+prefetch".
+// (defaults: 2000000, "direct,tcp,udp"). Modes: direct | tcp | udp; any
+// other mode is a usage error (exit 2).
 
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +32,6 @@
 #include "baselines/count_min.h"
 #include "baselines/space_saving.h"
 #include "bench_util.h"
-#include "net/prefetch_source.h"
 #include "net/socket_source.h"
 #include "net/trace_streamer.h"
 #include "shard/sharded_engine.h"
@@ -77,23 +75,15 @@ ModeResult RunMode(const std::string& mode, uint64_t items) {
   ModeResult result;
   result.mode = mode;
 
-  const bool prefetch = mode.find("+prefetch") != std::string::npos;
-  const std::string transport_name = mode.substr(0, mode.find('+'));
-
   ShardedEngine engine(EngineOptions());
   AddRoster(&engine);
   const auto start = std::chrono::steady_clock::now();
 
-  if (transport_name == "direct") {
-    GeneratorSource source = ZipfSource(kFlows, kSkew, items, kSeed);
-    if (prefetch) {
-      PrefetchSource prefetched(&source);
-      result.items_ingested = engine.Run(prefetched).items_ingested;
-    } else {
-      result.items_ingested = engine.Run(source).items_ingested;
-    }
+  if (mode == "direct") {
+    result.items_ingested =
+        engine.Run(ZipfSource(kFlows, kSkew, items, kSeed)).items_ingested;
   } else {
-    const NetTransport transport = transport_name == "udp"
+    const NetTransport transport = mode == "udp"
                                        ? NetTransport::kUdp
                                        : NetTransport::kTcp;
     SocketSourceOptions receiver_options;
@@ -115,12 +105,7 @@ ModeResult RunMode(const std::string& mode, uint64_t items) {
       TraceStreamer(sender_options)
           .Stream(ZipfSource(kFlows, kSkew, items, kSeed));
     });
-    if (prefetch) {
-      PrefetchSource prefetched(&socket);
-      result.items_ingested = engine.Run(prefetched).items_ingested;
-    } else {
-      result.items_ingested = engine.Run(socket).items_ingested;
-    }
+    result.items_ingested = engine.Run(socket).items_ingested;
     sender.join();
     result.net = socket.stats();
     // A lossy UDP run is a *reported* short stream, never a silent one.
@@ -159,8 +144,15 @@ std::vector<std::string> SplitModes(const std::string& list) {
 int main(int argc, char** argv) {
   const uint64_t items =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000000ULL;
-  const std::string mode_list =
-      argc > 2 ? argv[2] : "direct,tcp,udp,tcp+prefetch,udp+prefetch";
+  const std::string mode_list = argc > 2 ? argv[2] : "direct,tcp,udp";
+  const std::vector<std::string> modes = SplitModes(mode_list);
+  for (const std::string& mode : modes) {
+    if (mode != "direct" && mode != "tcp" && mode != "udp") {
+      std::fprintf(stderr, "bench_net_ingest: unknown mode '%s'\n",
+                   mode.c_str());
+      return 2;
+    }
+  }
 
   bench::Banner("bench_net_ingest",
                 "the live-transport deployment shape (§1 motivation)",
@@ -177,7 +169,7 @@ int main(int argc, char** argv) {
   bench::CsvHeader(
       "net,mode,items,seconds,items_per_sec,wire_mib_per_sec,frames,"
       "frames_dropped,frames_truncated,poll_timeouts,clean,peak_rss_mib");
-  for (const std::string& mode : SplitModes(mode_list)) {
+  for (const std::string& mode : modes) {
     const ModeResult r = RunMode(mode, items);
     bench::Row("%-14s %12llu %10.3f %12.0f %10.1f %8llu %8llu %9llu %6s",
                r.mode.c_str(), static_cast<unsigned long long>(r.items_ingested),

@@ -2,10 +2,11 @@
 // cadence under live ingest.
 //
 // The durability checkpoints a `ShardedEngine` already takes double as
-// query-serving snapshots when `serve_snapshots` is on: each (shard,
-// sketch) checkpoint is published behind an atomic pointer swap, and any
-// number of reader threads can `Acquire()` consistent point-in-time views
-// while the workers race ahead. This bench puts a number on the resulting
+// query-serving snapshots when `serve_snapshots` is on: at each batch
+// boundary a shard publishes its progress and every sketch's latest
+// checkpoint as one roster behind an atomic pointer swap, and any number
+// of reader threads can `Acquire()` consistent point-in-time views while
+// the workers race ahead. This bench puts a number on the resulting
 // freshness/overhead dial: it sweeps the `CheckpointPolicy::EveryItems`
 // cadence, runs a query thread concurrently with ingest, and reports the
 // sustained query rate next to the staleness (items ingested but not yet
@@ -20,10 +21,9 @@
 // Usage: bench_serving [stream_length] [cadence_list] [full|delta]
 //                      [--obs-out <dir>]
 // (defaults: 3000000, "2000,10000,50000", delta). `delta` exercises the
-// double-buffered publication path: restorable sketches keep a persistent
-// delta base, so serving copies the base into a spare buffer instead of
-// publishing the mutable object (priced as bulk reads on the checkpoint
-// device).
+// copy-on-publish path: restorable sketches keep a persistent delta base,
+// so serving publishes a freshly minted copy of it instead of the mutable
+// object (priced as bulk reads on the checkpoint device).
 //
 // `--obs-out <dir>` instruments the sweep and writes the accumulated
 // telemetry as CI-friendly artifacts afterwards:
@@ -296,8 +296,8 @@ int main(int argc, char** argv) {
       "\nNote: mean/max_behind are sampled once per acquired complete view\n"
       "(items ingested engine-wide but not yet visible to that view); the\n"
       "bound is one cadence interval plus one partition batch per shard,\n"
-      "though a sampled value can read higher if the reader is descheduled\n"
-      "between loading the snapshots and the progress counters.\n"
+      "and it holds for every sample: a shard's progress and snapshot come\n"
+      "from the one roster it published at a batch boundary.\n"
       "final_behind is measured after ingest quiesces, so it shows the\n"
       "true end-of-run gap. Readers take no locks: query_qps holding a\n"
       "view is flat across cadences.\n");

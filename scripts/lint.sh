@@ -36,9 +36,12 @@ fi
 # structure that owns its accountant opens one epoch per item; one handed
 # a shared accountant leaves the epochs to its owner), and options,
 # triggers and adapters that no workload, bench or example drove are gone.
-# None of them may come back as a second way to configure the same thing.
-if grep -rnE '\bmanage_epochs\b|\buse_full_sample_and_hold\b|\b(ConcatSource|InterleaveSource)\b|\bkDirtyWords\b|\bDirtyWords\(|\bpartition_seed\b' src bench examples tests; then
-  echo "lint.sh: deleted surface (manage_epochs, use_full_sample_and_hold, ConcatSource/InterleaveSource, kDirtyWords/DirtyWords(), partition_seed) in src/, bench/, examples/ or tests/ — derive it, or keep it deleted" >&2
+# A shard serves one roster per batch boundary, so per-sketch serving
+# slots and a separate progress counter are gone too, as is the second
+# producer/consumer ring beside the engine's batch queues. None of them
+# may come back as a second way to do the same thing.
+if grep -rnE '\bmanage_epochs\b|\buse_full_sample_and_hold\b|\b(ConcatSource|InterleaveSource)\b|\bkDirtyWords\b|\bDirtyWords\(|\bpartition_seed\b|\bSketchServingSlots\b|\bshard_progress_|\bserving_slot\b|\bPrefetchSource\b' src bench examples tests; then
+  echo "lint.sh: deleted surface (manage_epochs, use_full_sample_and_hold, ConcatSource/InterleaveSource, kDirtyWords/DirtyWords(), partition_seed, SketchServingSlots, shard_progress_, serving_slot, PrefetchSource) in src/, bench/, examples/ or tests/ — derive it, or keep it deleted" >&2
   exit 1
 fi
 

@@ -36,7 +36,7 @@ class ItemSource {
   /// and returns the number written. Returns 0 (with `cap` > 0) exactly at
   /// end-of-stream; a call with `cap` == 0 returns 0 without consuming.
   ///
-  /// A live adapter (`SocketSource`, `PrefetchSource`) *may block* until
+  /// A live adapter (`SocketSource`) *may block* until
   /// items are available or end-of-stream is established — 0 still means
   /// only end-of-stream, never "no items yet". That is what lets
   /// `ForEachBatch` treat the first zero-length batch as the end of the

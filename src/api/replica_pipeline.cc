@@ -91,11 +91,7 @@ SketchRunReport AccountantSnapshot::DeltaTo(
 }
 
 ReplicaPipeline::ReplicaPipeline(ReplicaPipelineOptions options)
-    : options_(std::move(options)) {
-  if (options_.progress != nullptr) {
-    options_.progress->store(0, std::memory_order_release);
-  }
-}
+    : options_(std::move(options)) {}
 
 ReplicaPipeline::~ReplicaPipeline() { StopLanes(); }
 
@@ -115,20 +111,13 @@ void ReplicaPipeline::AttachNvm(size_t i, const NvmSpec& spec) {
   Rewire(&slots_[i]);
 }
 
-void ReplicaPipeline::EnableCheckpoints(
-    size_t i, SketchFactory factory, bool restorable,
-    std::shared_ptr<const ShardSnapshot>* serving_slot) {
+void ReplicaPipeline::EnableCheckpoints(size_t i, SketchFactory factory,
+                                        bool restorable) {
   const CheckpointPolicy& policy = options_.checkpoint_policy;
   if (!policy.enabled()) return;
   Slot& slot = slots_[i];
   slot.factory.emplace(std::move(factory));
   slot.restorable = restorable;
-  slot.serving_slot = serving_slot;
-  // Readers holding views from a previous run keep their snapshots alive
-  // through their own shared_ptrs.
-  if (serving_slot != nullptr) {
-    std::atomic_store(serving_slot, std::shared_ptr<const ShardSnapshot>());
-  }
   // The checkpoint device persists across this replica's checkpoints
   // (re-snapshotting the same region accrues wear).
   slot.ckpt_sink = std::make_unique<LiveNvmSink>(options_.checkpoint_nvm);
@@ -154,10 +143,15 @@ void ReplicaPipeline::Rewire(Slot* slot) {
   slot->tee = std::move(tee);
 }
 
-void ReplicaPipeline::BeginRun(MetricsRegistry* metrics,
-                               TraceRecorder* trace) {
+void ReplicaPipeline::BeginRun(
+    MetricsRegistry* metrics, TraceRecorder* trace,
+    std::shared_ptr<const ShardRoster>* roster) {
   metrics_ = metrics;
   trace_ = trace;
+  roster_ = roster;
+  // The empty roster of boundary 0 replaces the previous run's; readers
+  // holding views of it keep them alive through their own shared_ptrs.
+  PublishRoster();
   const size_t lanes =
       std::max<size_t>(1, std::min(options_.drain_lanes, slots_.size()));
   for (size_t lane = 1; lane < lanes; ++lane) {
@@ -369,13 +363,6 @@ void ReplicaPipeline::AtBatchBoundary(uint64_t processed) {
           static_cast<double>(slot.nvm->device().max_cell_wear()));
     }
   }
-  // Publish ingest progress *before* evaluating checkpoints, with release
-  // order: any snapshot published below carries items_at_checkpoint <=
-  // this store, so a reader loading slots then progress never computes
-  // negative staleness.
-  if (options_.progress != nullptr) {
-    options_.progress->store(processed, std::memory_order_release);
-  }
   // Triggers are evaluated at batch boundaries — deterministic for a fixed
   // item sequence and batching, since write counts and dirty sets are.
   const CheckpointPolicy& policy = options_.checkpoint_policy;
@@ -399,6 +386,19 @@ void ReplicaPipeline::AtBatchBoundary(uint64_t processed) {
         break;
     }
   }
+  PublishRoster();
+}
+
+// Swaps this boundary's progress and every sketch's latest checkpoint into
+// the serving slot as one immutable roster: the only store to it.
+void ReplicaPipeline::PublishRoster() {
+  if (roster_ == nullptr) return;
+  auto roster = std::make_shared<ShardRoster>();
+  roster->items = processed_;
+  roster->snapshots.reserve(slots_.size());
+  for (const Slot& slot : slots_) roster->snapshots.push_back(slot.published);
+  std::atomic_store(roster_,
+                    std::shared_ptr<const ShardRoster>(std::move(roster)));
 }
 
 // Serializes the live sketch into its snapshot, pricing the writes on the
@@ -464,11 +464,12 @@ void ReplicaPipeline::Checkpoint(Slot* slot, uint64_t processed) {
     (full ? t.ckpt_full : t.ckpt_delta)->Increment();
     t.ckpt_words->Increment(track.acc.word_writes - ckpt_words_before);
   }
-  if (slot->serving_slot == nullptr) return;
+  if (roster_ == nullptr) return;
   TraceSpan publish_span(trace_, "checkpoint_publish", "checkpoint");
-  // Publish the capture for concurrent readers. Whenever the checkpoint
-  // minted a snapshot that nothing will mutate again — every checkpoint
-  // outside (kDelta && restorable) — publish it directly, zero-copy. In
+  // Serve the capture; the boundary's roster carries it to readers.
+  // Whenever the checkpoint minted a snapshot that nothing will mutate
+  // again — every checkpoint outside (kDelta && restorable) — publish it
+  // directly, zero-copy. In
   // delta mode the base snapshot is the mutation target of the *next*
   // delta, so serve a freshly minted copy instead, priced as bulk reads
   // of the checkpoint region (serving re-reads durable state; reads cost
@@ -493,8 +494,7 @@ void ReplicaPipeline::Checkpoint(Slot* slot, uint64_t processed) {
   published->items_at_checkpoint = processed;
   published->sequence =
       track.acc.full_checkpoints + track.acc.delta_checkpoints;
-  std::atomic_store(slot->serving_slot,
-                    std::shared_ptr<const ShardSnapshot>(std::move(published)));
+  slot->published = std::move(published);
   ++track.acc.snapshots_published;
   if (metrics_ != nullptr) t.published->Increment();
 }

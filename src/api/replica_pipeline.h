@@ -1,7 +1,6 @@
 #ifndef FEWSTATE_API_REPLICA_PIPELINE_H_
 #define FEWSTATE_API_REPLICA_PIPELINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -51,7 +50,7 @@ struct SketchRunReport {
   uint64_t full_checkpoints = 0;
   uint64_t delta_checkpoints = 0;
   /// Checkpoint rows of serving runs only (0 elsewhere): snapshots
-  /// published to the lock-free serving slots for concurrent readers
+  /// published in the shard's serving rosters for concurrent readers
   /// (`ShardedEngineOptions::serve_snapshots`).
   uint64_t snapshots_published = 0;
 
@@ -94,10 +93,6 @@ struct ReplicaPipelineOptions {
   CheckpointPolicy checkpoint_policy;
   /// Device spec each checkpointed sketch's snapshots are priced on.
   NvmSpec checkpoint_nvm;
-  /// Serving only (null otherwise): this pipeline's ingest-progress
-  /// counter, zeroed at construction and stored with release order at
-  /// every batch boundary before any checkpoint trigger is evaluated.
-  std::atomic<uint64_t>* progress = nullptr;
   /// Parallel lanes `Drain` runs the replicas on: slot `i` belongs to
   /// lane `i mod L`, lane 0 is the calling thread and lanes 1..L-1 are
   /// threads `BeginRun` starts. Clamped to [1, number of sketches]; 1
@@ -173,10 +168,8 @@ class ReplicaPipeline {
 
   /// \brief Checkpoints sketch `i` under the pipeline's policy, minting
   /// snapshot replicas from `factory`. `restorable` selects exact restores
-  /// (and delta snapshots) over merge-based full snapshots. A non-null
-  /// `serving_slot` is cleared here and receives every checkpoint.
-  void EnableCheckpoints(size_t i, SketchFactory factory, bool restorable,
-                         std::shared_ptr<const ShardSnapshot>* serving_slot);
+  /// (and delta snapshots) over merge-based full snapshots.
+  void EnableCheckpoints(size_t i, SketchFactory factory, bool restorable);
 
   size_t size() const { return slots_.size(); }
   const std::string& name(size_t i) const { return slots_[i].name; }
@@ -191,8 +184,12 @@ class ReplicaPipeline {
   const Sketch* snapshot(size_t i) const { return slots_[i].snapshot.get(); }
 
   /// \brief Starts the run: binds telemetry (both borrowed; null = off)
-  /// and starts lanes 1..L-1.
-  void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace);
+  /// and starts lanes 1..L-1. A non-null `roster` (the engine's serving
+  /// slot for this shard) gets an empty `ShardRoster` now and, at the end
+  /// of every batch boundary, one roster holding the boundary's item count
+  /// and every sketch's latest checkpoint.
+  void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
+                std::shared_ptr<const ShardRoster>* roster = nullptr);
 
   /// \brief Lanes this run drains on (1 before `BeginRun` and after
   /// `Report`).
@@ -207,7 +204,7 @@ class ReplicaPipeline {
   void Drain(const Item* items, size_t n);
 
   /// \brief Batch-boundary work after `processed` items this run:
-  /// telemetry, serving progress, then checkpoint triggers.
+  /// telemetry, checkpoint triggers, then the serving roster.
   void AtBatchBoundary(uint64_t processed);
 
   /// \brief End-of-run barrier: joins the lanes, flushes every device and
@@ -249,7 +246,8 @@ class ReplicaPipeline {
     std::unique_ptr<LiveNvmSink> ckpt_sink;  // checkpoint device
     std::optional<SketchFactory> factory;    // checkpointed only
     bool restorable = false;
-    std::shared_ptr<const ShardSnapshot>* serving_slot = nullptr;
+    // Serving only: the latest checkpoint as readers see it.
+    std::shared_ptr<const ShardSnapshot> published;
     // The most recent checkpoint (persistent across checkpoints in delta
     // mode, replaced by full ones). Shared because full-mode serving
     // publishes it directly.
@@ -272,6 +270,7 @@ class ReplicaPipeline {
 
   void Rewire(Slot* slot);
   void Checkpoint(Slot* slot, uint64_t processed);
+  void PublishRoster();
   // Runs part `lane` of every pre-stage, then drains one batch into lane
   // `lane`'s slots, of `lanes` in all; returns the lane's first failure.
   std::exception_ptr DrainLane(size_t lane, size_t lanes, const Item* items,
@@ -284,6 +283,7 @@ class ReplicaPipeline {
   std::vector<Slot> slots_;
   MetricsRegistry* metrics_ = nullptr;
   TraceRecorder* trace_ = nullptr;
+  std::shared_ptr<const ShardRoster>* roster_ = nullptr;  // serving only
   uint64_t processed_ = 0;
   Counter* items_ = nullptr;    // telemetry on only
   Counter* batches_ = nullptr;

@@ -310,9 +310,8 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
                  "checkpoints)\n");
     std::abort();
   }
-  // Stable heap address: ServingHandles point at this array for the
-  // engine's lifetime. Value-initialized, i.e. zero.
-  shard_progress_.reset(new std::atomic<uint64_t>[options_.shards]());
+  // Null until a serving Run begins.
+  rosters_.resize(options_.shards);
 }
 
 Status ShardedEngine::AddSketch(SketchFactory factory) {
@@ -348,10 +347,6 @@ Status ShardedEngine::AddSketchEntry(SketchFactory factory, bool has_nvm,
   const bool restorable = IsRestorable(*probe);
   Entry entry{std::move(factory), mergeable, restorable, has_nvm, nvm_spec};
   entries_.push_back(std::move(entry));
-  // Publication slots live at a stable heap address from registration on,
-  // so ServingHandles obtained before any Run stay valid for the engine's
-  // lifetime.
-  serving_.push_back(std::make_unique<SketchServingSlots>(options_.shards));
   return Status::OK();
 }
 
@@ -416,8 +411,7 @@ ServingHandle ShardedEngine::Serving(const std::string& name) const {
     acquires = options_.metrics->GetCounter("fewstate_view_acquires_total",
                                             {{"sketch", name}});
   }
-  return ServingHandle(serving_[i].get(), shard_progress_.get(), staleness,
-                       acquires);
+  return ServingHandle(&rosters_, i, staleness, acquires);
 }
 
 ShardedRunReport ShardedEngine::Run(ItemSource& source) {
@@ -440,8 +434,8 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
   // consumes its replicas by merging them. Entries with an NVM spec get
   // one live device per replica; checkpoint devices (and dirty trackers,
   // for delta policies) go to the entries that can be snapshotted —
-  // mergeable or restorable ones. A serving pipeline starts from zero
-  // published state (its progress counter and publication slots cleared).
+  // mergeable or restorable ones. A serving pipeline starts by publishing
+  // an empty roster, before the first pull.
   // Each shard drains its replicas on up to (CPUs - 1) / S lanes: one CPU
   // stays with the partitioner, so S workers and their lanes never
   // oversubscribe the CPUs this process may use, and a multi-shard engine
@@ -456,19 +450,17 @@ ShardedRunReport ShardedEngine::Run(ItemSource& source) {
     po.checkpoint_policy = options_.checkpoint_policy;
     po.checkpoint_nvm = options_.checkpoint_nvm;
     po.drain_lanes = drain_lanes;
-    if (options_.serve_snapshots) po.progress = &shard_progress_[s];
     auto pipeline = std::make_unique<ReplicaPipeline>(std::move(po));
     for (size_t i = 0; i < num_sketches; ++i) {
       const Entry& e = entries_[i];
       pipeline->Add(e.factory.name(), e.factory.Make());
       if (e.has_nvm) pipeline->AttachNvm(i, e.nvm_spec);
       if (checkpointing && (e.mergeable || e.restorable)) {
-        pipeline->EnableCheckpoints(
-            i, e.factory, e.restorable,
-            options_.serve_snapshots ? &serving_[i]->slots[s] : nullptr);
+        pipeline->EnableCheckpoints(i, e.factory, e.restorable);
       }
     }
-    pipeline->BeginRun(metrics, trace);
+    pipeline->BeginRun(metrics, trace,
+                       options_.serve_snapshots ? &rosters_[s] : nullptr);
     pipelines_.push_back(std::move(pipeline));
   }
 

@@ -1,7 +1,6 @@
 #ifndef FEWSTATE_SHARD_SHARDED_ENGINE_H_
 #define FEWSTATE_SHARD_SHARDED_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -53,10 +52,11 @@ struct ShardedEngineOptions {
   /// fatal setup error (like invalid registration).
   NvmSpec checkpoint_nvm;
   /// Publish each (shard, sketch) checkpoint for lock-free concurrent
-  /// reads: after a checkpoint lands, the worker swaps an immutable
-  /// `ShardSnapshot` into the sketch's per-shard publication slot, and
-  /// reader threads holding a `ServingHandle` (see `Serving`) acquire
-  /// point-in-time views during the run with zero worker coordination.
+  /// reads: at the end of every batch boundary the shard's worker swaps
+  /// one immutable `ShardRoster` (its progress plus every sketch's latest
+  /// `ShardSnapshot`) into the shard's serving slot, and reader threads
+  /// holding a `ServingHandle` (see `Serving`) acquire point-in-time
+  /// views during the run with zero worker coordination.
   /// Requires `checkpoint_policy` (nothing publishes without
   /// checkpoints). In `Snapshot::kFull` mode publication is free — the
   /// freshly-minted snapshot replica is published as-is; in
@@ -292,9 +292,9 @@ class ShardedEngine {
   /// consistent point-in-time `SnapshotView` at any moment during or
   /// after the run. Views are empty unless the engine runs with
   /// `serve_snapshots` and a checkpoint policy. The handle stays valid
-  /// for the engine's lifetime, across `Run` calls (each `Run` clears the
-  /// publication slots at start; views already acquired keep their
-  /// snapshots alive independently).
+  /// for the engine's lifetime, across `Run` calls (each `Run` publishes
+  /// an empty roster per shard before its first pull; views already
+  /// acquired keep their snapshots alive independently).
   ServingHandle Serving(const std::string& name) const;
 
   /// \brief The report of the most recent `Run` (empty before the first).
@@ -324,16 +324,12 @@ class ShardedEngine {
   // inspect replicas and devices and recovery can price against
   // checkpoint sinks afterwards.
   std::vector<std::unique_ptr<ReplicaPipeline>> pipelines_;
-  // serving_[sketch]: per-shard publication slots, created at AddSketch
-  // and never moved (ServingHandles point at them for the engine's
-  // lifetime). Written by shard workers via std::atomic_store when
+  // rosters_[shard]: the shard's serving record. ServingHandles point at
+  // this vector for the engine's lifetime (the engine never moves).
+  // Stored by the shard's pipeline via std::atomic_store when
   // options_.serve_snapshots; read by any thread via std::atomic_load.
-  std::vector<std::unique_ptr<SketchServingSlots>> serving_;
-  // shard_progress_[shard]: items the shard's worker has ingested this
-  // Run, stored with release order before checkpoint evaluation so a
-  // published snapshot's items_at_checkpoint is never ahead of it.
-  // Heap array at a stable address for the same handle-lifetime reason.
-  std::unique_ptr<std::atomic<uint64_t>[]> shard_progress_;
+  // Sized once, at construction, and never resized.
+  std::vector<std::shared_ptr<const ShardRoster>> rosters_;
   ShardedRunReport last_report_;
 };
 

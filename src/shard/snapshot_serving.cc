@@ -2,25 +2,31 @@
 
 namespace fewstate {
 
-SnapshotView ServingHandle::Acquire() const {
+std::vector<std::shared_ptr<const ShardRoster>> ServingHandle::Load() const {
+  std::vector<std::shared_ptr<const ShardRoster>> rosters;
+  if (rosters_ == nullptr) return rosters;
+  rosters.reserve(rosters_->size());
+  for (const std::shared_ptr<const ShardRoster>& slot : *rosters_) {
+    rosters.push_back(std::atomic_load(&slot));
+  }
+  return rosters;
+}
+
+SnapshotView ServingHandle::Cut(
+    const std::vector<std::shared_ptr<const ShardRoster>>& rosters) const {
   SnapshotView view;
-  if (slots_ == nullptr) return view;
-  const size_t shards = slots_->slots.size();
-  view.shards_.resize(shards);
-  view.progress_.resize(shards, 0);
-  // Slots first, progress second. A worker stores progress (release)
-  // *before* publishing the checkpoint that covers it, so loading in the
-  // opposite order guarantees progress >= items_at_checkpoint for every
-  // slot we see — staleness can read high (a racing batch), never
-  // negative.
-  for (size_t s = 0; s < shards; ++s) {
-    view.shards_[s] = std::atomic_load(&slots_->slots[s]);
+  view.shards_.resize(rosters.size());
+  view.progress_.resize(rosters.size(), 0);
+  for (size_t s = 0; s < rosters.size(); ++s) {
+    if (rosters[s] == nullptr) continue;
+    view.progress_[s] = rosters[s]->items;
+    // A sketch registered after the roster's run started has no entry.
+    if (sketch_ < rosters[s]->snapshots.size()) {
+      view.shards_[s] = rosters[s]->snapshots[sketch_];
+    }
   }
-  for (size_t s = 0; s < shards; ++s) {
-    view.progress_[s] = progress_[s].load(std::memory_order_acquire);
-  }
-  // Serving telemetry (opt-in): count the acquire, and record staleness
-  // for complete views — an incomplete view's missing shards make
+  // Serving telemetry (opt-in): count the view, and record staleness for
+  // complete views — an incomplete view's missing shards make
   // items_behind() meaningless as a staleness figure.
   if (acquires_ != nullptr) acquires_->Increment();
   if (staleness_ != nullptr && view.complete()) {
@@ -28,6 +34,8 @@ SnapshotView ServingHandle::Acquire() const {
   }
   return view;
 }
+
+SnapshotView ServingHandle::Acquire() const { return Cut(Load()); }
 
 double SnapshotView::EstimateFrequency(Item item) const {
   double total = 0.0;
@@ -48,15 +56,11 @@ size_t SnapshotView::shards_published() const {
 }
 
 uint64_t SnapshotView::items_behind() const {
-  uint64_t behind = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const uint64_t at_checkpoint =
-        shards_[s] != nullptr ? shards_[s]->items_at_checkpoint : 0;
-    // Saturate: a view acquired across a Run restart can pair a fresh
-    // (reset) progress counter with an old slot.
-    if (progress_[s] > at_checkpoint) behind += progress_[s] - at_checkpoint;
-  }
-  return behind;
+  // Each shard's progress and snapshot come from one roster, so progress
+  // covers the snapshot and nothing needs to saturate.
+  uint64_t progress = 0;
+  for (const uint64_t items : progress_) progress += items;
+  return progress - items_visible();
 }
 
 uint64_t SnapshotView::items_visible() const {

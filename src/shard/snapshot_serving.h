@@ -12,16 +12,19 @@
 
 namespace fewstate {
 
+// shard/view_query.h
+struct ConsistentViews;
+
 /// \brief One published (shard, sketch) checkpoint: an immutable sketch
 /// replica plus the point-in-time metadata a reader needs to reason about
 /// it.
 ///
-/// Publication freezes the triple atomically — the sketch pointer, the
-/// shard's item count at the checkpoint, and the checkpoint ordinal all
-/// travel in one `shared_ptr` swap — so a reader can never observe a
-/// sketch paired with another checkpoint's metadata. The referenced
-/// sketch is immutable from publication onward (the engine's delta
-/// machinery never overwrites a published replica; see
+/// The sketch pointer, the shard's item count at the checkpoint and the
+/// checkpoint ordinal are one immutable object, published inside a
+/// `ShardRoster`, so a reader can never observe a sketch paired with
+/// another checkpoint's metadata.
+/// The referenced sketch is immutable from publication onward (the
+/// engine's delta machinery never overwrites a published replica; see
 /// `ShardedEngineOptions::serve_snapshots`), which is what makes
 /// concurrent `EstimateFrequency` calls race-free without any reader-side
 /// locking.
@@ -29,28 +32,31 @@ struct ShardSnapshot {
   /// Crash-consistent replica of one shard's sketch at the checkpoint.
   std::shared_ptr<const Sketch> sketch;
   /// Items this shard had ingested when the checkpoint was taken — the
-  /// view's per-shard freshness marker (compare with the shard's live
-  /// ingest progress for staleness).
+  /// view's per-shard freshness marker (compare with the roster's `items`
+  /// for staleness).
   uint64_t items_at_checkpoint = 0;
   /// 1-based checkpoint ordinal on this (shard, sketch) pair.
   uint64_t sequence = 0;
 };
 
-/// \brief Internal publication state for one registered sketch: one
-/// atomic `shared_ptr` slot per shard plus a borrowed view of the
-/// engine's per-shard ingest progress counters.
+/// \brief Everything one shard serves, as of one batch boundary: the
+/// items the shard had ingested there and every registered sketch's
+/// latest checkpoint.
 ///
-/// Slots are written by shard workers (`std::atomic_store` on the
-/// `shared_ptr`) and read by any number of query threads
-/// (`std::atomic_load`) with zero coordination: a swap publishes, a load
-/// acquires, and the `shared_ptr` control block keeps superseded
-/// snapshots alive for exactly as long as some reader still holds them.
-/// Owned by `ShardedEngine` at a stable heap address, so `ServingHandle`s
-/// stay valid across `Run` calls for the engine's lifetime.
-struct SketchServingSlots {
-  explicit SketchServingSlots(size_t shards) : slots(shards) {}
-  /// Per-shard publication slot; null until the shard's first checkpoint.
-  std::vector<std::shared_ptr<const ShardSnapshot>> slots;
+/// The shard worker builds a fresh roster at the end of each boundary,
+/// after its checkpoints, and publishes it with one `std::atomic_store`
+/// into the engine's slot for the shard; readers take it with one
+/// `std::atomic_load`. A roster is immutable once published, so progress
+/// and every sketch's snapshot in it describe the same boundary. A view
+/// keeps only its own sketch's snapshots, whose `shared_ptr` counts keep
+/// them alive for exactly as long as some view holds them.
+struct ShardRoster {
+  /// Items the shard had ingested at the boundary; never below any
+  /// snapshot's `items_at_checkpoint`.
+  uint64_t items = 0;
+  /// Per registered sketch, in registration order: its latest checkpoint,
+  /// or null until its first.
+  std::vector<std::shared_ptr<const ShardSnapshot>> snapshots;
 };
 
 /// \brief A consistent point-in-time view over the S published shard
@@ -89,10 +95,10 @@ class SnapshotView {
   bool complete() const { return shards_published() == shards(); }
 
   /// \brief Staleness in items: sum over shards of (items the shard had
-  /// ingested when the view was acquired − items at the shard's published
-  /// checkpoint). This is exactly the data that exists in the engine but
-  /// is not yet visible to this view — bounded by the `CheckpointPolicy`
-  /// cadence (plus one partition batch per shard).
+  /// ingested at the boundary the view was cut from − items at the
+  /// shard's published checkpoint). This is exactly the data that exists
+  /// in the engine but is not yet visible to this view — bounded by the
+  /// `CheckpointPolicy` cadence (plus one partition batch per shard).
   uint64_t items_behind() const;
 
   /// \brief Sum over shards of the published checkpoints' item counts —
@@ -107,16 +113,15 @@ class SnapshotView {
   /// \brief Shard `s`'s snapshot metadata, or nullptr.
   const ShardSnapshot* shard_snapshot(size_t s) const;
 
-  /// \brief Items shard `s` had ingested when this view was acquired.
+  /// \brief Items shard `s` had ingested at the boundary the view was cut
+  /// from; at least `shard_snapshot(s)->items_at_checkpoint`.
   uint64_t shard_progress(size_t s) const { return progress_[s]; }
 
  private:
   friend class ServingHandle;
 
   std::vector<std::shared_ptr<const ShardSnapshot>> shards_;
-  // Per-shard ingest progress sampled at acquire time (after the slot
-  // loads, so progress >= items_at_checkpoint modulo run restarts; the
-  // staleness arithmetic saturates regardless).
+  // Per shard: the cut roster's item count (0 without a roster).
   std::vector<uint64_t> progress_;
 };
 
@@ -127,16 +132,16 @@ class SnapshotView {
 /// Obtain one with `ShardedEngine::Serving(name)` *before* starting the
 /// run whose checkpoints it should observe, hand it to query threads, and
 /// call `Acquire()` whenever a fresh consistent view is wanted. Acquiring
-/// never blocks ingest: it is S `shared_ptr` atomic loads plus S relaxed
-/// counter reads, with no engine-level lock anywhere on the path.
+/// never blocks ingest: it is S `shared_ptr` atomic loads, one roster per
+/// shard, with no engine-level lock anywhere on the path.
 ///
 /// When the engine runs with `ShardedEngineOptions::metrics`, the handle
-/// also feeds serving telemetry: every `Acquire` bumps
-/// `fewstate_view_acquires_total{sketch}`, and every *complete* view's
-/// `items_behind()` lands in the `fewstate_view_staleness_items{sketch}`
-/// histogram (incomplete views have no meaningful staleness — some
-/// shard's items are not visible at all). Both are relaxed-atomic, so
-/// reader threads stay lock-free.
+/// also feeds serving telemetry: every view it cuts (by `Acquire` or
+/// `AcquireAll`) bumps `fewstate_view_acquires_total{sketch}`, and every
+/// *complete* view's `items_behind()` lands in the
+/// `fewstate_view_staleness_items{sketch}` histogram (incomplete views
+/// have no meaningful staleness — some shard's items are not visible at
+/// all). Both are relaxed-atomic, so reader threads stay lock-free.
 class ServingHandle {
  public:
   /// \brief An invalid handle; `ok()` is false and `Acquire()` returns an
@@ -144,25 +149,34 @@ class ServingHandle {
   ServingHandle() = default;
 
   /// \brief True iff the handle is bound to a registered sketch.
-  bool ok() const { return slots_ != nullptr; }
+  bool ok() const { return rosters_ != nullptr; }
 
-  /// \brief Snapshots the current published state of every shard into a
-  /// `SnapshotView`. Thread-safe; never blocks workers.
+  /// \brief Loads every shard's current roster and cuts this sketch's
+  /// `SnapshotView` from them. Thread-safe; never blocks workers.
   SnapshotView Acquire() const;
 
  private:
   friend class ShardedEngine;
+  friend ConsistentViews AcquireAll(const std::vector<ServingHandle>& handles,
+                                    int max_attempts);
 
-  ServingHandle(const SketchServingSlots* slots,
-                const std::atomic<uint64_t>* progress,
-                Histogram* staleness = nullptr, Counter* acquires = nullptr)
-      : slots_(slots),
-        progress_(progress),
+  ServingHandle(const std::vector<std::shared_ptr<const ShardRoster>>* rosters,
+                size_t sketch, Histogram* staleness = nullptr,
+                Counter* acquires = nullptr)
+      : rosters_(rosters),
+        sketch_(sketch),
         staleness_(staleness),
         acquires_(acquires) {}
 
-  const SketchServingSlots* slots_ = nullptr;      // owned by the engine
-  const std::atomic<uint64_t>* progress_ = nullptr;  // [shards] array
+  // One atomic load per shard.
+  std::vector<std::shared_ptr<const ShardRoster>> Load() const;
+  // This sketch's view of `rosters` (a `Load()` result), with telemetry.
+  SnapshotView Cut(
+      const std::vector<std::shared_ptr<const ShardRoster>>& rosters) const;
+
+  // The engine's roster slots, one per shard; null for an invalid handle.
+  const std::vector<std::shared_ptr<const ShardRoster>>* rosters_ = nullptr;
+  size_t sketch_ = 0;  // registration index
   // Optional telemetry (engine-owned registry); null when metrics are off.
   Histogram* staleness_ = nullptr;
   Counter* acquires_ = nullptr;

@@ -1,6 +1,7 @@
 #include "shard/view_query.h"
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <unordered_set>
 
@@ -114,17 +115,25 @@ ConsistentViews AcquireAll(const std::vector<ServingHandle>& handles,
   ConsistentViews result;
   result.views.resize(handles.size());
   if (max_attempts < 1) max_attempts = 1;
+  std::vector<std::vector<std::shared_ptr<const ShardRoster>>> loads(
+      handles.size());
   for (result.attempts = 1; result.attempts <= max_attempts;
        ++result.attempts) {
+    // One roster load per shard of each engine: handles on the same
+    // engine cut their views from the first such handle's load, so their
+    // snapshots come from the same boundary.
     for (size_t i = 0; i < handles.size(); ++i) {
-      result.views[i] = handles[i].Acquire();
+      size_t first = 0;
+      while (handles[first].rosters_ != handles[i].rosters_) ++first;
+      if (first == i) loads[i] = handles[i].Load();
+      result.views[i] = handles[i].Cut(loads[first]);
     }
     if (ViewsAligned(result.views)) {
       result.consistent = true;
       return result;
     }
-    // A checkpoint was published mid-round; let the workers finish the
-    // boundary and re-acquire.
+    // Under WriteBudget the sketches checkpointed at different boundaries;
+    // let the workers run on and re-acquire.
     std::this_thread::yield();
   }
   result.attempts = max_attempts;

@@ -51,7 +51,7 @@ struct ConsistentViews {
   /// `items_at_checkpoint` (and on whether the shard has published at
   /// all) — the views describe the same per-shard stream prefixes.
   bool consistent = false;
-  /// Acquire rounds spent (>= 1); useful in tests and telemetry.
+  /// Roster-load rounds spent (>= 1).
   int attempts = 0;
 };
 
@@ -60,14 +60,14 @@ struct ConsistentViews {
 /// SpaceSaving candidate list scored against a CountMin view) describe
 /// the same stream prefix.
 ///
-/// Retries up to `max_attempts` rounds, re-acquiring whenever a
-/// checkpoint was published mid-round. Convergence is expected under
-/// `CheckpointPolicy::EveryItems` — the engine evaluates all of a shard's
-/// sketches at the same batch boundaries, so their checkpoints land at
-/// identical item counts — and guaranteed once ingest has quiesced. Under
-/// the per-sketch `WriteBudget` trigger different sketches checkpoint at
-/// genuinely different points and the result is best-effort: the last
-/// round's views with `consistent == false`.
+/// A round loads each shard's `ShardRoster` once and cuts every handle's
+/// view from that load (handles on different engines get one load per
+/// engine). Under `CheckpointPolicy::EveryItems` all of a shard's sketches
+/// checkpoint at the same boundaries, so the first round is consistent by
+/// construction. Under the per-sketch `WriteBudget` trigger sketches
+/// checkpoint at genuinely different points; the call re-loads for up to
+/// `max_attempts` rounds and otherwise returns the last round's views with
+/// `consistent == false`.
 ConsistentViews AcquireAll(const std::vector<ServingHandle>& handles,
                            int max_attempts = 64);
 

@@ -31,6 +31,7 @@
 #include "recover/checkpoint_policy.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
+#include "shard/view_query.h"
 #include "stream/generators.h"
 
 namespace fewstate {
@@ -338,6 +339,65 @@ TEST(ObsPipeline, ShardedServingRunReconcilesExactly) {
   EXPECT_TRUE(seen.count({"i", "policy_trigger"}));
   EXPECT_TRUE(seen.count({"M", "thread_name"}));
   EXPECT_EQ(trace.dropped_events(), 0u);
+}
+
+// Serving telemetry counts views, however they are cut: one AcquireAll
+// round over k handles adds exactly what k Acquire() calls add — one
+// acquire per view, and one staleness observation per complete view.
+TEST(ObsPipeline, AcquireAllRoundCountsLikeAcquireCalls) {
+  MetricsRegistry registry;
+  ShardedEngineOptions options;
+  options.shards = kShards;
+  options.batch_items = kBatch;
+  options.checkpoint_policy =
+      CheckpointPolicy::EveryItems(kEvery, CheckpointPolicy::Snapshot::kFull);
+  options.checkpoint_nvm = SmallSpec();
+  options.serve_snapshots = true;
+  options.metrics = &registry;
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
+  ASSERT_TRUE(engine.AddSketch(MisraGriesFactory()).ok());
+  const std::vector<std::string> names = {"count_min", "misra_gries"};
+  const std::vector<ServingHandle> handles = {engine.Serving(names[0]),
+                                              engine.Serving(names[1])};
+  // (acquires, staleness observations) per sketch.
+  const auto counts = [&] {
+    const MetricsSnapshot snap = registry.Snapshot();
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    for (const std::string& name : names) {
+      const HistogramSample* staleness = snap.FindHistogram(
+          "fewstate_view_staleness_items", {{"sketch", name}});
+      out.emplace_back(
+          snap.CounterValue("fewstate_view_acquires_total", {{"sketch", name}}),
+          staleness != nullptr ? staleness->count : 0);
+    }
+    return out;
+  };
+  using Counts = std::vector<std::pair<uint64_t, uint64_t>>;
+
+  // Before any run every view is incomplete: acquires count, staleness
+  // does not.
+  const Counts start = counts();
+  ASSERT_EQ(AcquireAll(handles).attempts, 1);
+  EXPECT_EQ(counts(), (Counts{{start[0].first + 1, start[0].second},
+                              {start[1].first + 1, start[1].second}}));
+  for (const ServingHandle& h : handles) h.Acquire();
+  EXPECT_EQ(counts(), (Counts{{start[0].first + 2, start[0].second},
+                              {start[1].first + 2, start[1].second}}));
+
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.2, kLength, kSeed)));
+  const Counts ran = counts();
+  const ConsistentViews cut = AcquireAll(handles);
+  ASSERT_TRUE(cut.consistent);
+  ASSERT_EQ(cut.attempts, 1);
+  ASSERT_TRUE(cut.views[0].complete() && cut.views[1].complete());
+  const Counts after_round = counts();
+  EXPECT_EQ(after_round, (Counts{{ran[0].first + 1, ran[0].second + 1},
+                                 {ran[1].first + 1, ran[1].second + 1}}));
+  for (const ServingHandle& h : handles) h.Acquire();
+  EXPECT_EQ(counts(),
+            (Counts{{after_round[0].first + 1, after_round[0].second + 1},
+                    {after_round[1].first + 1, after_round[1].second + 1}}));
 }
 
 TEST(ObsPipeline, SingleShardReconcilesWithRunReport) {

@@ -41,7 +41,7 @@ constexpr uint64_t kFlows = 500;
 constexpr uint64_t kLength = 12000;
 constexpr uint64_t kCheckpointEvery = 2000;
 constexpr size_t kCachedSlot = 3;   // count_min's live device is cached
-constexpr size_t kServingSlot = 3;  // count_min publishes to serving
+constexpr size_t kServingSlot = 3;  // count_min: served snapshots compared
 
 // Far wider than stable_morris's projection memo, so it misses in every
 // batch and its pre-stage has parts for every lane.
@@ -92,19 +92,19 @@ NvmSpec Nvm(bool cached) {
 struct Outcome {
   std::vector<SketchFactory> roster;
   // Declared before the pipeline, which holds a pointer to it.
-  std::shared_ptr<const ShardSnapshot> serving;
+  std::shared_ptr<const ShardRoster> serving;
   std::unique_ptr<ReplicaPipeline> pipeline;
   size_t lanes = 0;
   std::vector<ReplicaSketchReport> rows;
   std::vector<std::vector<uint64_t>> live_wear;
   std::vector<std::vector<uint64_t>> ckpt_wear;
-  // (sequence, items_at_checkpoint) of the serving slot after each batch.
+  // (sequence, items_at_checkpoint) of kServingSlot's served snapshot
+  // after each batch.
   std::vector<std::pair<uint64_t, uint64_t>> published;
 };
 
 std::unique_ptr<ReplicaPipeline> BuildPipeline(
-    size_t drain_lanes, const std::vector<SketchFactory>& roster,
-    std::shared_ptr<const ShardSnapshot>* serving) {
+    size_t drain_lanes, const std::vector<SketchFactory>& roster) {
   ReplicaPipelineOptions options;
   options.labels = {{"shard", "0"}};
   options.checkpoint_policy = CheckpointPolicy::EveryItems(
@@ -119,8 +119,7 @@ std::unique_ptr<ReplicaPipeline> BuildPipeline(
     pipeline->Add(roster[i].name(), std::move(sketch));
     pipeline->AttachNvm(i, Nvm(i == kCachedSlot));
     if (mergeable || restorable) {
-      pipeline->EnableCheckpoints(i, roster[i], restorable,
-                                  i == kServingSlot ? serving : nullptr);
+      pipeline->EnableCheckpoints(i, roster[i], restorable);
     }
   }
   return pipeline;
@@ -131,9 +130,9 @@ void RunPipeline(size_t drain_lanes, const Stream& stream,
                  MetricsRegistry* metrics, TraceRecorder* trace, Outcome* out,
                  uint64_t flows = kFlows) {
   out->roster = Roster(flows);
-  out->pipeline = BuildPipeline(drain_lanes, out->roster, &out->serving);
+  out->pipeline = BuildPipeline(drain_lanes, out->roster);
   ReplicaPipeline& p = *out->pipeline;
-  p.BeginRun(metrics, trace);
+  p.BeginRun(metrics, trace, &out->serving);
   out->lanes = p.drain_lanes();
   const size_t batch_sizes[] = {1500, 700, 1, 2048, 333};
   uint64_t processed = 0;
@@ -143,8 +142,13 @@ void RunPipeline(size_t drain_lanes, const Stream& stream,
     p.Drain(stream.data() + processed, n);
     processed += n;
     p.AtBatchBoundary(processed);
-    const std::shared_ptr<const ShardSnapshot> snap =
+    const std::shared_ptr<const ShardRoster> served =
         std::atomic_load(&out->serving);
+    ASSERT_NE(served, nullptr);
+    ASSERT_EQ(served->items, processed);
+    ASSERT_EQ(served->snapshots.size(), p.size());
+    const std::shared_ptr<const ShardSnapshot>& snap =
+        served->snapshots[kServingSlot];
     if (snap != nullptr) {
       out->published.emplace_back(snap->sequence, snap->items_at_checkpoint);
     }
@@ -249,8 +253,9 @@ void ExpectSameOutcome(const Outcome& serial, const Outcome& lanes,
   EXPECT_EQ(serial.published, lanes.published);
   ASSERT_NE(serial.serving, nullptr);
   ASSERT_NE(lanes.serving, nullptr);
-  ExpectSameState(roster[kServingSlot], *serial.serving->sketch,
-                  *lanes.serving->sketch);
+  ExpectSameState(roster[kServingSlot],
+                  *serial.serving->snapshots[kServingSlot]->sketch,
+                  *lanes.serving->snapshots[kServingSlot]->sketch);
   // Continuing both replicas over the same items keeps them equal: the
   // random cursors of the non-restorable sketches match too.
   for (size_t i = 0; i < roster.size(); ++i) {
@@ -366,16 +371,15 @@ TEST(ReplicaPipelineLanes, WideUniversePreStageSplitsAcrossEveryLane) {
 }
 
 TEST(ReplicaPipelineLanes, LaneCountClampsToTheRoster) {
-  std::shared_ptr<const ShardSnapshot> serving;
   const std::vector<SketchFactory> roster = Roster();
-  std::unique_ptr<ReplicaPipeline> p = BuildPipeline(64, roster, &serving);
+  std::unique_ptr<ReplicaPipeline> p = BuildPipeline(64, roster);
   EXPECT_EQ(p->drain_lanes(), 1u);  // no lanes before the run
   p->BeginRun(nullptr, nullptr);
   EXPECT_EQ(p->drain_lanes(), roster.size());
   p->Report();
   EXPECT_EQ(p->drain_lanes(), 1u);  // joined
 
-  std::unique_ptr<ReplicaPipeline> zero = BuildPipeline(0, roster, &serving);
+  std::unique_ptr<ReplicaPipeline> zero = BuildPipeline(0, roster);
   zero->BeginRun(nullptr, nullptr);
   EXPECT_EQ(zero->drain_lanes(), 1u);
 }
@@ -383,8 +387,7 @@ TEST(ReplicaPipelineLanes, LaneCountClampsToTheRoster) {
 TEST(ReplicaPipelineLanes, TeardownWithoutReportJoinsTheLanes) {
   const Stream stream = ZipfStream(kFlows, 1.1, 3000, 44);
   for (size_t drains : {size_t{0}, size_t{3}}) {
-    std::shared_ptr<const ShardSnapshot> serving;
-    std::unique_ptr<ReplicaPipeline> p = BuildPipeline(3, Roster(), &serving);
+    std::unique_ptr<ReplicaPipeline> p = BuildPipeline(3, Roster());
     p->BeginRun(nullptr, nullptr);
     ASSERT_EQ(p->drain_lanes(), 3u);
     for (size_t b = 0; b < drains; ++b) {

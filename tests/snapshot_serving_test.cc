@@ -98,6 +98,20 @@ void ExpectViewMatchesPrefixReplay(const ShardedEngine& engine,
   }
 }
 
+// Every shard's progress is at least its snapshot's cut, and
+// items_behind() is the plain sum of the differences: a roster's progress
+// and snapshots describe one boundary, so nothing needs to saturate.
+void ExpectProgressCoversCuts(const SnapshotView& view) {
+  uint64_t behind = 0;
+  for (size_t s = 0; s < view.shards(); ++s) {
+    const ShardSnapshot* snap = view.shard_snapshot(s);
+    const uint64_t cut = snap != nullptr ? snap->items_at_checkpoint : 0;
+    ASSERT_GE(view.shard_progress(s), cut) << "shard " << s;
+    behind += view.shard_progress(s) - cut;
+  }
+  ASSERT_EQ(view.items_behind(), behind);
+}
+
 // The tentpole invariant, exercised under TSan: a reader thread hammers
 // Acquire()/EstimateFrequency() while the sharded ingest runs. Each
 // captured view must be a consistent checkpoint state with bounded
@@ -129,17 +143,10 @@ TEST(SnapshotServing, ConcurrentReadersSeeConsistentBoundedViews) {
       uint64_t last_seen_sequence = 0;
       while (!done.load(std::memory_order_acquire)) {
         SnapshotView view = handle.Acquire();
-        // The ordering guarantee: progress is released before the
-        // checkpoint that covers it publishes, and Acquire loads slots
-        // before progress, so a view can never claim negative staleness.
-        // (The cadence *bound* is asserted post-run on quiescent state —
-        // mid-run the reader can be descheduled between the two loads,
-        // which only ever inflates the apparent staleness.)
-        for (size_t s = 0; s < view.shards(); ++s) {
-          const ShardSnapshot* snap = view.shard_snapshot(s);
-          const uint64_t cut = snap != nullptr ? snap->items_at_checkpoint : 0;
-          ASSERT_GE(view.shard_progress(s), cut);
-        }
+        // Progress and snapshot come from one roster, so a view can
+        // never claim negative staleness. (The cadence *bound* is
+        // asserted post-run on quiescent state.)
+        ExpectProgressCoversCuts(view);
         const ShardSnapshot* first = view.shard_snapshot(0);
         if (first != nullptr && first->sequence > last_seen_sequence &&
             captured.size() < 8) {
@@ -246,6 +253,37 @@ TEST(SnapshotServing, ViewsOutliveSubsequentRuns) {
   ASSERT_TRUE(new_view.complete());
   EXPECT_NE(new_view.shard_snapshot(0)->sketch,
             old_view.shard_snapshot(0)->sketch);
+}
+
+// A reader acquiring across a Run restart sees each shard's progress and
+// snapshot from one roster: the next run's empty roster replaces the old
+// one before its first pull, so a fresh run's progress is never paired
+// with the previous run's larger cut.
+TEST(SnapshotServing, ProgressCoversEveryCutAcrossRuns) {
+  ShardedEngine engine(ServingOptions(CheckpointPolicy::EveryItems(
+      kEvery, CheckpointPolicy::Snapshot::kDelta)));
+  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
+  const ServingHandle handle = engine.Serving("count_min");
+  // Before any run there is no roster: nothing published, no progress.
+  const SnapshotView before = handle.Acquire();
+  EXPECT_EQ(before.shards(), kShards);
+  EXPECT_EQ(before.shards_published(), 0u);
+  EXPECT_EQ(before.shard_progress(0), 0u);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      ExpectProgressCoversCuts(handle.Acquire());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  });
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.2, 60000, kSeed)));
+  engine.Run(VectorSource(ZipfStream(kUniverse, 1.2, 30000, kSeed + 1)));
+  done.store(true, std::memory_order_release);
+  reader.join();
+  const SnapshotView after = handle.Acquire();
+  ExpectProgressCoversCuts(after);
+  EXPECT_EQ(after.items_behind() + after.items_visible(), 30000u);
 }
 
 // serve_snapshots is opt-in: a checkpointing run without it publishes

@@ -2,8 +2,8 @@
 // exactly self-consistent with the view's own point estimates (same
 // candidates, same scores, deterministic order), candidate enumeration
 // must cover the true elephants, and AcquireAll must return views cut at
-// one per-shard ordinal set — during the run (retrying across checkpoint
-// publications) and exactly at quiescence.
+// one per-shard ordinal set — in its first round, during the run and at
+// quiescence, because every view of a round comes from one roster load.
 
 #include "shard/view_query.h"
 
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,12 +39,14 @@ NvmSpec CkptSpec() {
   return spec;
 }
 
-ShardedEngineOptions ServingOptions() {
+ShardedEngineOptions ServingOptions(
+    size_t shards = kShards,
+    CheckpointPolicy policy = CheckpointPolicy::EveryItems(
+        kEvery, CheckpointPolicy::Snapshot::kFull)) {
   ShardedEngineOptions options;
-  options.shards = kShards;
+  options.shards = shards;
   options.batch_items = 512;
-  options.checkpoint_policy = CheckpointPolicy::EveryItems(
-      kEvery, CheckpointPolicy::Snapshot::kFull);
+  options.checkpoint_policy = policy;
   options.checkpoint_nvm = CkptSpec();
   options.serve_snapshots = true;
   return options;
@@ -216,49 +219,96 @@ TEST(ViewQuery, AcquireAllAlignsSketchesAtQuiescence) {
   }
 }
 
-// Mid-run, AcquireAll races checkpoint publication. Whenever it reports
-// consistent, the cuts must actually align — and the aligned pair is what
-// makes a cross-sketch answer coherent (SpaceSaving candidates scored
-// against the CountMin view describe the same stream prefix).
-TEST(ViewQuery, AcquireAllStaysConsistentDuringIngest) {
-  ShardedEngine engine(ServingOptions());
-  ASSERT_TRUE(engine.AddSketch(SpaceSavingFactory()).ok());
-  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
-  const std::vector<ServingHandle> handles = {engine.Serving("space_saving"),
-                                              engine.Serving("count_min")};
+// Mid-run, AcquireAll races checkpoint publication. Every view of a round
+// is cut from the same per-shard rosters, so under EveryItems every round
+// is consistent at its first attempt, all views agree on each shard's
+// progress and cut, and the aligned pair makes a cross-sketch answer
+// coherent (SpaceSaving candidates scored against the CountMin view
+// describe the same stream prefix).
+TEST(ViewQuery, AcquireAllIsConsistentInOneRoundDuringIngest) {
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedEngine engine(ServingOptions(shards));
+    ASSERT_TRUE(engine.AddSketch(SpaceSavingFactory()).ok());
+    ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
+    const std::vector<ServingHandle> handles = {
+        engine.Serving("space_saving"), engine.Serving("count_min")};
 
-  std::atomic<bool> done{false};
-  uint64_t consistent_rounds = 0;
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      const ConsistentViews acquired = AcquireAll(handles);
-      if (!acquired.consistent) continue;
-      ++consistent_rounds;
-      for (size_t s = 0; s < kShards; ++s) {
+    const auto check_round = [&](const ConsistentViews& acquired) {
+      ASSERT_TRUE(acquired.consistent);
+      ASSERT_EQ(acquired.attempts, 1);
+      ASSERT_EQ(acquired.views.size(), 2u);
+      for (size_t s = 0; s < shards; ++s) {
         const ShardSnapshot* a = acquired.views[0].shard_snapshot(s);
         const ShardSnapshot* b = acquired.views[1].shard_snapshot(s);
         ASSERT_EQ(a == nullptr, b == nullptr);
         if (a != nullptr) {
           ASSERT_EQ(a->items_at_checkpoint, b->items_at_checkpoint);
         }
+        ASSERT_EQ(acquired.views[0].shard_progress(s),
+                  acquired.views[1].shard_progress(s));
       }
-      if (acquired.views[0].shards_published() == 0) continue;
+      if (acquired.views[0].shards_published() == 0) return;
       // Cross-sketch query on the aligned pair: candidates from the
       // identity-tracking view, scored against the hash-bucket view.
-      const std::vector<HeavyHitter> top = TopK(acquired.views[0], 5);
-      for (const HeavyHitter& h : top) {
+      for (const HeavyHitter& h : TopK(acquired.views[0], 5)) {
         ASSERT_GE(acquired.views[1].EstimateFrequency(h.item), 0.0);
       }
-    }
-  });
-  engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
-  done.store(true, std::memory_order_release);
-  reader.join();
+    };
 
-  // Post-quiescence the aligned acquire is guaranteed; mid-run rounds are
-  // scheduling-dependent, so only the final one is asserted.
-  EXPECT_TRUE(AcquireAll(handles).consistent);
-  (void)consistent_rounds;
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        check_round(AcquireAll(handles));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    });
+    engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
+    done.store(true, std::memory_order_release);
+    reader.join();
+    check_round(AcquireAll(handles));
+  }
+}
+
+// Under WriteBudget each sketch checkpoints when its own write budget runs
+// out, so a shard's sketches can hold snapshots from different boundaries.
+// AcquireAll still returns usable views, cut from one roster load per
+// shard, and says honestly that they are not aligned.
+TEST(ViewQuery, WriteBudgetCutsAreUsableButFlaggedInconsistent) {
+  ShardedEngine engine(ServingOptions(
+      kShards, CheckpointPolicy::WriteBudget(
+                   3000, CheckpointPolicy::Snapshot::kFull)));
+  ASSERT_TRUE(engine.AddSketch(SpaceSavingFactory()).ok());
+  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
+  const std::vector<ServingHandle> handles = {engine.Serving("space_saving"),
+                                              engine.Serving("count_min")};
+  const ShardedRunReport report =
+      engine.Run(VectorSource(ZipfStream(kUniverse, 1.3, kLength, kSeed)));
+  const ShardedSketchReport* space_saving = report.Find("space_saving");
+  const ShardedSketchReport* count_min = report.Find("count_min");
+  ASSERT_NE(space_saving, nullptr);
+  ASSERT_NE(count_min, nullptr);
+  // The premise: the final cuts differ on some shard.
+  ASSERT_NE(space_saving->last_checkpoint_items,
+            count_min->last_checkpoint_items);
+
+  const ConsistentViews acquired = AcquireAll(handles, 3);
+  EXPECT_FALSE(acquired.consistent);
+  EXPECT_EQ(acquired.attempts, 3);
+  ASSERT_EQ(acquired.views.size(), 2u);
+  const ShardedSketchReport* reports[] = {space_saving, count_min};
+  for (size_t v = 0; v < 2; ++v) {
+    const SnapshotView& view = acquired.views[v];
+    ASSERT_TRUE(view.complete());
+    for (size_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(view.shard_snapshot(s)->items_at_checkpoint,
+                reports[v]->last_checkpoint_items[s]);
+      EXPECT_EQ(view.shard_progress(s), report.shard_items[s]);
+    }
+    EXPECT_EQ(view.items_behind(),
+              report.items_ingested - view.items_visible());
+    EXPECT_FALSE(TopK(view, 5, kUniverse).empty());
+  }
 }
 
 }  // namespace
