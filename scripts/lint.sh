@@ -89,6 +89,26 @@ if printf '%s\n' "$apply_batch" | grep -n 'OnWrite(' >&2; then
   exit 1
 fi
 
+# Cache-lookup gate: `CacheSpec::Validate` requires power-of-two `sets`
+# and `line_words`, so `CacheTier` takes a word's offset, tag and set from
+# precomputed shifts and masks. A division or modulo by `line_words` or
+# `sets` in src/nvm/cache_tier.{h,cc} (comments aside) is the per-word
+# 64-bit division creeping back into the cached write path.
+cache_division=$(awk '
+  {
+    line = $0
+    sub(/\/\/.*/, "", line)
+    if (line ~ /[\/%]=?[[:space:]]*\(?[[:space:]]*([A-Za-z_][A-Za-z0-9_]*(\.|->))*(line_words|sets)_?([^A-Za-z0-9_]|$)/) {
+      print FILENAME ":" FNR ": " $0
+    }
+  }
+' src/nvm/cache_tier.h src/nvm/cache_tier.cc)
+if [ -n "$cache_division" ]; then
+  echo "lint.sh: division or modulo by line_words/sets in the cache tier — index by the precomputed shifts and masks instead:" >&2
+  echo "$cache_division" >&2
+  exit 1
+fi
+
 # Shared-state gate: `ReplicaPipeline::Drain` runs a shard's replicas on
 # parallel lanes, which is only sound while replicas share no mutable
 # state. Below the `Sketch` API (src/{baselines,core,counters,state,nvm,

@@ -9,9 +9,15 @@ Status CacheSpec::Validate() const {
   if (ways == 0) {
     return Status::InvalidArgument("CacheSpec.ways must be >= 1");
   }
-  if (line_words == 0 || line_words > 64) {
+  if ((sets & (sets - 1)) != 0) {
     return Status::InvalidArgument(
-        "CacheSpec.line_words must be in [1, 64] (per-word dirty mask)");
+        "CacheSpec.sets must be a power of two (sets index by bit slice)");
+  }
+  if (line_words == 0 || line_words > 64 ||
+      (line_words & (line_words - 1)) != 0) {
+    return Status::InvalidArgument(
+        "CacheSpec.line_words must be a power of two in [1, 64] (per-word "
+        "dirty mask, offsets by bit slice)");
   }
   return Status::OK();
 }
@@ -41,7 +47,12 @@ uint64_t CacheStats::ReuseP50() const {
   return ReuseBucketUpper(kReuseBuckets - 1);
 }
 
-CacheTier::CacheTier(const CacheSpec& spec) : spec_(spec) {
+CacheTier::CacheTier(const CacheSpec& spec)
+    : spec_(spec),
+      line_shift_(static_cast<uint32_t>(__builtin_ctz(spec.line_words))),
+      offset_mask_(spec.line_words - 1),
+      set_mask_(spec.sets - 1),
+      ways_(spec.ways) {
   lines_.resize(spec_.sets * spec_.ways);
   if (spec_.reuse_stack_max > 0) {
     reuse_stack_.reserve(static_cast<size_t>(
@@ -50,7 +61,6 @@ CacheTier::CacheTier(const CacheSpec& spec) : spec_(spec) {
 }
 
 void CacheTier::RecordReuse(uint64_t line_tag) {
-  if (spec_.reuse_stack_max == 0) return;
   // Mattson stack: distance = #distinct lines touched since this line's
   // last access. MRU lives at the back of the vector.
   for (size_t i = reuse_stack_.size(); i-- > 0;) {
@@ -68,71 +78,6 @@ void CacheTier::RecordReuse(uint64_t line_tag) {
   if (reuse_stack_.size() > spec_.reuse_stack_max) {
     reuse_stack_.erase(reuse_stack_.begin());  // drop the LRU entry
   }
-}
-
-void CacheTier::RetireDirty(Line& line) {
-  const uint64_t dirty_words =
-      static_cast<uint64_t>(__builtin_popcountll(line.dirty_mask));
-  stats_.writebacks += dirty_words;
-  stats_.writebacks_pending -= dirty_words;
-  line.dirty_mask = 0;
-}
-
-CacheTier::Eviction CacheTier::AccessForWrite(uint64_t cell) {
-  ++stats_.total_writes;
-  const uint64_t tag = cell / spec_.line_words;
-  const uint32_t offset = static_cast<uint32_t>(cell % spec_.line_words);
-  const uint64_t word_bit = uint64_t{1} << offset;
-  const uint64_t set = tag % spec_.sets;
-  Line* const base = &lines_[set * spec_.ways];
-
-  RecordReuse(tag);
-
-  // Hit: the line is resident in its set.
-  for (uint32_t w = 0; w < spec_.ways; ++w) {
-    Line& line = base[w];
-    if (!line.valid || line.tag != tag) continue;
-    ++stats_.hits;
-    if (line.dirty_mask & word_bit) {
-      ++stats_.absorbed_writes;  // the word was dirty: write coalesced
-    } else {
-      line.dirty_mask |= word_bit;
-      ++stats_.writebacks_pending;
-    }
-    line.stamp = ++use_counter_;
-    return Eviction{};
-  }
-
-  // Miss: allocate (write-allocate), evicting the LRU way if the set is
-  // full. An invalid way is always preferred over eviction.
-  ++stats_.misses;
-  Line* victim = base;
-  for (uint32_t w = 0; w < spec_.ways; ++w) {
-    Line& line = base[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.stamp < victim->stamp) victim = &line;
-  }
-
-  Eviction ev;
-  if (victim->valid) {
-    if (victim->dirty_mask != 0) {
-      ++stats_.dirty_evictions;
-      ev.first_word = victim->tag * spec_.line_words;
-      ev.dirty_mask = victim->dirty_mask;
-      RetireDirty(*victim);
-    } else {
-      ++stats_.clean_evictions;
-    }
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty_mask = word_bit;
-  victim->stamp = ++use_counter_;
-  ++stats_.writebacks_pending;
-  return ev;
 }
 
 }  // namespace fewstate

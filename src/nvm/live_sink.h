@@ -79,12 +79,15 @@ class LiveNvmSink final : public WriteSink {
 
   /// \brief Prices a batch of word writes in order. Uncached, the wear
   /// leveling scheme is resolved once for the span and each word goes
-  /// straight onto the device; cached, each word goes through `OnWrite`
-  /// into the tier.
+  /// straight onto the device; cached, each word goes through the tier's
+  /// inline lookup.
   void OnWriteSpan(uint64_t base_epoch, const BatchWrite* writes,
                    size_t n) override {
+    (void)base_epoch;
     if (cache_ != nullptr) {
-      for (size_t i = 0; i < n; ++i) OnWrite(base_epoch, writes[i].cell);
+      CacheTier& cache = *cache_;
+      const auto write_back = [this](uint64_t victim) { WriteBack(victim); };
+      for (size_t i = 0; i < n; ++i) cache.Write(writes[i].cell, write_back);
       return;
     }
     leveler_.MapSpan(writes, n,

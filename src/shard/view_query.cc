@@ -122,16 +122,25 @@ ConsistentViews AcquireAll(const std::vector<ServingHandle>& handles,
     // One roster load per shard of each engine: handles on the same
     // engine cut their views from the first such handle's load, so their
     // snapshots come from the same boundary.
+    bool republished = result.attempts == 1;
     for (size_t i = 0; i < handles.size(); ++i) {
       size_t first = 0;
       while (handles[first].rosters_ != handles[i].rosters_) ++first;
-      if (first == i) loads[i] = handles[i].Load();
+      if (first == i) {
+        std::vector<std::shared_ptr<const ShardRoster>> load =
+            handles[i].Load();
+        republished = republished || load != loads[i];
+        loads[i] = std::move(load);
+      }
       result.views[i] = handles[i].Cut(loads[first]);
     }
     if (ViewsAligned(result.views)) {
       result.consistent = true;
       return result;
     }
+    // No shard published since the last round, so these are the same
+    // views again (at quiescence, every later round would be too).
+    if (!republished) return result;
     // Under WriteBudget the sketches checkpointed at different boundaries;
     // let the workers run on and re-acquire.
     std::this_thread::yield();

@@ -67,7 +67,9 @@ struct ConsistentViews {
 /// construction. Under the per-sketch `WriteBudget` trigger sketches
 /// checkpoint at genuinely different points; the call re-loads for up to
 /// `max_attempts` rounds and otherwise returns the last round's views with
-/// `consistent == false`.
+/// `consistent == false`. It stops early, also with `consistent == false`,
+/// when a round loads the very rosters the round before it loaded: no
+/// shard published in between, so the views could not have changed.
 ConsistentViews AcquireAll(const std::vector<ServingHandle>& handles,
                            int max_attempts = 64);
 

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "baselines/ams_sketch.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
 #include "baselines/misra_gries.h"
 #include "baselines/space_saving.h"
+#include "state/write_log.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
 
@@ -204,6 +209,211 @@ TEST(SpaceSaving, MinCountIsZeroWhileNotFull) {
   ss.Update(1);
   ss.Update(2);
   EXPECT_EQ(ss.min_count(), 0u);
+}
+
+// Brute-force SpaceSaving: a vector of entries, a linear scan for the
+// minimum, and ties going to the entry whose count was reached earliest.
+// It keeps its own accountant figures and per-cell write counts, charged
+// as the summary charges them (every write to the first slot's words).
+class SpaceSavingOracle {
+ public:
+  struct Entry {
+    Item item;
+    uint64_t count;
+    uint64_t error;
+    uint64_t reached;  // clock tick at which `count` was reached
+  };
+
+  explicit SpaceSavingOracle(size_t k) : k_(k) {}
+
+  void Update(Item item) {
+    ++updates;
+    ++reads;
+    ++changes;
+    if (Entry* entry = Find(item)) {
+      ++entry->count;
+      entry->reached = ++clock_;
+      Write(1, 1);
+      return;
+    }
+    Write(0, 3);
+    if (entries_.size() < k_) {
+      entries_.push_back(Entry{item, 1, 0, ++clock_});
+      return;
+    }
+    Entry& victim = entries_[Victim()];
+    const uint64_t min = victim.count;
+    victim = Entry{item, min + 1, min, ++clock_};
+  }
+
+  // Source entries in eviction order (ascending count, earliest first),
+  // then the union pruned back to k by the same tie rule.
+  void Merge(const SpaceSavingOracle& src) {
+    ++updates;
+    const uint64_t words_before = writes;
+    std::vector<Entry> incoming = src.entries_;
+    std::sort(incoming.begin(), incoming.end(),
+              [](const Entry& a, const Entry& b) {
+                if (a.count != b.count) return a.count < b.count;
+                return a.reached < b.reached;
+              });
+    for (const Entry& in : incoming) {
+      ++reads;
+      if (Entry* mine = Find(in.item)) {
+        mine->count += in.count;
+        mine->error += in.error;
+        mine->reached = ++clock_;
+        Write(1, 2);
+      } else {
+        entries_.push_back(Entry{in.item, in.count, in.error, ++clock_});
+        Write(0, 3);
+      }
+    }
+    while (entries_.size() > k_) {
+      entries_.erase(entries_.begin() + static_cast<long>(Victim()));
+      Write(0, 3);
+    }
+    if (writes != words_before) ++changes;
+  }
+
+  uint64_t min_count() const {
+    return entries_.size() < k_ ? 0 : entries_[Victim()].count;
+  }
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  uint64_t updates = 0;
+  uint64_t changes = 0;
+  uint64_t writes = 0;
+  uint64_t reads = 0;
+  std::map<uint64_t, uint64_t> cell_writes;  // offset from base -> writes
+
+ private:
+  Entry* Find(Item item) {
+    for (Entry& entry : entries_) {
+      if (entry.item == item) return &entry;
+    }
+    return nullptr;
+  }
+
+  size_t Victim() const {
+    size_t victim = 0;
+    for (size_t i = 1; i < entries_.size(); ++i) {
+      const Entry& a = entries_[i];
+      const Entry& b = entries_[victim];
+      if (a.count < b.count || (a.count == b.count && a.reached < b.reached)) {
+        victim = i;
+      }
+    }
+    return victim;
+  }
+
+  void Write(uint64_t offset, uint64_t words) {
+    writes += words;
+    for (uint64_t w = 0; w < words; ++w) ++cell_writes[offset + w];
+  }
+
+  size_t k_;
+  std::vector<Entry> entries_;
+  uint64_t clock_ = 0;
+};
+
+void ExpectMatchesOracle(const SpaceSaving& ss, const SpaceSavingOracle& oracle,
+                         const std::string& where) {
+  ASSERT_EQ(ss.size(), oracle.entries().size()) << where;
+  ASSERT_EQ(ss.min_count(), oracle.min_count()) << where;
+  std::vector<Item> expected;
+  for (const SpaceSavingOracle::Entry& entry : oracle.entries()) {
+    ASSERT_EQ(ss.EstimateFrequency(entry.item),
+              static_cast<double>(entry.count))
+        << where << " item " << entry.item;
+    expected.push_back(entry.item);
+  }
+  std::vector<Item> candidates;
+  ss.AppendCandidates(&candidates);
+  std::sort(candidates.begin(), candidates.end());
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(candidates, expected) << where;
+  const StateAccountant& acc = ss.accountant();
+  ASSERT_EQ(acc.updates(), oracle.updates) << where;
+  ASSERT_EQ(acc.state_changes(), oracle.changes) << where;
+  ASSERT_EQ(acc.word_writes(), oracle.writes) << where;
+  ASSERT_EQ(acc.word_reads(), oracle.reads) << where;
+}
+
+// Per-cell write counts the log saw, as offsets from the summary's base.
+std::map<uint64_t, uint64_t> CellWrites(const WriteLog& log) {
+  std::map<uint64_t, uint64_t> cells;
+  for (const WriteRecord& record : log.records()) ++cells[record.cell];
+  return cells;
+}
+
+// Steps `ss` and `oracle` through `stream`, comparing after every update.
+void StepBoth(SpaceSaving* ss, SpaceSavingOracle* oracle,
+              const Stream& stream, const std::string& where) {
+  for (size_t t = 0; t < stream.size(); ++t) {
+    ss->Update(stream[t]);
+    oracle->Update(stream[t]);
+    ExpectMatchesOracle(*ss, *oracle, where + " t=" + std::to_string(t));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SpaceSaving, MatchesBruteForceOracleStepByStep) {
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{16}, size_t{64}}) {
+    for (const bool zipf : {true, false}) {
+      // A uniform stream over a few times k items keeps many entries tied
+      // at the minimum, so the tie rule decides most evictions.
+      const Stream stream = zipf ? ZipfStream(4 * k + 200, 1.1, 6000, 40 + k)
+                                 : UniformStream(3 * k + 2, 6000, 50 + k);
+      const std::string where =
+          std::string(zipf ? "zipf" : "uniform") + " k=" + std::to_string(k);
+      SpaceSaving ss(k);
+      WriteLog log;
+      ss.mutable_accountant()->set_write_sink(&log);
+      SpaceSavingOracle oracle(k);
+      StepBoth(&ss, &oracle, stream, where);
+      if (HasFatalFailure()) return;
+      // Every write lands on the first slot's three words.
+      EXPECT_EQ(CellWrites(log), oracle.cell_writes) << where;
+      ss.mutable_accountant()->set_write_sink(nullptr);
+    }
+  }
+}
+
+TEST(SpaceSaving, MergeMatchesBruteForceOracle) {
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{16}, size_t{64}}) {
+    // Item-disjoint halves (even / odd identities) whose union exceeds k.
+    Stream even = ZipfStream(4 * k + 100, 1.1, 3000, 60 + k);
+    Stream odd = UniformStream(3 * k + 2, 3000, 70 + k);
+    for (Item& item : even) item *= 2;
+    for (Item& item : odd) item = 2 * item + 1;
+    const std::string where = "k=" + std::to_string(k);
+    SpaceSaving a(k), b(k);
+    SpaceSavingOracle oracle_a(k), oracle_b(k);
+    StepBoth(&a, &oracle_a, even, where + " a");
+    StepBoth(&b, &oracle_b, odd, where + " b");
+    if (HasFatalFailure()) return;
+    ASSERT_GT(a.size() + b.size(), k) << where;
+
+    ASSERT_TRUE(a.MergeFrom(b).ok()) << where;
+    oracle_a.Merge(oracle_b);
+    ExpectMatchesOracle(a, oracle_a, where + " merged");
+    if (HasFatalFailure()) return;
+    // The merged summary's tie order drives its later evictions.
+    StepBoth(&a, &oracle_a, UniformStream(4 * k + 8, 2000, 80 + k),
+             where + " after merge");
+    if (HasFatalFailure()) return;
+
+    // A fresh summary merged from a populated one (a checkpoint capture)
+    // tracks exactly the same entries.
+    SpaceSaving fresh(k);
+    SpaceSavingOracle oracle_fresh(k);
+    ASSERT_TRUE(fresh.MergeFrom(a).ok()) << where;
+    oracle_fresh.Merge(oracle_a);
+    ExpectMatchesOracle(fresh, oracle_fresh, where + " fresh");
+    if (HasFatalFailure()) return;
+    StepBoth(&fresh, &oracle_fresh, even, where + " fresh after merge");
+  }
 }
 
 // ---------- AMS ----------

@@ -241,6 +241,13 @@ std::vector<CacheSpec> DifferentialGeometries() {
     s.line_words = 64;
     specs.push_back(s);
   }
+  {
+    CacheSpec s;  // the benchmark's 512-word DRAM tier
+    s.sets = 16;
+    s.ways = 4;
+    s.line_words = 8;
+    specs.push_back(s);
+  }
   return specs;
 }
 
@@ -316,7 +323,8 @@ TEST(CacheTierDifferential, MatchesOracleOnEverySketchTrace) {
       RunDifferential(spec, trace,
                       std::string(maker.name) + " sets=" +
                           std::to_string(spec.sets) + " ways=" +
-                          std::to_string(spec.ways));
+                          std::to_string(spec.ways) + " line=" +
+                          std::to_string(spec.line_words));
     }
   }
 }
@@ -554,6 +562,17 @@ TEST(CacheSpecValidation, RejectsBadGeometriesAcceptsDisabled) {
   wide.sets = 4;
   wide.line_words = 65;  // would overflow the 64-bit dirty mask
   EXPECT_FALSE(wide.Validate().ok());
+
+  // Sets and line offsets are bit slices of the address, so both must be
+  // powers of two.
+  CacheSpec three_sets;
+  three_sets.sets = 3;
+  EXPECT_FALSE(three_sets.Validate().ok());
+
+  CacheSpec six_words;
+  six_words.sets = 4;
+  six_words.line_words = 6;
+  EXPECT_FALSE(six_words.Validate().ok());
 
   CacheSpec ok;
   ok.sets = 4;
