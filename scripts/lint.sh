@@ -89,6 +89,37 @@ if printf '%s\n' "$apply_batch" | grep -n 'OnWrite(' >&2; then
   exit 1
 fi
 
+# Grid-span gate: CountMin (non-conservative) and CountSketch settle each
+# chunk with `BatchUpdateScratch::AllChangedRows`, which lays out a sink's
+# program-order span straight from the index rows, so their table sweep
+# stays row-major with or without a sink. The aggregate-only
+# `AllChanged(` settle, or a `BeginItem(` in CountSketch or in CountMin
+# outside its conservative branch, is the per-word arrival-order loop
+# creeping back.
+if grep -rnE '\bAllChanged\(' src >&2; then
+  echo "lint.sh: AllChanged() in src/ — settle grid kernels with AllChangedRows() so the sink span is filled from the index rows" >&2
+  exit 1
+fi
+if grep -n 'BeginItem(' src/baselines/count_sketch.cc >&2; then
+  echo "lint.sh: BeginItem() in src/baselines/count_sketch.cc — settle with AllChangedRows() and sweep row-major instead" >&2
+  exit 1
+fi
+count_min_items=$(awk '
+  /^[[:space:]]*if \(conservative_\) \{$/ {
+    inside = 1
+    indent = $0
+    sub(/if.*/, "", indent)
+    next
+  }
+  inside && index($0, indent "}") == 1 { inside = 0 }
+  /BeginItem\(/ && !inside { print FILENAME ":" FNR ": " $0 }
+' src/baselines/count_min.cc)
+if [ -n "$count_min_items" ]; then
+  echo "lint.sh: BeginItem() outside CountMin's conservative branch — settle the plain kernel with AllChangedRows() instead:" >&2
+  echo "$count_min_items" >&2
+  exit 1
+fi
+
 # Cache-lookup gate: `CacheSpec::Validate` requires power-of-two `sets`
 # and `line_words`, so `CacheTier` takes a word's offset, tag and set from
 # precomputed shifts and masks. A division or modulo by `line_words` or

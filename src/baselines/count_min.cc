@@ -58,7 +58,6 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
   constexpr size_t kChunk = 512;
   uint64_t* table = table_->BatchData();
   const uint64_t base = table_->base_cell();
-  const bool collect = accountant_.needs_cell_addresses();
   for (size_t off = 0; off < n; off += kChunk) {
     const size_t c = std::min(kChunk, n - off);
     batch_idx_.resize(depth_ * c);
@@ -66,32 +65,8 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
       hashes_[d].HashRangeBatch(items + off, c, width_,
                                 batch_idx_.data() + d * c);
     }
-    batch_scratch_.Begin(collect);
-    if (!conservative_ && !collect) {
-      // Every update raises one uint64 counter per row — always a state
-      // change — so accounting is a closed form and the table sweep runs
-      // row-major over precomputed indices.
-      batch_scratch_.AllChanged(c, depth_);
-      batch_scratch_.Read(static_cast<uint64_t>(depth_) * c);
-      for (size_t d = 0; d < depth_; ++d) {
-        const uint64_t* idx = batch_idx_.data() + d * c;
-        uint64_t* row = table + d * width_;
-#pragma omp simd
-        for (size_t i = 0; i < c; ++i) row[idx[i]] += 1;
-      }
-    } else if (!conservative_) {
-      // Sink attached: walk items in arrival order so write records
-      // replay with scalar program order and epoch numbering.
-      for (size_t i = 0; i < c; ++i) {
-        batch_scratch_.BeginItem();
-        for (size_t d = 0; d < depth_; ++d) {
-          const size_t cell = d * width_ + batch_idx_[d * c + i];
-          table[cell] += 1;
-          batch_scratch_.Write(base + cell);
-        }
-        batch_scratch_.Read(depth_);
-      }
-    } else {
+    batch_scratch_.Begin(accountant_.needs_cell_addresses());
+    if (conservative_) {
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
         uint64_t min_count = std::numeric_limits<uint64_t>::max();
@@ -108,6 +83,18 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
           }
         }
         batch_scratch_.Read(2 * depth_);
+      }
+    } else {
+      // Every update raises one counter per row (always a state change), so
+      // the grid settle records the chunk and the sweep runs row-major.
+      batch_scratch_.AllChangedRows(c, depth_, base, width_,
+                                    batch_idx_.data());
+      batch_scratch_.Read(static_cast<uint64_t>(depth_) * c);
+      for (size_t d = 0; d < depth_; ++d) {
+        const uint64_t* idx = batch_idx_.data() + d * c;
+        uint64_t* row = table + d * width_;
+#pragma omp simd
+        for (size_t i = 0; i < c; ++i) row[idx[i]] += 1;
       }
     }
     accountant_.ApplyBatch(batch_scratch_);

@@ -43,7 +43,6 @@ void CountSketch::UpdateBatch(const Item* items, size_t n) {
   constexpr size_t kChunk = 512;
   int64_t* table = table_->BatchData();
   const uint64_t base = table_->base_cell();
-  const bool collect = accountant_.needs_cell_addresses();
   for (size_t off = 0; off < n; off += kChunk) {
     const size_t c = std::min(kChunk, n - off);
     batch_idx_.resize(depth_ * c);
@@ -54,31 +53,17 @@ void CountSketch::UpdateBatch(const Item* items, size_t n) {
       sign_hashes_[d].HashSignBatch(items + off, c,
                                     batch_sign_.data() + d * c);
     }
-    batch_scratch_.Begin(collect);
-    if (!collect) {
-      // A +-1 add always changes the counter: closed-form accounting and
-      // a row-major sweep over precomputed indices and signs.
-      batch_scratch_.AllChanged(c, depth_);
-      batch_scratch_.Read(static_cast<uint64_t>(depth_) * c);
-      for (size_t d = 0; d < depth_; ++d) {
-        const uint64_t* idx = batch_idx_.data() + d * c;
-        const int8_t* sign = batch_sign_.data() + d * c;
-        int64_t* row = table + d * width_;
+    batch_scratch_.Begin(accountant_.needs_cell_addresses());
+    // A +-1 add always changes the counter, so the grid settle records the
+    // chunk and the sweep runs row-major over indices and signs.
+    batch_scratch_.AllChangedRows(c, depth_, base, width_, batch_idx_.data());
+    batch_scratch_.Read(static_cast<uint64_t>(depth_) * c);
+    for (size_t d = 0; d < depth_; ++d) {
+      const uint64_t* idx = batch_idx_.data() + d * c;
+      const int8_t* sign = batch_sign_.data() + d * c;
+      int64_t* row = table + d * width_;
 #pragma omp simd
-        for (size_t i = 0; i < c; ++i) row[idx[i]] += sign[i];
-      }
-    } else {
-      // Sink attached: arrival order, so write records replay with scalar
-      // program order and epoch numbering.
-      for (size_t i = 0; i < c; ++i) {
-        batch_scratch_.BeginItem();
-        for (size_t d = 0; d < depth_; ++d) {
-          const size_t cell = d * width_ + batch_idx_[d * c + i];
-          table[cell] += batch_sign_[d * c + i];
-          batch_scratch_.Write(base + cell);
-        }
-        batch_scratch_.Read(depth_);
-      }
+      for (size_t i = 0; i < c; ++i) row[idx[i]] += sign[i];
     }
     accountant_.ApplyBatch(batch_scratch_);
   }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "nvm/cache_tier.h"
@@ -77,21 +78,26 @@ class LiveNvmSink final : public WriteSink {
     cache_->Write(cell, [this](uint64_t victim) { WriteBack(victim); });
   }
 
-  /// \brief Prices a batch of word writes in order. Uncached, the wear
-  /// leveling scheme is resolved once for the span and each word goes
-  /// straight onto the device; cached, each word goes through the tier's
-  /// inline lookup.
+  /// \brief Prices a batch of word writes in order as one device span
+  /// write (`NvmDevice::WriteSpan`). Uncached, the wear leveling scheme is
+  /// resolved once for the span; cached, each word goes through the tier's
+  /// lookup and its remapped write-backs form the span.
   void OnWriteSpan(uint64_t base_epoch, const BatchWrite* writes,
                    size_t n) override {
     (void)base_epoch;
-    if (cache_ != nullptr) {
-      CacheTier& cache = *cache_;
-      const auto write_back = [this](uint64_t victim) { WriteBack(victim); };
-      for (size_t i = 0; i < n; ++i) cache.Write(writes[i].cell, write_back);
+    if (cache_ == nullptr) {
+      if (physical_.size() < n) physical_.resize(n);
+      leveler_.MapSpan(writes, n, physical_.data());
+      device_.WriteSpan(physical_.data(), n);
       return;
     }
-    leveler_.MapSpan(writes, n,
-                     [this](uint64_t physical) { device_.Write(physical); });
+    physical_.clear();
+    CacheTier& cache = *cache_;
+    const auto write_back = [this](uint64_t victim) {
+      physical_.push_back(leveler_.MapWrite(victim));
+    };
+    for (size_t i = 0; i < n; ++i) cache.Write(writes[i].cell, write_back);
+    device_.WriteSpan(physical_.data(), physical_.size());
   }
 
   /// \brief Prices `count` aggregate reads (energy/latency; no wear).
@@ -135,6 +141,7 @@ class LiveNvmSink final : public WriteSink {
   WearLeveler leveler_;
   NvmDevice device_;
   std::unique_ptr<CacheTier> cache_;  // null when spec_.cache is disabled
+  std::vector<uint64_t> physical_;    // one span's physical cells
 };
 
 /// \brief Offline pricing: feeds a recorded `WriteLog` (plus the

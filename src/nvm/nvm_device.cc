@@ -19,11 +19,6 @@ Status NvmConfig::Validate() const {
 NvmDevice::NvmDevice(const NvmConfig& config)
     : config_(config), wear_(config.num_cells, 0) {}
 
-void NvmDevice::Read(uint64_t cell) {
-  (void)cell;
-  ++total_reads_;
-}
-
 double NvmDevice::energy_nj() const {
   return static_cast<double>(total_reads_) * config_.read_energy_nj +
          static_cast<double>(total_writes_) * config_.write_energy_nj;

@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_NVM_NVM_DEVICE_H_
 #define FEWSTATE_NVM_NVM_DEVICE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,21 +39,31 @@ class NvmDevice {
  public:
   explicit NvmDevice(const NvmConfig& config);
 
-  /// \brief Records a read of `cell` (mod device size).
-  void Read(uint64_t cell);
-
   /// \brief Records `count` reads at once (reads don't wear cells, so only
   /// the aggregate matters for energy/latency).
   void ReadBulk(uint64_t count) { total_reads_ += count; }
 
-  /// \brief Records a write of `cell` (mod device size). Inline: this is
-  /// the per-word end of every priced write.
-  void Write(uint64_t cell) {
-    const uint64_t n = config_.num_cells;
-    const uint64_t w = ++wear_[cell < n ? cell : cell % n];
-    ++total_writes_;
-    if (w > max_cell_wear_) max_cell_wear_ = w;
-    if (w == config_.endurance) ++worn_out_cells_;
+  /// \brief Records a write of `cell` (mod device size).
+  void Write(uint64_t cell) { WriteSpan(&cell, 1); }
+
+  /// \brief Records a write of each of `cells[0, n)`, as `n` `Write`s
+  /// would, with the max wear and worn-out count held in locals (which a
+  /// wear store cannot alias) for the whole span.
+  void WriteSpan(const uint64_t* cells, size_t n) {
+    uint64_t* const wear = wear_.data();
+    const uint64_t num_cells = config_.num_cells;
+    const uint64_t endurance = config_.endurance;
+    uint64_t max_wear = max_cell_wear_;
+    uint64_t worn = worn_out_cells_;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t cell = cells[i];
+      const uint64_t w = ++wear[cell < num_cells ? cell : cell % num_cells];
+      max_wear = w > max_wear ? w : max_wear;
+      worn += w == endurance ? 1 : 0;
+    }
+    total_writes_ += n;
+    max_cell_wear_ = max_wear;
+    worn_out_cells_ = worn;
   }
 
   /// \brief Total writes across all cells.

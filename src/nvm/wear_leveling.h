@@ -59,23 +59,22 @@ class WearLeveler {
     return Wrap(logical);
   }
 
-  /// \brief `MapWrite` over a span of writes in order, calling
-  /// `emit(physical)` once per record. The scheme is resolved once for
-  /// the whole span instead of once per word; the cells emitted and the
-  /// remapping state left behind are those of the per-word loop.
-  template <typename Emit>
-  void MapSpan(const BatchWrite* writes, size_t n, Emit&& emit) {
+  /// \brief `MapWrite` over a span of writes in order, storing record i's
+  /// physical cell in `out[i]`. The scheme is resolved once for the whole
+  /// span instead of once per word; the cells stored and the remapping
+  /// state left behind are those of the per-word loop.
+  void MapSpan(const BatchWrite* writes, size_t n, uint64_t* out) {
     switch (leveling_) {
       case WearLeveling::kRotating:
-        for (size_t i = 0; i < n; ++i) emit(MapRotating(writes[i].cell));
+        for (size_t i = 0; i < n; ++i) out[i] = MapRotating(writes[i].cell);
         return;
       case WearLeveling::kHashed:
-        for (size_t i = 0; i < n; ++i) emit(MapHashed(writes[i].cell));
+        for (size_t i = 0; i < n; ++i) out[i] = MapHashed(writes[i].cell);
         return;
       case WearLeveling::kDirect:
         break;
     }
-    for (size_t i = 0; i < n; ++i) emit(Wrap(writes[i].cell));
+    for (size_t i = 0; i < n; ++i) out[i] = Wrap(writes[i].cell);
   }
 
  private:

@@ -14,7 +14,8 @@ namespace fewstate {
 /// instead of the accountant — `BeginItem()` where the scalar path calls
 /// `StateAccountant::BeginUpdate()`, `Write()` / `SuppressedWrite()` /
 /// `Read()` where it calls the matching Record* method — then flushes once
-/// with `StateAccountant::ApplyBatch()`. The scratch preserves everything
+/// with `StateAccountant::ApplyBatch()` (grid kernels settle a whole chunk
+/// with `AllChangedRows()`). The scratch preserves everything
 /// the scalar path would have produced: per-update dirtiness (for the
 /// paper's state-change metric), aggregate word counts, and — only when the
 /// accountant says `needs_cell_addresses()` — the program-order list of
@@ -57,18 +58,30 @@ class BatchUpdateScratch {
     }
   }
 
-  /// \brief Aggregate fast path for kernels where every update provably
-  /// changes state (e.g. unconditional counter increments): appends
-  /// `count` consecutive updates, each writing `words_per_update` changed
-  /// words, in O(1). Only valid without cell collection — there is no
-  /// per-cell record to replay, so the accountant must have no sink.
-  void AllChanged(uint64_t count, uint64_t words_per_update) {
+  /// \brief Grid settle: `count` updates that each change one word per
+  /// row of a `depth`-row grid, update i writing `base + d * width +
+  /// idx[d * count + i]` in row d. O(1) without cell collection; with it,
+  /// one pass records exactly what BeginItem() and `depth` Write()s per
+  /// update would, rows ascending within an update.
+  void AllChangedRows(uint64_t count, uint64_t depth, uint64_t base,
+                      uint64_t width, const uint64_t* idx) {
     if (count == 0) return;
+    if (collect_cells_) {
+      const uint64_t first = items_begun_;
+      writes_.resize(writes_.size() + count * depth);
+      BatchWrite* out = writes_.data() + writes_.size() - count * depth;
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint32_t index = static_cast<uint32_t>(first + i);
+        for (uint64_t d = 0; d < depth; ++d) {
+          *out++ = BatchWrite{base + d * width + idx[d * count + i], index};
+        }
+      }
+    }
     if (items_begun_ > 0 && current_dirty_) ++changed_before_current_;
     changed_before_current_ += count - 1;
     current_dirty_ = true;
     items_begun_ += count;
-    word_writes_ += count * words_per_update;
+    word_writes_ += count * depth;
   }
 
   /// \brief Records `words` writes that stored the already-present value.

@@ -6,7 +6,8 @@
 // traffic must come out bit-for-bit identical to n scalar `Update` calls
 // in the same order. Every sketch overriding `UpdateBatch` is checked
 // here, across batch sizes {1, 7, 4096}, with and without an attached
-// sink chain, and through the sharded engine with a checkpoint trigger
+// sink chain (which adds sizes straddling the grid kernels' 512-item
+// chunk), and through the sharded engine with a checkpoint trigger
 // landing mid-batch.
 
 #include <algorithm>
@@ -194,43 +195,75 @@ void ExpectLogMatchesAccountant(const WriteLog& log, const StateAccountant& a,
   EXPECT_EQ(epochs.size(), a.state_changes()) << context;
 }
 
-// With a sink chain attached the kernels must abandon their closed-form
-// accounting and replay every touched word in scalar program order:
-// the DirtyTracker set, the WriteLog's record and distinct-epoch counts,
-// and the per-cell wear of a live NVM device all pin that.
+// With a sink chain attached the kernels must replay every touched word
+// in scalar program order with scalar epoch numbering: the WriteLog's
+// full (epoch, cell) sequence, the DirtyTracker set, and the per-cell
+// wear of a live NVM device under every leveling scheme all pin that.
+// Batch sizes straddle the grid kernels' 512-item chunk and the
+// 4096-item drain batch.
+void ExpectLogsEqual(const WriteLog& scalar, const WriteLog& batched,
+                     const std::string& context) {
+  const std::vector<WriteRecord>& a = scalar.records();
+  const std::vector<WriteRecord>& b = batched.records();
+  ASSERT_EQ(a.size(), b.size()) << context;
+  size_t i = 0;
+  while (i < a.size() && a[i].epoch == b[i].epoch && a[i].cell == b[i].cell) {
+    ++i;
+  }
+  if (i < a.size()) {
+    ADD_FAILURE() << context << " record " << i << ": scalar (" << a[i].epoch
+                  << ", " << a[i].cell << ") batched (" << b[i].epoch << ", "
+                  << b[i].cell << ")";
+  }
+}
+
+// One sink chain: a dirty tracker, a log, and a live device per wear
+// leveling scheme, all behind one tee.
+struct SinkChain {
+  DirtyTracker dirty;
+  WriteLog log;
+  std::vector<std::unique_ptr<LiveNvmSink>> nvm;
+  std::vector<std::string> labels;  // leveling name of each nvm entry
+  std::unique_ptr<TeeSink> tee;
+
+  void Attach(Sketch& sketch) {
+    std::vector<WriteSink*> sinks = {&dirty, &log};
+    for (const NvmSpec::Leveling leveling :
+         {NvmSpec::Leveling::kDirect, NvmSpec::Leveling::kRotating,
+          NvmSpec::Leveling::kHashed}) {
+      NvmSpec spec;
+      spec.config.num_cells = 1 << 12;
+      spec.config.endurance = 1 << 20;
+      spec.leveling = leveling;
+      spec.rotate_period = 16;
+      spec.hash_seed = 11;
+      nvm.push_back(std::make_unique<LiveNvmSink>(spec));
+      labels.push_back(spec.leveling_name());
+      sinks.push_back(nvm.back().get());
+    }
+    tee = std::make_unique<TeeSink>(std::move(sinks));
+    sketch.mutable_accountant()->set_write_sink(tee.get());
+  }
+};
+
 TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
-  NvmSpec spec;
-  spec.config.num_cells = 1 << 12;
-  spec.config.endurance = 1 << 20;
-  spec.leveling = NvmSpec::Leveling::kHashed;
-  spec.hash_seed = 11;
-
-  const Stream stream = TestStream();
+  // Shorter than TestStream(): every word crosses five sinks here, and the
+  // stream still evicts, crosses dozens of chunks and ends mid-batch.
+  const Stream stream = ZipfStream(5000, 1.2, 12000, /*seed=*/321);
   for (const Maker& maker : BatchSketches()) {
-    struct SinkChain {
-      DirtyTracker dirty;
-      WriteLog log;
-      std::unique_ptr<LiveNvmSink> nvm;
-      std::unique_ptr<TeeSink> tee;
-    };
-    const auto attach = [&spec](Sketch& sketch, SinkChain& chain) {
-      chain.nvm = std::make_unique<LiveNvmSink>(spec);
-      chain.tee = std::make_unique<TeeSink>(std::vector<WriteSink*>{
-          &chain.dirty, &chain.log, chain.nvm.get()});
-      sketch.mutable_accountant()->set_write_sink(chain.tee.get());
-    };
-
     const std::unique_ptr<Sketch> scalar = maker.make();
     SinkChain scalar_chain;
-    attach(*scalar, scalar_chain);
+    scalar_chain.Attach(*scalar);
     FeedScalar(*scalar, stream);
 
-    for (const size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
+    for (const size_t batch :
+         {size_t{1}, size_t{7}, size_t{511}, size_t{512}, size_t{513},
+          size_t{4096}, size_t{4097}}) {
       const std::string context =
           std::string(maker.name) + " batch=" + std::to_string(batch);
       const std::unique_ptr<Sketch> batched = maker.make();
       SinkChain batched_chain;
-      attach(*batched, batched_chain);
+      batched_chain.Attach(*batched);
       FeedBatched(*batched, stream, batch);
 
       ExpectAccountantsEqual(scalar->accountant(), batched->accountant(),
@@ -241,20 +274,25 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
           << context;
       // Every counted write reaches the sink, and the log's distinct
       // epochs agree with the accountant's own metric — the epoch numbers
-      // the batch reconciliation replays are real, not merely distinct.
+      // the batch reconciliation replays are real, not merely distinct —
+      // and the batched log is the scalar one, record for record.
       ExpectLogMatchesAccountant(scalar_chain.log, scalar->accountant(),
                                  "scalar " + context);
       ExpectLogMatchesAccountant(batched_chain.log, batched->accountant(),
                                  context);
-      EXPECT_EQ(scalar_chain.nvm->device().cell_wear(),
-                batched_chain.nvm->device().cell_wear())
-          << context;
-      EXPECT_EQ(scalar_chain.nvm->Report().writes_replayed,
-                batched_chain.nvm->Report().writes_replayed)
-          << context;
-      EXPECT_EQ(scalar_chain.nvm->Report().energy_nj,
-                batched_chain.nvm->Report().energy_nj)
-          << context;
+      ExpectLogsEqual(scalar_chain.log, batched_chain.log, context);
+      for (size_t i = 0; i < scalar_chain.nvm.size(); ++i) {
+        LiveNvmSink& want = *scalar_chain.nvm[i];
+        LiveNvmSink& got = *batched_chain.nvm[i];
+        const std::string where = context + " " + scalar_chain.labels[i];
+        EXPECT_EQ(want.device().cell_wear(), got.device().cell_wear())
+            << where;
+        EXPECT_EQ(want.Report().writes_replayed, got.Report().writes_replayed)
+            << where;
+        EXPECT_EQ(want.Report().max_cell_wear, got.Report().max_cell_wear)
+            << where;
+        EXPECT_EQ(want.Report().energy_nj, got.Report().energy_nj) << where;
+      }
     }
   }
 }

@@ -78,7 +78,7 @@ TEST(NvmDevice, EnergyAndLatencyUseAsymmetricCosts) {
   config.write_latency_ns = 500.0;
   NvmDevice device(config);
   device.Write(0);
-  device.Read(0);
+  device.ReadBulk(1);
   device.ReadBulk(9);
   EXPECT_DOUBLE_EQ(device.energy_nj(), 10.0 + 10.0);
   EXPECT_DOUBLE_EQ(device.latency_ns(), 500.0 + 500.0);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -149,11 +150,13 @@ struct SinkSet {
   DirtyTracker dirty;
   std::vector<std::unique_ptr<LiveNvmSink>> nvm;
 
-  SinkSet() {
+  explicit SinkSet(uint64_t endurance = SmallSpec(NvmSpec::Leveling::kDirect)
+                                            .config.endurance) {
     for (NvmSpec::Leveling leveling :
          {NvmSpec::Leveling::kDirect, NvmSpec::Leveling::kRotating,
           NvmSpec::Leveling::kHashed}) {
       NvmSpec spec = SmallSpec(leveling);
+      spec.config.endurance = endurance;
       nvm.push_back(std::make_unique<LiveNvmSink>(spec));
       spec.cache.sets = 4;
       spec.cache.ways = 2;
@@ -313,6 +316,57 @@ TEST(WriteSinkSpan, TeeOfEverySinkMatchesPerWordDelivery) {
   TeeSink worded_tee(worded.All());
   FeedSpans(&spanned_tee, spans);
   FeedWords(&worded_tee, spans);
+  ExpectSinkSetsIdentical(&spanned, &worded);
+}
+
+// With endurance 3 cells wear out mid-stream, so the span write's
+// register-held worn-out count, max wear and failure flag must cross their
+// thresholds inside a span exactly where per-word delivery does: after
+// every span the device counters agree with per-word delivery and with
+// the wear table, and every device (each scheme, uncached and cached)
+// first fails inside one.
+TEST(WriteSinkSpan, EnduranceCrossedInsideASpanMatchesPerWordDelivery) {
+  const std::vector<SeededSpan> spans = SeededSpans(/*seed=*/5);
+  SinkSet spanned(/*endurance=*/3);
+  SinkSet worded(/*endurance=*/3);
+  std::vector<bool> failed_inside_a_span(spanned.nvm.size(), false);
+  for (const SeededSpan& span : spans) {
+    for (size_t i = 0; i < spanned.nvm.size(); ++i) {
+      SCOPED_TRACE(i);
+      LiveNvmSink& a = *spanned.nvm[i];
+      LiveNvmSink& b = *worded.nvm[i];
+      const bool failed_before = a.device().failed();
+      FeedSpans(&a, {span});
+      FeedWords(&b, {span});
+      EXPECT_EQ(a.device().total_writes(), b.device().total_writes());
+      EXPECT_EQ(a.device().max_cell_wear(), b.device().max_cell_wear());
+      EXPECT_EQ(a.device().worn_out_cells(), b.device().worn_out_cells());
+      EXPECT_EQ(a.device().failed(), b.device().failed());
+      // Both deliveries share the device's counting, so also pin the
+      // counters against the wear table they summarize.
+      const std::vector<uint64_t>& wear = a.device().cell_wear();
+      uint64_t total = 0;
+      uint64_t max_wear = 0;
+      uint64_t worn = 0;
+      for (const uint64_t w : wear) {
+        total += w;
+        max_wear = std::max(max_wear, w);
+        worn += w >= 3 ? 1 : 0;
+      }
+      EXPECT_EQ(a.device().total_writes(), total);
+      EXPECT_EQ(a.device().max_cell_wear(), max_wear);
+      EXPECT_EQ(a.device().worn_out_cells(), worn);
+      if (!failed_before && a.device().failed()) {
+        failed_inside_a_span[i] = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < spanned.nvm.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(failed_inside_a_span[i]);
+    EXPECT_GT(spanned.nvm[i]->device().worn_out_cells(), 1u);
+    EXPECT_GT(spanned.nvm[i]->device().max_cell_wear(), 3u);
+  }
   ExpectSinkSetsIdentical(&spanned, &worded);
 }
 
