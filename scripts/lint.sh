@@ -120,6 +120,109 @@ if [ -n "$count_min_items" ]; then
   exit 1
 fi
 
+# SIMD-store gate: `#pragma omp simd` tells the compiler the loop's
+# iterations are independent, so it may gather, add and scatter whole
+# vectors of them at once. A loop that stores through a loaded index
+# (`row[idx[i]] += 1`) repeats indices inside one vector, and the scatter
+# keeps one of the colliding updates: AVX-512 builds of the grid kernels
+# lost counts this way. Under the pragma every subscripted store must be
+# indexed by the loop variable itself (the pure hash loops' `out[i] =`).
+simd_stores=$(awk '
+  # Subscripted stores in `body` whose subscript is not `var`, one per line.
+  function bad_stores(body, var,    n, i, j, depth, sub_, rest, before, out) {
+    n = length(body)
+    out = ""
+    for (i = 1; i <= n; ++i) {
+      if (substr(body, i, 1) != "[") continue
+      depth = 1
+      for (j = i + 1; j <= n && depth > 0; ++j) {
+        if (substr(body, j, 1) == "[") ++depth
+        if (substr(body, j, 1) == "]") --depth
+      }
+      sub_ = substr(body, i + 1, j - i - 2)
+      rest = substr(body, j)
+      before = substr(body, 1, i - 1)
+      gsub(/^[[:space:]]+|[[:space:]]+$/, "", sub_)
+      if (rest !~ /^[[:space:]]*(([-+*\/%&|^]|<<|>>)?=[^=]|\+\+|--)/ &&
+          before !~ /(\+\+|--)[[:space:]]*[A-Za-z_][A-Za-z0-9_]*$/) continue
+      if (sub_ != var) out = out "[" sub_ "] "
+      i = j - 1
+    }
+    return out
+  }
+  FNR == 1 { pending = 0 }
+  /^[[:space:]]*#pragma omp simd/ {
+    pending = 1; body = ""; depth = 0; opened = 0; at = FILENAME ":" FNR
+    next
+  }
+  pending {
+    line = $0
+    sub(/\/\/.*/, "", line)
+    body = body " " line
+    opens = gsub(/\{/, "{", line)
+    closes = gsub(/\}/, "}", line)
+    depth += opens - closes
+    if (opens > 0) opened = 1
+    if ((opened && depth <= 0) || (!opened && line ~ /;[[:space:]]*$/)) {
+      pending = 0
+      var = body
+      sub(/^[^(]*\(/, "", var)
+      sub(/=.*/, "", var)
+      gsub(/[[:space:]]+$/, "", var)
+      sub(/.*[^A-Za-z0-9_]/, "", var)
+      bad = bad_stores(body, var)
+      if (bad != "") print at ": stores through " bad "in:" body
+    }
+  }
+' $(find src -name '*.h' -o -name '*.cc' | sort))
+if [ -n "$simd_stores" ]; then
+  echo "lint.sh: #pragma omp simd above a loop that stores through a non-induction index — a vector scatter drops colliding updates; drop the pragma:" >&2
+  echo "$simd_stores" >&2
+  exit 1
+fi
+
+# Scatter gate: the same fault as the compiler sees it. Compiled to
+# assembly for an AVX-512 target (which needs no AVX-512 CPU), the grid
+# kernels and every file carrying `#pragma omp simd` must emit no
+# `vpscatter`: in these loops a scatter is a histogram store that loses
+# colliding updates.
+cxx="${CXX:-g++}"
+for simd_file in $( (echo src/baselines/count_min.cc; echo src/baselines/count_sketch.cc;
+                     grep -rl '#pragma omp simd' src --include='*.cc') | sort -u); do
+  if ! simd_asm=$("$cxx" -std=c++17 -O3 -fopenmp-simd -march=skylake-avx512 \
+                   -Isrc -S -o - "$simd_file"); then
+    echo "lint.sh: could not compile $simd_file to assembly with -march=skylake-avx512" >&2
+    exit 1
+  fi
+  if printf '%s\n' "$simd_asm" | grep -m 3 'vpscatter' >&2; then
+    echo "lint.sh: $simd_file emits vpscatter under -march=skylake-avx512 — a vectorized histogram store drops colliding updates" >&2
+    exit 1
+  fi
+done
+
+# Query-path gate: `TopK` costs O(S·k) because each shard hands over only
+# its top candidates (`AppendTopCandidates`, SpaceSaving's top-bucket
+# walk) and candidates are deduped by sort+unique in a vector. A hash set
+# in view_query.cc, or a full `AppendCandidates(` gather inside `TopK`,
+# is the whole summary's cost creeping back onto every query.
+if grep -n 'unordered_set' src/shard/view_query.cc >&2; then
+  echo "lint.sh: unordered_set in src/shard/view_query.cc — dedup query candidates by sort+unique in a vector" >&2
+  exit 1
+fi
+topk_body=$(awk '
+  /^std::vector<HeavyHitter> TopK\(/ { inside = 1 }
+  inside { print }
+  inside && /^}$/ { exit }
+' src/shard/view_query.cc)
+if [ -z "$topk_body" ]; then
+  echo "lint.sh: TopK not found in src/shard/view_query.cc" >&2
+  exit 1
+fi
+if printf '%s\n' "$topk_body" | grep -n 'AppendCandidates(' >&2; then
+  echo "lint.sh: TopK gathers every tracked item via AppendCandidates() — take each shard's AppendTopCandidates(k) instead" >&2
+  exit 1
+fi
+
 # Cache-lookup gate: `CacheSpec::Validate` requires power-of-two `sets`
 # and `line_words`, so `CacheTier` takes a word's offset, tag and set from
 # precomputed shifts and masks. A division or modulo by `line_words` or

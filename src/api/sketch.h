@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_API_SKETCH_H_
 #define FEWSTATE_API_SKETCH_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,17 @@ class CandidateEnumerable {
   /// \brief Appends every tracked item identity to `out` (duplicates
   /// across calls/shards are fine; callers dedup). Order is unspecified.
   virtual void AppendCandidates(std::vector<Item>* out) const = 0;
+
+  /// \brief Appends a superset of the items holding this sketch's `k`
+  /// largest own estimates, including every item tied with the k-th
+  /// (fewer than `k` tracked: all of them). Order is unspecified. The
+  /// default appends every tracked item, which is trivially such a
+  /// superset; summaries that keep their counts ordered override it to
+  /// touch only the top of the order.
+  virtual void AppendTopCandidates(size_t /*k*/,
+                                   std::vector<Item>* out) const {
+    AppendCandidates(out);
+  }
 };
 
 }  // namespace fewstate

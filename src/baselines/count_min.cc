@@ -93,7 +93,6 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
       for (size_t d = 0; d < depth_; ++d) {
         const uint64_t* idx = batch_idx_.data() + d * c;
         uint64_t* row = table + d * width_;
-#pragma omp simd
         for (size_t i = 0; i < c; ++i) row[idx[i]] += 1;
       }
     }

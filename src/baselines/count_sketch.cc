@@ -62,7 +62,6 @@ void CountSketch::UpdateBatch(const Item* items, size_t n) {
       const uint64_t* idx = batch_idx_.data() + d * c;
       const int8_t* sign = batch_sign_.data() + d * c;
       int64_t* row = table + d * width_;
-#pragma omp simd
       for (size_t i = 0; i < c; ++i) row[idx[i]] += sign[i];
     }
     accountant_.ApplyBatch(batch_scratch_);

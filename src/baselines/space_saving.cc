@@ -66,7 +66,11 @@ uint32_t SpaceSaving::NewBucket(uint64_t count, uint32_t prev,
   } else {
     min_bucket_ = bucket;
   }
-  if (next != kNone) buckets_[next].prev = bucket;
+  if (next != kNone) {
+    buckets_[next].prev = bucket;
+  } else {
+    max_bucket_ = bucket;
+  }
   return bucket;
 }
 
@@ -77,6 +81,9 @@ void SpaceSaving::FreeBucket(uint32_t bucket) {
   } else {
     min_bucket_ = b.next;
   }
+  // Only `Increment` frees a bucket, once its lone slot has moved up into
+  // the next one, so the top bucket is never freed and `max_bucket_`
+  // changes only in `NewBucket`.
   if (b.next != kNone) buckets_[b.next].prev = b.prev;
   buckets_[bucket].next = free_bucket_;
   free_bucket_ = bucket;
@@ -236,6 +243,7 @@ Status SpaceSaving::MergeFrom(const Sketch& other) {
   slots_.clear();
   buckets_.clear();
   min_bucket_ = kNone;
+  max_bucket_ = kNone;
   free_bucket_ = kNone;
   RebuildIndex(merged.size() - evicted);
   uint32_t last = kNone;
@@ -256,6 +264,18 @@ double SpaceSaving::EstimateFrequency(Item item) const {
     return static_cast<double>(buckets_[slots_[slot].bucket].count);
   }
   return static_cast<double>(min_count());
+}
+
+void SpaceSaving::AppendTopCandidates(size_t k,
+                                      std::vector<Item>* out) const {
+  size_t taken = 0;
+  for (uint32_t b = max_bucket_; b != kNone && taken < k;
+       b = buckets_[b].prev) {
+    for (uint32_t s = buckets_[b].head; s != kNone; s = slots_[s].next) {
+      out->push_back(slots_[s].item);
+      ++taken;
+    }
+  }
 }
 
 std::vector<HeavyHitter> SpaceSaving::HeavyHitters(double threshold) const {

@@ -23,18 +23,20 @@ namespace fewstate {
 /// The summary is Metwally's Stream-Summary on flat arrays: k slots, an
 /// open-addressing item -> slot index, and one bucket per distinct count
 /// holding its slots as an intrusive doubly-linked list, the buckets
-/// linked in ascending count order. `Update` is O(1) and allocates
-/// nothing once the summary is full; the arrays grow lazily, so building
-/// a summary allocates nothing. Ties are fixed: the victim is, among the
-/// minimum-count entries, the one that reached that count earliest (each
-/// bucket lists its slots in the order they reached its count).
+/// linked in ascending count order with both ends kept, so eviction reads
+/// the lowest bucket and a top-k query walks down from the highest.
+/// `Update` is O(1) and allocates nothing once the summary is full; the
+/// arrays grow lazily, so building a summary allocates nothing. Ties are
+/// fixed: the victim is, among the minimum-count entries, the one that
+/// reached that count earliest (each bucket lists its slots in the order
+/// they reached its count).
 ///
 /// Write accounting is per update, not per slot: every write is charged
 /// to the first slot's three words (item at `cells_base_`, count at +1,
 /// error at +2), whichever slot changed. Word counts are exact, but
 /// per-cell wear, dirty sets and cache-line absorption describe three
 /// hot words instead of the slot that moved. This is an open fault (see
-/// ROADMAP item 1); charging real slot addresses raises the benchmark's
+/// ROADMAP item 2); charging real slot addresses raises the benchmark's
 /// cached device writes, so it is left to its own change.
 class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
  public:
@@ -70,6 +72,11 @@ class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
     out->reserve(out->size() + slots_.size());
     for (const Slot& slot : slots_) out->push_back(slot.item);
   }
+
+  /// \brief Walks the count buckets down from the largest until at least
+  /// `k` items are taken, always finishing the current bucket, so every
+  /// entry tied with the k-th largest count is in. O(k + buckets walked).
+  void AppendTopCandidates(size_t k, std::vector<Item>* out) const override;
 
   /// \brief Smallest tracked count (0 while the summary is not full).
   uint64_t min_count() const;
@@ -110,6 +117,7 @@ class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
   std::vector<Slot> slots_;
   std::vector<Bucket> buckets_;
   uint32_t min_bucket_ = kNone;   // lowest count; kNone while empty
+  uint32_t max_bucket_ = kNone;   // highest count; kNone while empty
   uint32_t free_bucket_ = kNone;  // recycled bucket list
   std::vector<IndexEntry> index_;  // power-of-two size, load <= 1/2
   int index_shift_ = 64;

@@ -93,12 +93,16 @@ double LagrangeInterpolateDerivative(const std::vector<double>& xs,
 }
 
 double Median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  const size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  double hi = values[mid];
-  if (values.size() % 2 == 1) return hi;
-  double lo = *std::max_element(values.begin(), values.begin() + mid);
+  return MedianInPlace(values.data(), values.size());
+}
+
+double MedianInPlace(double* values, size_t n) {
+  if (n == 0) return 0.0;
+  const size_t mid = n / 2;
+  std::nth_element(values, values + mid, values + n);
+  const double hi = values[mid];
+  if (n % 2 == 1) return hi;
+  const double lo = *std::max_element(values, values + mid);
   return 0.5 * (lo + hi);
 }
 

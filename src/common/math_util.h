@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_COMMON_MATH_UTIL_H_
 #define FEWSTATE_COMMON_MATH_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +55,10 @@ double LagrangeInterpolateDerivative(const std::vector<double>& xs,
 /// \brief Median of a vector (averaging the two middle elements for even
 /// sizes). The input is copied; empty input returns 0.
 double Median(std::vector<double> values);
+
+/// \brief `Median` of `values[0, n)` without a copy: reorders the range in
+/// place and returns the same value bitwise.
+double MedianInPlace(double* values, size_t n);
 
 /// \brief Arithmetic mean; empty input returns 0.
 double Mean(const std::vector<double>& values);

@@ -94,13 +94,19 @@ double FullSampleAndHold::EstimateFrequency(Item item) const {
   // paper's level-validity test m_x >= (fhat_x)^p plus its much larger
   // repetition count R = O(log n)).
   constexpr double kMinReliableCount = 16.0;
+  // The per-level medians reorder a stack buffer in place, so estimating
+  // allocates nothing up to kStackRepetitions repetitions.
+  constexpr size_t kStackRepetitions = 16;
+  double stack[kStackRepetitions];
+  std::vector<double> heap(
+      repetitions_ > kStackRepetitions ? repetitions_ : 0);
+  double* const per_rep = heap.empty() ? stack : heap.data();
   double best = 0.0;
-  std::vector<double> per_rep(repetitions_);
   for (size_t x = 0; x < levels_; ++x) {
     for (size_t r = 0; r < repetitions_; ++r) {
       per_rep[r] = instances_[Index(r, x)]->EstimateFrequency(item);
     }
-    const double med = Median(per_rep);
+    const double med = MedianInPlace(per_rep, repetitions_);
     if (x > 0 && med < kMinReliableCount) continue;
     const double rescaled = med * static_cast<double>(1ULL << x);
     best = std::max(best, rescaled);

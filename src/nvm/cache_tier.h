@@ -102,9 +102,11 @@ struct CacheStats {
 /// canonical order (ascending word offset within a line; ascending
 /// set/way during Flush) so runs are deterministic.
 ///
-/// The write path is inline and division-free: offset, tag and set are
-/// shifts and masks of the cell, and one pass over the set's ways finds
-/// both the hit way and the LRU victim without data-dependent branches.
+/// The write path is division-free: offset, tag and set are shifts and
+/// masks of the cell, and one pass over the set's ways finds both the hit
+/// way and the LRU victim without data-dependent branches. It is not
+/// inlined: GCC emits `AccessForWrite` out of line, and `LiveNvmSink`'s
+/// write paths call it once per word.
 class CacheTier {
  public:
   /// \brief Builds the tier. `spec` must be enabled and validated.

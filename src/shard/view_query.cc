@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <thread>
-#include <unordered_set>
 
 #include "api/sketch.h"
 
@@ -11,44 +10,41 @@ namespace fewstate {
 
 namespace {
 
-// Gathers the candidate identity set of `view`: the union of tracked
-// items across published shards when every published shard enumerates
-// identities, else the caller's scan universe. Empty = nothing to score.
+// Gathers the candidate identities of `view`, sorted and without
+// duplicates: what `append(shard, &out)` takes from each published shard
+// when every published shard enumerates identities, else the caller's
+// scan universe. Empty = nothing to score.
+template <typename Append>
 std::vector<Item> GatherCandidates(const SnapshotView& view,
-                                   uint64_t scan_universe) {
+                                   uint64_t scan_universe, Append&& append) {
   std::vector<Item> candidates;
-  bool all_enumerable = view.shards_published() > 0;
-  for (size_t s = 0; s < view.shards() && all_enumerable; ++s) {
+  for (size_t s = 0; s < view.shards(); ++s) {
     const Sketch* sketch = view.shard_sketch(s);
     if (sketch == nullptr) continue;  // unpublished shard: nothing tracked
     const auto* enumerable = dynamic_cast<const CandidateEnumerable*>(sketch);
     if (enumerable == nullptr) {
-      all_enumerable = false;
-      break;
+      candidates.clear();
+      candidates.reserve(scan_universe);
+      for (uint64_t item = 0; item < scan_universe; ++item) {
+        candidates.push_back(item);
+      }
+      return candidates;
     }
-    enumerable->AppendCandidates(&candidates);
+    append(*enumerable, &candidates);
   }
-  if (all_enumerable) {
-    // Partitioning is by identity, so shard candidate sets are disjoint in
-    // a sharded run — but dedup anyway (merged/replayed snapshots may
-    // overlap).
-    std::unordered_set<Item> seen(candidates.begin(), candidates.end());
-    candidates.assign(seen.begin(), seen.end());
-    return candidates;
-  }
-  candidates.clear();
-  candidates.reserve(scan_universe);
-  for (uint64_t item = 0; item < scan_universe; ++item) {
-    candidates.push_back(item);
-  }
+  // Partitioning is by identity, so shard candidate sets are disjoint in
+  // a sharded run; dedup anyway, which also fixes the scoring order.
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
   return candidates;
 }
 
-// Scores candidates against the view and returns them sorted by estimate
-// descending, item ascending — deterministic for a fixed view.
-std::vector<HeavyHitter> ScoreAndSort(const SnapshotView& view,
-                                      const std::vector<Item>& candidates,
-                                      double threshold) {
+// Scores candidates against the view, keeping positive estimates at or
+// above `threshold`.
+std::vector<HeavyHitter> Score(const SnapshotView& view,
+                               const std::vector<Item>& candidates,
+                               double threshold) {
   std::vector<HeavyHitter> hitters;
   for (const Item item : candidates) {
     const double est = view.EstimateFrequency(item);
@@ -56,12 +52,14 @@ std::vector<HeavyHitter> ScoreAndSort(const SnapshotView& view,
       hitters.push_back(HeavyHitter{item, est});
     }
   }
-  std::sort(hitters.begin(), hitters.end(),
-            [](const HeavyHitter& a, const HeavyHitter& b) {
-              if (a.estimate != b.estimate) return a.estimate > b.estimate;
-              return a.item < b.item;
-            });
   return hitters;
+}
+
+// Estimate descending, item ascending: a total order on distinct items,
+// so results are deterministic for a fixed view.
+bool ByEstimate(const HeavyHitter& a, const HeavyHitter& b) {
+  if (a.estimate != b.estimate) return a.estimate > b.estimate;
+  return a.item < b.item;
 }
 
 }  // namespace
@@ -70,8 +68,17 @@ std::vector<HeavyHitter> TopK(const SnapshotView& view, size_t k,
                               uint64_t scan_universe) {
   if (k == 0 || view.shards_published() == 0) return {};
   std::vector<HeavyHitter> hitters =
-      ScoreAndSort(view, GatherCandidates(view, scan_universe), 0.0);
-  if (hitters.size() > k) hitters.resize(k);
+      Score(view,
+            GatherCandidates(view, scan_universe,
+                             [k](const CandidateEnumerable& shard,
+                                 std::vector<Item>* out) {
+                               shard.AppendTopCandidates(k, out);
+                             }),
+            0.0);
+  const size_t keep = std::min(k, hitters.size());
+  std::partial_sort(hitters.begin(), hitters.begin() + keep, hitters.end(),
+                    ByEstimate);
+  hitters.resize(keep);
   return hitters;
 }
 
@@ -80,7 +87,16 @@ std::vector<HeavyHitter> HeavyHitters(const SnapshotView& view, double phi,
   if (view.shards_published() == 0) return {};
   const double threshold =
       phi > 0.0 ? phi * static_cast<double>(view.items_visible()) : 0.0;
-  return ScoreAndSort(view, GatherCandidates(view, scan_universe), threshold);
+  std::vector<HeavyHitter> hitters =
+      Score(view,
+            GatherCandidates(view, scan_universe,
+                             [](const CandidateEnumerable& shard,
+                                std::vector<Item>* out) {
+                               shard.AppendCandidates(out);
+                             }),
+            threshold);
+  std::sort(hitters.begin(), hitters.end(), ByEstimate);
+  return hitters;
 }
 
 namespace {

@@ -18,12 +18,22 @@ namespace fewstate {
 /// elephants right now?" — answered across all published shards of one
 /// consistent `SnapshotView`. Candidates come from the shards themselves
 /// when the snapshots are identity-tracking (`CandidateEnumerable`:
-/// SpaceSaving, Misra–Gries — the union of per-shard candidate sets,
-/// which is exhaustive because partitioning is by item identity, so any
-/// globally heavy item is heavy on its one home shard). For hash-bucket
-/// sketches (CountMin, CountSketch) pass `scan_universe` > 0 to score
-/// items `[0, scan_universe)` instead; with no enumerable shard and no
-/// universe the query returns empty rather than guess.
+/// SpaceSaving, Misra–Gries): each shard contributes its own top-k list
+/// (`AppendTopCandidates`, ties at rank k included), so SpaceSaving's
+/// Stream-Summary answers by walking its highest count buckets and the
+/// query costs O(S·k), not the summary size. For hash-bucket sketches
+/// (CountMin, CountSketch) pass `scan_universe` > 0 to score items
+/// `[0, scan_universe)` instead; with no enumerable shard and no universe
+/// the query returns empty rather than guess.
+///
+/// Precondition for the enumerable path: no item is tracked by two
+/// shards of the view. It holds for every view a `ServingHandle` cuts,
+/// because the engine partitions by item identity. Then an item tracked
+/// on shard h scores its own count plus every other shard's untracked
+/// estimate (SpaceSaving: that shard's `min_count()`; Misra–Gries: 0),
+/// which is monotone in its own count, so the union of the per-shard
+/// top-k lists holds the global top-k, ties included, and the answer
+/// equals scoring every tracked item and sorting them all.
 ///
 /// Each candidate is scored with `view.EstimateFrequency` — the sum of
 /// per-shard estimates — so results are exactly self-consistent with
@@ -34,9 +44,9 @@ std::vector<HeavyHitter> TopK(const SnapshotView& view, size_t k,
 /// \brief All items whose view estimate is at least `phi ·
 /// items_visible()` (the classic phi-heavy-hitters cut of [MAA05]/[CM05],
 /// taken against the items the view can actually answer for), sorted like
-/// `TopK`. Candidate discovery and the `scan_universe` fallback follow
-/// `TopK`; `phi <= 0` degenerates to "every candidate with a positive
-/// estimate".
+/// `TopK`. Every tracked item of every shard is a candidate; the
+/// `scan_universe` fallback follows `TopK`. `phi <= 0` degenerates to
+/// "every candidate with a positive estimate".
 std::vector<HeavyHitter> HeavyHitters(const SnapshotView& view, double phi,
                                       uint64_t scan_universe = 0);
 

@@ -317,6 +317,28 @@ class SpaceSavingOracle {
   uint64_t clock_ = 0;
 };
 
+// The oracle's top `n` with ties: every entry whose count reaches the
+// n-th largest count (all entries when there are fewer than n), by item.
+std::vector<Item> OracleTopWithTies(const SpaceSavingOracle& oracle,
+                                    size_t n) {
+  std::vector<Item> top;
+  if (n == 0) return top;
+  std::vector<uint64_t> counts;
+  for (const SpaceSavingOracle::Entry& entry : oracle.entries()) {
+    counts.push_back(entry.count);
+  }
+  uint64_t floor = 0;
+  if (counts.size() >= n) {
+    std::sort(counts.rbegin(), counts.rend());
+    floor = counts[n - 1];
+  }
+  for (const SpaceSavingOracle::Entry& entry : oracle.entries()) {
+    if (entry.count >= floor) top.push_back(entry.item);
+  }
+  std::sort(top.begin(), top.end());
+  return top;
+}
+
 void ExpectMatchesOracle(const SpaceSaving& ss, const SpaceSavingOracle& oracle,
                          const std::string& where) {
   ASSERT_EQ(ss.size(), oracle.entries().size()) << where;
@@ -333,6 +355,15 @@ void ExpectMatchesOracle(const SpaceSaving& ss, const SpaceSavingOracle& oracle,
   std::sort(candidates.begin(), candidates.end());
   std::sort(expected.begin(), expected.end());
   ASSERT_EQ(candidates, expected) << where;
+  // The top-bucket walk takes whole buckets from the highest count down,
+  // so it returns exactly the top n with ties, each item once.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                         ss.capacity() + 1}) {
+    std::vector<Item> top;
+    ss.AppendTopCandidates(n, &top);
+    std::sort(top.begin(), top.end());
+    ASSERT_EQ(top, OracleTopWithTies(oracle, n)) << where << " top " << n;
+  }
   const StateAccountant& acc = ss.accountant();
   ASSERT_EQ(acc.updates(), oracle.updates) << where;
   ASSERT_EQ(acc.state_changes(), oracle.changes) << where;

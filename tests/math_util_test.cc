@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace fewstate {
 namespace {
@@ -133,6 +135,27 @@ TEST(Median, OddAndEvenSizes) {
   EXPECT_EQ(Median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_EQ(Median({4.0, 1.0, 2.0, 3.0}), 2.5);
   EXPECT_EQ(Median({1.0, 1.0, 9.0, 9.0}), 5.0);
+}
+
+// MedianInPlace is the order statistic of a sorted copy (the mean of the
+// two middle ones for even sizes), ties and repeated values included.
+TEST(Median, InPlaceMatchesSortedOrderStatistics) {
+  EXPECT_EQ(MedianInPlace(nullptr, 0), 0.0);
+  for (size_t n = 1; n <= 9; ++n) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      std::vector<double> values(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = static_cast<double>((seed * 7 + i * 13) % 5) + 0.25;
+      }
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const double expected =
+          n % 2 == 1 ? sorted[n / 2]
+                     : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+      EXPECT_EQ(MedianInPlace(values.data(), n), expected)
+          << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Mean, Basics) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "baselines/count_min.h"
+#include "baselines/misra_gries.h"
 #include "baselines/space_saving.h"
 #include "recover/checkpoint_policy.h"
 #include "shard/sharded_engine.h"
@@ -158,6 +159,92 @@ TEST(ViewQuery, SpaceSavingTopKIsSelfConsistentAndFindsElephants) {
                             }))
         << "true elephant " << elephant << " missing from TopK";
   }
+}
+
+// The unbounded form TopK replaces: every tracked item of every published
+// shard, scored with the view, positives kept, fully sorted, cut to k.
+std::vector<HeavyHitter> GatherScoreSort(const SnapshotView& view, size_t k) {
+  std::vector<Item> candidates;
+  for (size_t s = 0; s < view.shards(); ++s) {
+    const auto* shard =
+        dynamic_cast<const CandidateEnumerable*>(view.shard_sketch(s));
+    if (shard != nullptr) shard->AppendCandidates(&candidates);
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  std::vector<HeavyHitter> all;
+  for (const Item item : candidates) {
+    const double est = view.EstimateFrequency(item);
+    if (est > 0.0) all.push_back(HeavyHitter{item, est});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const HeavyHitter& a, const HeavyHitter& b) {
+              if (a.estimate != b.estimate) return a.estimate > b.estimate;
+              return a.item < b.item;
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+// TopK takes only each shard's top-k candidates (SpaceSaving walks its
+// highest count buckets), yet must answer exactly as the unbounded
+// gather-score-sort does: same items, estimates and order. Checked on
+// every view a reader cuts during ingest and at quiescence, across shard
+// counts, both identity-tracking summaries, full and delta snapshots, and
+// k below, at and above the summary capacity. The near-uniform stream
+// keeps many counts tied at rank k.
+TEST(ViewQuery, BoundedTopKMatchesGatherScoreSort) {
+  const SketchFactory factories[] = {
+      SpaceSavingFactory(),
+      SketchFactory::Of<MisraGries>("misra_gries", size_t{48})};
+  const size_t ks[] = {1, 10, 64, 1000};
+  bool tie_at_k = false;
+  for (const SketchFactory& factory : factories) {
+    for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+      for (const auto snapshot : {CheckpointPolicy::Snapshot::kFull,
+                                  CheckpointPolicy::Snapshot::kDelta}) {
+        for (const bool uniform : {false, true}) {
+          SCOPED_TRACE(factory.name() + " shards=" + std::to_string(shards) +
+                       (snapshot == CheckpointPolicy::Snapshot::kFull
+                            ? " full"
+                            : " delta") +
+                       (uniform ? " uniform" : " zipf"));
+          ShardedEngine engine(ServingOptions(
+              shards, CheckpointPolicy::EveryItems(kEvery, snapshot)));
+          ASSERT_TRUE(engine.AddSketch(factory).ok());
+          const ServingHandle handle = engine.Serving(factory.name());
+          const auto check = [&](const SnapshotView& view) {
+            for (const size_t k : ks) {
+              const std::vector<HeavyHitter> next =
+                  GatherScoreSort(view, k + 1);
+              if (next.size() > k && next[k - 1].estimate == next[k].estimate) {
+                tie_at_k = true;
+              }
+              ASSERT_EQ(TopK(view, k), GatherScoreSort(view, k)) << "k=" << k;
+            }
+          };
+          std::atomic<bool> done{false};
+          std::thread reader([&] {
+            while (!done.load(std::memory_order_acquire)) {
+              check(handle.Acquire());
+              if (::testing::Test::HasFatalFailure()) return;
+            }
+          });
+          engine.Run(VectorSource(
+              uniform ? UniformStream(kUniverse, kLength, kSeed)
+                      : ZipfStream(kUniverse, 1.3, kLength, kSeed)));
+          done.store(true, std::memory_order_release);
+          reader.join();
+          const SnapshotView view = handle.Acquire();
+          ASSERT_TRUE(view.complete());
+          check(view);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(tie_at_k) << "no view had a tie at rank k";
 }
 
 // HeavyHitters applies the phi cut against items_visible() exactly.
