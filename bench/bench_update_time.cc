@@ -14,9 +14,12 @@
 // rows measuring ~1.0x are the fallback's overhead, not a bug.
 //
 // Every row pair is also a batch ≡ scalar check: the two final states must
-// agree on every accountant count (and, for the stable sketches, on
-// EstimateLp and every tracked word). A mismatch is reported and makes
-// the binary exit 1, so the timing smoke doubles as an equivalence gate.
+// agree on every accountant count, on EstimateFrequency(x) for every item
+// of the universe (and, for the stable sketches, on EstimateLp and every
+// tracked word; for FpEstimator, on EstimateFp). Counts alone would miss a
+// kernel that writes the right number of words into the wrong counters. A
+// mismatch is reported and makes the binary exit 1, so the timing smoke
+// doubles as an equivalence gate.
 //
 // Usage: bench_update_time [stream_length]   (default 2000000)
 
@@ -77,6 +80,17 @@ std::string StateMismatch(const Sketch& scalar, const Sketch& batch) {
   if (s.word_reads() != b.word_reads()) return "word_reads";
   if (s.peak_allocated_words() != b.peak_allocated_words()) {
     return "peak_allocated_words";
+  }
+  for (Item x = 0; x < kUniverse; ++x) {
+    if (scalar.EstimateFrequency(x) != batch.EstimateFrequency(x)) {
+      return "EstimateFrequency(" + std::to_string(x) + ")";
+    }
+  }
+  const auto* fp_s = dynamic_cast<const FpEstimator*>(&scalar);
+  const auto* fp_b = dynamic_cast<const FpEstimator*>(&batch);
+  if (fp_s != nullptr && fp_b != nullptr &&
+      fp_s->EstimateFp() != fp_b->EstimateFp()) {
+    return "EstimateFp";
   }
   const auto* stable_s = dynamic_cast<const StableSketch*>(&scalar);
   const auto* stable_b = dynamic_cast<const StableSketch*>(&batch);

@@ -223,6 +223,33 @@ if printf '%s\n' "$topk_body" | grep -n 'AppendCandidates(' >&2; then
   exit 1
 fi
 
+# Sample-and-hold gate: SampleAndHold keeps its working memory in one
+# open-addressing table (item -> held-counter slot, reservoir multiplicity,
+# estimate) plus a slot array, and FullSampleAndHold dedups tracked items
+# by sort+unique in a vector, so a query is a few flat-table probes per
+# instance. A node-based hash container in these files is the per-lookup
+# pointer chase creeping back. A Morris estimate is a cached load: a
+# `ValueAt(` or `expm1` in `MorrisCounter::Estimate` puts a transcendental
+# call back on every estimate.
+if grep -nE 'unordered_(map|set)' src/core/sample_and_hold.h \
+     src/core/sample_and_hold.cc src/core/full_sample_and_hold.cc >&2; then
+  echo "lint.sh: unordered_map/unordered_set in SampleAndHold or FullSampleAndHold — use the flat table and sort+unique in a vector" >&2
+  exit 1
+fi
+morris_estimate=$(awk '
+  /double (MorrisCounter::)?Estimate\(\) const/ { inside = 1 }
+  inside { print FILENAME ":" FNR ": " $0 }
+  inside && /}/ { inside = 0 }
+' src/counters/morris_counter.h src/counters/morris_counter.cc)
+if [ -z "$morris_estimate" ]; then
+  echo "lint.sh: MorrisCounter::Estimate not found in src/counters/morris_counter.{h,cc}" >&2
+  exit 1
+fi
+if printf '%s\n' "$morris_estimate" | grep -E 'ValueAt\(|expm1' >&2; then
+  echo "lint.sh: MorrisCounter::Estimate recomputes value(level) — return the value cached when the level moved" >&2
+  exit 1
+fi
+
 # Cache-lookup gate: `CacheSpec::Validate` requires power-of-two `sets`
 # and `line_words`, so `CacheTier` takes a word's offset, tag and set from
 # precomputed shifts and masks. A division or modulo by `line_words` or

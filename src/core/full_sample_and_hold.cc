@@ -1,7 +1,6 @@
 #include "core/full_sample_and_hold.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/math_util.h"
 
@@ -115,15 +114,17 @@ double FullSampleAndHold::EstimateFrequency(Item item) const {
 }
 
 std::vector<HeavyHitter> FullSampleAndHold::TrackedItems() const {
-  std::unordered_set<Item> seen;
+  std::vector<Item> items;
   for (const auto& instance : instances_) {
     for (const HeavyHitter& hh : instance->TrackedItems()) {
-      seen.insert(hh.item);
+      items.push_back(hh.item);
     }
   }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
   std::vector<HeavyHitter> out;
-  out.reserve(seen.size());
-  for (Item item : seen) {
+  out.reserve(items.size());
+  for (Item item : items) {
     out.push_back(HeavyHitter{item, EstimateFrequency(item)});
   }
   return out;

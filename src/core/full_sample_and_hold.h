@@ -50,7 +50,7 @@ class FullSampleAndHold : public Sketch {
   double EstimateFrequency(Item item) const override;
 
   /// \brief Every item tracked by at least one instance, with its combined
-  /// estimate.
+  /// estimate, in ascending item order.
   std::vector<HeavyHitter> TrackedItems() const;
 
   /// \brief Tracked items with combined estimate >= threshold.

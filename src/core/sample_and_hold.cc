@@ -63,7 +63,6 @@ SampleAndHold::SampleAndHold(const SampleAndHoldOptions& options,
       std::make_unique<TrackedArray<Item>>(accountant_, slots, kEmptySlot);
   bookkeeping_cell_ = accountant_->AllocateCells(1);
   DrawCounterBudget();
-  counters_.reserve(budget_hi_ + 1);
 }
 
 
@@ -102,31 +101,78 @@ void SampleAndHold::DrawCounterBudget() {
       static_cast<size_t>(rng_.UniformRange(budget_lo_, budget_hi_));
 }
 
+SampleAndHold::Entry& SampleAndHold::Insert(Item item) {
+  if (4 * (entries_ + 1) > 3 * table_.size()) Rehash(2 * table_.size());
+  ++entries_;
+  Entry& entry = table_[Probe(item)];
+  entry.item = item;
+  return entry;
+}
+
+void SampleAndHold::Erase(size_t hole) {
+  --entries_;
+  const size_t mask = table_.size() - 1;
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home lies cyclically after the hole.
+  for (size_t j = (hole + 1) & mask; table_[j].estimate != 0.0;
+       j = (j + 1) & mask) {
+    if (((j - Home(table_[j].item)) & mask) >= ((j - hole) & mask)) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole] = Entry{};
+}
+
+void SampleAndHold::Rehash(size_t size) {
+  std::vector<Entry> old(std::max<size_t>(size, 16));
+  old.swap(table_);
+  table_shift_ = 64 - __builtin_ctzll(table_.size());
+  for (const Entry& entry : old) {
+    if (entry.estimate != 0.0) table_[Probe(entry.item)] = entry;
+  }
+}
+
 void SampleAndHold::Update(Item item) {
   if (owned_accountant_ != nullptr) accountant_->BeginUpdate();
   ++t_;
+  if (table_.empty()) Rehash(0);
 
   accountant_->RecordRead();  // counter lookup
-  auto counter_it = counters_.find(item);
-  if (counter_it != counters_.end()) {
-    counter_it->second.counter.Increment();
+  Entry& entry = table_[Probe(item)];
+  if (entry.counter != kNoCounter) {
+    MorrisCounter& counter = held_[entry.counter]->counter;
+    counter.Increment();
+    entry.estimate = counter.Estimate() + 1.0;
     return;
   }
 
   accountant_->RecordRead();  // reservoir membership check
-  if (reservoir_index_.find(item) != reservoir_index_.end()) {
+  if (entry.reservoir > 0) {
     // "Hold": the item is in the reservoir — start a counter for it.
-    HeldCounter held{MorrisCounter(accountant_, &rng_, morris_a_), t_};
-    held.counter.Increment();  // counts this occurrence
+    uint32_t slot;
+    if (free_held_.empty()) {
+      slot = static_cast<uint32_t>(held_.size());
+      held_.emplace_back();
+    } else {
+      slot = free_held_.back();
+      free_held_.pop_back();
+    }
+    held_[slot].reset(new HeldCounter{
+        MorrisCounter(accountant_, &rng_, morris_a_), t_, item});
+    MorrisCounter& counter = held_[slot]->counter;
+    counter.Increment();  // counts this occurrence
     // The birth timestamp is one extra word of algorithmic state.
     const uint64_t birth_cell = accountant_->AllocateCells(1);
     accountant_->RecordWrite(birth_cell);
-    counters_.emplace(item, std::move(held));
+    entry.counter = slot;
+    entry.estimate = counter.Estimate() + 1.0;
     MaybeRunMaintenance();
     return;
   }
 
   // "Sample": with probability rho, overwrite a uniform reservoir slot.
+  // The item has no entry here: a live entry holds a counter or a slot.
   if (rng_.Bernoulli(rho_)) {
     const size_t slot = static_cast<size_t>(rng_.UniformInt(reservoir_->size()));
     const Item old = reservoir_->Peek(slot);
@@ -135,112 +181,76 @@ void SampleAndHold::Update(Item item) {
       return;
     }
     if (old != kEmptySlot) {
-      auto old_it = reservoir_index_.find(old);
-      if (old_it != reservoir_index_.end() && --old_it->second == 0) {
-        reservoir_index_.erase(old_it);
-      }
+      const size_t at = Probe(old);
+      Entry& left = table_[at];
+      if (--left.reservoir == 0 && left.counter == kNoCounter) Erase(at);
     }
-    ++reservoir_index_[item];
+    Entry& sampled = Insert(item);
+    sampled.reservoir = 1;
+    sampled.estimate = 1.0;
     reservoir_->Set(slot, item);
   }
 }
 
 void SampleAndHold::MaybeRunMaintenance() {
-  if (counters_.size() < counter_budget_) return;
+  if (active_counters() < counter_budget_) return;
   ++maintenance_passes_;
-  if (options_.eviction == EvictionPolicy::kDyadicAge) {
-    RunDyadicAgeMaintenance();
-  } else {
-    RunGlobalSmallestMaintenance();
+  // Dyadic-age eviction groups counters by the dyadic bucket of their age
+  // and keeps, per group, the ceil(half) with largest approximate
+  // frequency (paper line 21): only comparing similar-aged counters
+  // protects young true heavy hitters from old pseudo-heavy ones (§1.4).
+  // The global-smallest strawman is one group regardless of age.
+  const bool dyadic = options_.eviction == EvictionPolicy::kDyadicAge;
+  ranked_.clear();
+  for (uint32_t slot = 0; slot < held_.size(); ++slot) {
+    if (held_[slot] == nullptr) continue;
+    const HeldCounter& held = *held_[slot];
+    ranked_.push_back(Candidate{dyadic ? DyadicBucket(t_ - held.birth) : 0,
+                                held.counter.Estimate(), held.birth, slot});
+  }
+  std::sort(ranked_.begin(), ranked_.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.group != b.group) return a.group < b.group;
+              if (a.estimate != b.estimate) return a.estimate > b.estimate;
+              return a.birth < b.birth;  // births are distinct
+            });
+  for (size_t begin = 0; begin < ranked_.size();) {
+    size_t end = begin + 1;
+    while (end < ranked_.size() && ranked_[end].group == ranked_[begin].group) {
+      ++end;
+    }
+    const size_t keep = (end - begin + 1) / 2;
+    for (size_t i = begin + keep; i < end; ++i) RemoveCounter(ranked_[i].slot);
+    begin = end;
   }
   // Redrawing the budget mutates one word of bookkeeping state.
   DrawCounterBudget();
   accountant_->RecordWrite(bookkeeping_cell_);
 }
 
-void SampleAndHold::RunDyadicAgeMaintenance() {
-  // Group active counters by the dyadic bucket of their age; within each
-  // group keep the ceil(half) with largest approximate frequency (paper
-  // line 21). Only comparing similar-aged counters protects young true
-  // heavy hitters from old pseudo-heavy ones (§1.4).
-  struct Candidate {
-    double estimate;
-    Item item;
-  };
-  std::unordered_map<int, std::vector<Candidate>> buckets;
-  for (const auto& [item, held] : counters_) {
-    const uint64_t age = t_ - held.birth;
-    buckets[DyadicBucket(age)].push_back(
-        Candidate{held.counter.Estimate(), item});
-  }
-  for (auto& [bucket, group] : buckets) {
-    if (group.size() <= 1) continue;
-    std::sort(group.begin(), group.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return a.estimate > b.estimate;
-              });
-    const size_t keep = (group.size() + 1) / 2;
-    for (size_t i = keep; i < group.size(); ++i) {
-      RemoveCounter(group[i].item);
-    }
-  }
-}
-
-void SampleAndHold::RunGlobalSmallestMaintenance() {
-  // Strawman eviction: drop the half of all counters with the smallest
-  // approximate frequencies, regardless of age.
-  struct Candidate {
-    double estimate;
-    Item item;
-  };
-  std::vector<Candidate> all;
-  all.reserve(counters_.size());
-  for (const auto& [item, held] : counters_) {
-    all.push_back(Candidate{held.counter.Estimate(), item});
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.estimate > b.estimate;
-            });
-  const size_t keep = (all.size() + 1) / 2;
-  for (size_t i = keep; i < all.size(); ++i) {
-    RemoveCounter(all[i].item);
-  }
-}
-
-void SampleAndHold::RemoveCounter(Item item) {
-  auto it = counters_.find(item);
-  if (it == counters_.end()) return;
-  // Dropping a counter changes the state (and frees its birth word; the
-  // Morris level cell releases itself on destruction).
+void SampleAndHold::RemoveCounter(uint32_t slot) {
+  const size_t at = Probe(held_[slot]->item);
+  // Dropping a counter changes the state and frees its birth word and its
+  // Morris level cell, now rather than when the slot is reused.
   accountant_->RecordWrite(bookkeeping_cell_);
   accountant_->ReleaseCells(1);
-  counters_.erase(it);
-}
-
-double SampleAndHold::EstimateFrequency(Item item) const {
-  // +1: every hold counter missed at least one occurrence — the one that
-  // put the item into the reservoir — so est+1 is a strictly tighter but
-  // still valid underestimate (matters for low-frequency level sets).
-  auto it = counters_.find(item);
-  if (it != counters_.end()) return it->second.counter.Estimate() + 1.0;
-  // A reservoir-resident item was seen at least once: estimate 1. Without
-  // this, frequency-1 level sets (e.g. the Theorem 1.4 permutation stream
-  // S2, Fp = n) would be invisible — items that never recur can never
-  // earn a hold counter.
-  if (reservoir_index_.find(item) != reservoir_index_.end()) return 1.0;
-  return 0.0;
+  held_[slot].reset();
+  free_held_.push_back(slot);
+  Entry& entry = table_[at];
+  if (entry.reservoir == 0) {
+    Erase(at);
+  } else {
+    entry.counter = kNoCounter;
+    entry.estimate = 1.0;
+  }
 }
 
 std::vector<HeavyHitter> SampleAndHold::TrackedItems() const {
   std::vector<HeavyHitter> out;
-  out.reserve(counters_.size() + reservoir_index_.size());
-  for (const auto& [item, held] : counters_) {
-    out.push_back(HeavyHitter{item, held.counter.Estimate() + 1.0});
-  }
-  for (const auto& [item, slots] : reservoir_index_) {
-    if (counters_.find(item) == counters_.end()) {
-      out.push_back(HeavyHitter{item, 1.0});
+  out.reserve(entries_);
+  for (const Entry& entry : table_) {
+    if (entry.estimate != 0.0) {
+      out.push_back(HeavyHitter{entry.item, entry.estimate});
     }
   }
   return out;

@@ -29,6 +29,7 @@ void MorrisCounter::Increment() {
   const uint32_t x = level_.Get();
   if (a_ == 0.0) {
     level_.Set(x + 1);
+    estimate_ = ValueAt(x + 1);
     ++level_changes_;
     return;
   }
@@ -39,6 +40,7 @@ void MorrisCounter::Increment() {
   }
   if (rng_->Bernoulli(advance_prob_)) {
     level_.Set(x + 1);
+    estimate_ = add_level_ == x ? next_value_ : ValueAt(x + 1);
     ++level_changes_;
   }
 }
@@ -69,19 +71,21 @@ uint32_t MorrisCounter::RoundedLevel(uint32_t x, double w) {
   const double target = value_ + w;
   uint32_t base = x;
   double lo = value_;
-  double gap = next_value_ - value_;
+  double hi = next_value_;
   if (!(target < fast_limit_)) {
     base = static_cast<uint32_t>(LevelFor(target));
     if (base < x) base = x;  // guard against floating-point rounding
     if (base != x) {
       lo = ValueAt(base);
-      gap = ValueAt(base + 1) - lo;
+      hi = ValueAt(base + 1);
     }
   }
-  double q = (target - lo) / gap;
+  double q = (target - lo) / (hi - lo);
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  return base + (rng_->Bernoulli(q) ? 1 : 0);
+  const bool up = rng_->Bernoulli(q);
+  estimate_ = up ? hi : lo;  // the value of the level returned
+  return base + (up ? 1 : 0);
 }
 
 void MorrisCounter::Add(double w) {
@@ -116,10 +120,9 @@ Status MorrisCounter::RestoreFrom(const MorrisCounter& other) {
         "MorrisCounter::RestoreFrom: growth parameters differ");
   }
   level_.Set(other.level_.Peek());  // suppressed when already equal
+  estimate_ = other.estimate_;      // same a, same level: same value
   level_changes_ = other.level_changes_;
   return Status::OK();
 }
-
-double MorrisCounter::Estimate() const { return ValueAt(level_.Peek()); }
 
 }  // namespace fewstate

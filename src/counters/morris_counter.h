@@ -33,9 +33,9 @@ namespace fewstate {
 /// The counter caches the closed forms it needs at its current level —
 /// value(X), value(X+1) and Increment's advance probability — and
 /// refreshes them only when the level moves, so the common no-advance
-/// update costs no transcendental call. The cache is a pure function of
-/// (a, X): every result, coin flip and tracked write is bitwise what the
-/// uncached formulas produce.
+/// update costs no transcendental call and `Estimate()` is a load. The
+/// cache is a pure function of (a, X): every result, coin flip and
+/// tracked write is bitwise what the uncached formulas produce.
 class MorrisCounter {
  public:
   /// \brief Constructs a counter with growth parameter `a >= 0` drawing
@@ -78,8 +78,9 @@ class MorrisCounter {
   /// implementations built on Morris counters.
   Status RestoreFrom(const MorrisCounter& other);
 
-  /// \brief Unbiased estimate of the accumulated count/weight.
-  double Estimate() const;
+  /// \brief Unbiased estimate of the accumulated count/weight: value(X),
+  /// kept current by every operation that moves the level.
+  double Estimate() const { return estimate_; }
 
   /// \brief Current level (the single word of tracked state).
   uint32_t level() const { return level_.Peek(); }
@@ -100,8 +101,9 @@ class MorrisCounter {
   double ValueAt(double x) const;
   /// Inverse of ValueAt: (possibly fractional) level whose value is v.
   double LevelFor(double v) const;
-  /// The level `Add(w)` moves to from level x (flips at most one coin).
-  /// Both `Add` overloads share it, so the rounding exists only once.
+  /// The level `Add(w)` moves to from level x (flips at most one coin);
+  /// leaves `estimate_` at that level's value. Both `Add` overloads share
+  /// it, so the rounding exists only once.
   uint32_t RoundedLevel(uint32_t x, double w);
   /// Recomputes the `Add` cache for level x.
   void RefreshAddCache(uint32_t x);
@@ -114,6 +116,7 @@ class MorrisCounter {
   double log1p_a_;  // cached log(1+a); 0 when a == 0
   TrackedCell<uint32_t> level_;
   uint64_t level_changes_ = 0;
+  double estimate_ = 0.0;  // ValueAt(level()); value(0) is 0 for every a
   // `Add` cache: ValueAt(add_level_), ValueAt(add_level_ + 1), and the
   // largest targets that provably round down to add_level_ (see
   // RefreshAddCache). Working memory, not tracked state.

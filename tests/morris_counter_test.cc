@@ -336,5 +336,64 @@ TEST(MorrisCounter, CachedBoundariesMatchUncachedFormulas) {
   }
 }
 
+// value(level) from the closed form, recomputed from scratch: what the
+// cached `Estimate()` must return bit for bit after every operation.
+double ClosedFormValue(double a, uint32_t level) {
+  if (a == 0.0) return static_cast<double>(level);
+  return std::expm1(static_cast<double>(level) * std::log1p(a)) / a;
+}
+
+TEST(MorrisCounter, EstimateIsTheCurrentLevelsValueAfterEveryOperation) {
+  for (const double a : {0.0, 1e-3, 1.0 / 32, 0.2, 1.0}) {
+    StateAccountant accountant;
+    Rng rng(17);
+    Rng step_rng(23);
+    BatchUpdateScratch scratch;
+    scratch.Begin(false);
+    MorrisCounter counters[2] = {MorrisCounter(&accountant, &rng, a),
+                                 MorrisCounter(&accountant, &rng, a)};
+    const MorrisCounter zero(&accountant, &rng, a);  // restores reset
+    uint32_t max_level = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const int c = static_cast<int>(step_rng.Next() & 1);
+      MorrisCounter& counter = counters[c];
+      // Weights up to a few level gaps, so Adds both hold and jump.
+      const double gap = ClosedFormValue(a, counter.level() + 1) -
+                         ClosedFormValue(a, counter.level());
+      const double w = step_rng.UniformDouble() * 3.0 * gap;
+      const uint64_t op = step_rng.UniformInt(6);
+      switch (op) {
+        case 0:
+          counter.Increment();
+          break;
+        case 1:
+          counter.Add(w);
+          break;
+        case 2:
+          scratch.BeginItem();
+          counter.Add(w, &scratch);
+          break;
+        case 3:
+          ASSERT_TRUE(counter.Merge(counters[1 - c]).ok());
+          break;
+        case 4:
+          ASSERT_TRUE(counter.RestoreFrom(counters[1 - c]).ok());
+          break;
+        default:  // back to level 0 now and then (a = 1 doubles per level)
+          if (counter.level() > 200) {
+            ASSERT_TRUE(counter.RestoreFrom(zero).ok());
+          }
+          break;
+      }
+      for (const MorrisCounter& k : counters) {
+        ASSERT_EQ(k.Estimate(), ClosedFormValue(a, k.level()))
+            << "a=" << a << " step=" << step << " op=" << op;
+        max_level = std::max(max_level, k.level());
+      }
+    }
+    EXPECT_GT(max_level, 20u) << "a=" << a;
+  }
+}
+
 }  // namespace
 }  // namespace fewstate

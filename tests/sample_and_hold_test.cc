@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "common/math_util.h"
+#include "state/write_log.h"
 #include "stream/adversarial.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
@@ -20,6 +26,223 @@ SampleAndHoldOptions BaseOptions(uint64_t n, uint64_t m, double p = 2.0,
   options.eps = eps;
   options.seed = seed;
   return options;
+}
+
+// A step-by-step reference for SampleAndHold on std::maps: the same Rng
+// seeding, the same Rng and MorrisCounter calls in the same order, the same
+// accountant traffic (a removed counter's cells are released at removal),
+// and the specified eviction rule: per group, rank by (estimate desc,
+// birth asc, item asc) and keep the first ceil(half). The reservoir size
+// comes from the override and rho from the structure under test; both are
+// constructor outputs, not the dynamics checked here.
+class ReferenceSampleAndHold {
+ public:
+  ReferenceSampleAndHold(const SampleAndHoldOptions& options, double rho,
+                         StateAccountant* accountant, bool owns_epochs)
+      : options_(options),
+        accountant_(accountant),
+        owns_epochs_(owns_epochs),
+        rng_(Mix64(options.seed ^ 0x5a3b1e0fd7c68a42ULL)),
+        rho_(rho),
+        morris_a_(options.morris_a < 0.0 ? 0.0 : options.morris_a),
+        reservoir_(accountant, options.reservoir_slots_override, kEmpty) {
+    budget_lo_ = std::max<size_t>(
+        static_cast<size_t>(options.counter_budget_scale *
+                            static_cast<double>(reservoir_.size())),
+        8);
+    budget_hi_ = budget_lo_ + std::max<size_t>(budget_lo_ / 100, 2);
+    bookkeeping_cell_ = accountant_->AllocateCells(1);
+    budget_ = rng_.UniformRange(budget_lo_, budget_hi_);
+  }
+
+  void Update(Item item) {
+    if (owns_epochs_) accountant_->BeginUpdate();
+    ++t_;
+    accountant_->RecordRead();
+    auto held = counters_.find(item);
+    if (held != counters_.end()) {
+      held->second.counter.Increment();
+      return;
+    }
+    accountant_->RecordRead();
+    if (reservoir_count_.count(item) != 0) {
+      auto born = counters_.emplace(
+          item, Held{MorrisCounter(accountant_, &rng_, morris_a_), t_});
+      born.first->second.counter.Increment();
+      accountant_->RecordWrite(accountant_->AllocateCells(1));
+      MaybeMaintain();
+      return;
+    }
+    if (rng_.Bernoulli(rho_)) {
+      const size_t slot = rng_.UniformInt(reservoir_.size());
+      const Item old = reservoir_.Peek(slot);
+      if (old == item) {
+        accountant_->RecordSuppressedWrite();
+        return;
+      }
+      if (old != kEmpty && --reservoir_count_[old] == 0) {
+        reservoir_count_.erase(old);
+      }
+      ++reservoir_count_[item];
+      reservoir_.Set(slot, item);
+    }
+  }
+
+  double Estimate(Item item) const {
+    auto held = counters_.find(item);
+    if (held != counters_.end()) return held->second.counter.Estimate() + 1.0;
+    return reservoir_count_.count(item) != 0 ? 1.0 : 0.0;
+  }
+
+  size_t active_counters() const { return counters_.size(); }
+  uint64_t maintenance_passes() const { return passes_; }
+
+ private:
+  static constexpr Item kEmpty = ~0ULL;
+
+  struct Held {
+    MorrisCounter counter;
+    Timestamp birth;
+  };
+  struct Ranked {
+    double estimate;
+    Timestamp birth;
+    Item item;
+  };
+
+  void MaybeMaintain() {
+    if (counters_.size() < budget_) return;
+    ++passes_;
+    const bool dyadic = options_.eviction == EvictionPolicy::kDyadicAge;
+    std::map<int, std::vector<Ranked>> groups;
+    for (const auto& [item, held] : counters_) {
+      groups[dyadic ? DyadicBucket(t_ - held.birth) : 0].push_back(
+          Ranked{held.counter.Estimate(), held.birth, item});
+    }
+    for (auto& [group, members] : groups) {
+      std::sort(members.begin(), members.end(),
+                [](const Ranked& a, const Ranked& b) {
+                  if (a.estimate != b.estimate) return a.estimate > b.estimate;
+                  if (a.birth != b.birth) return a.birth < b.birth;
+                  return a.item < b.item;
+                });
+      for (size_t i = (members.size() + 1) / 2; i < members.size(); ++i) {
+        accountant_->RecordWrite(bookkeeping_cell_);
+        accountant_->ReleaseCells(1);          // the birth word
+        counters_.erase(members[i].item);      // the level cell
+      }
+    }
+    budget_ = rng_.UniformRange(budget_lo_, budget_hi_);
+    accountant_->RecordWrite(bookkeeping_cell_);
+  }
+
+  SampleAndHoldOptions options_;
+  StateAccountant* accountant_;
+  bool owns_epochs_;
+  Rng rng_;
+  double rho_;
+  double morris_a_;
+  TrackedArray<Item> reservoir_;
+  size_t budget_lo_ = 0;
+  size_t budget_hi_ = 0;
+  size_t budget_ = 0;
+  uint64_t bookkeeping_cell_ = 0;
+  uint64_t t_ = 0;
+  uint64_t passes_ = 0;
+  std::map<Item, Held> counters_;
+  std::map<Item, uint32_t> reservoir_count_;
+};
+
+// Names the first difference between the two accountants, or "".
+std::string AccountantMismatch(const StateAccountant& a,
+                               const StateAccountant& b) {
+  if (a.updates() != b.updates()) return "updates";
+  if (a.state_changes() != b.state_changes()) return "state_changes";
+  if (a.word_writes() != b.word_writes()) return "word_writes";
+  if (a.suppressed_writes() != b.suppressed_writes()) {
+    return "suppressed_writes";
+  }
+  if (a.word_reads() != b.word_reads()) return "word_reads";
+  if (a.allocated_words() != b.allocated_words()) return "allocated_words";
+  if (a.peak_allocated_words() != b.peak_allocated_words()) {
+    return "peak_allocated_words";
+  }
+  return "";
+}
+
+TEST(SampleAndHold, MatchesReferenceStepByStep) {
+  constexpr uint64_t kUniverse = 96;
+  constexpr uint64_t kLength = 4000;
+  struct NamedStream {
+    const char* name;
+    Stream items;
+  };
+  const std::vector<NamedStream> streams = {
+      {"zipf", ZipfStream(kUniverse, 1.1, kLength, 21)},
+      {"uniform", UniformStream(kUniverse, kLength, 22)}};
+  for (const NamedStream& stream : streams) {
+    for (EvictionPolicy policy :
+         {EvictionPolicy::kDyadicAge, EvictionPolicy::kGlobalSmallest}) {
+      for (double morris_a : {-1.0, 0.3}) {  // exact, coarse Morris
+        for (bool shared : {false, true}) {
+          SCOPED_TRACE(std::string(stream.name) + " policy " +
+                       std::to_string(static_cast<int>(policy)) + " a " +
+                       std::to_string(morris_a) +
+                       (shared ? " shared" : " owned"));
+          SampleAndHoldOptions options =
+              BaseOptions(kUniverse, kLength, 2.0, 0.4, 31);
+          options.reservoir_slots_override = 12;
+          options.counter_budget_scale = 1.0;
+          options.sample_rate_scale = 0.5;
+          options.morris_a = morris_a;
+          options.eviction = policy;
+          // Shared accountants start with an unrelated allocation, so the
+          // structures' addresses do not start at 0.
+          StateAccountant shared_sut, shared_ref;
+          shared_sut.AllocateCells(5);
+          shared_ref.AllocateCells(5);
+          SampleAndHold sut(options, shared ? &shared_sut : nullptr);
+          StateAccountant owned_ref;
+          StateAccountant* ref_accountant = shared ? &shared_ref : &owned_ref;
+          ReferenceSampleAndHold ref(options, sut.sample_probability(),
+                                     ref_accountant, !shared);
+          WriteLog sut_log, ref_log;
+          sut.mutable_accountant()->set_write_sink(&sut_log);
+          ref_accountant->set_write_sink(&ref_log);
+          for (size_t step = 0; step < stream.items.size(); ++step) {
+            if (shared) {
+              shared_sut.BeginUpdate();
+              shared_ref.BeginUpdate();
+            }
+            sut.Update(stream.items[step]);
+            ref.Update(stream.items[step]);
+            for (Item x = 0; x < kUniverse; ++x) {
+              ASSERT_EQ(sut.EstimateFrequency(x), ref.Estimate(x))
+                  << "item " << x << " after step " << step;
+            }
+            ASSERT_EQ(sut.active_counters(), ref.active_counters())
+                << "step " << step;
+            ASSERT_EQ(sut.maintenance_passes(), ref.maintenance_passes())
+                << "step " << step;
+            ASSERT_EQ(AccountantMismatch(sut.accountant(), *ref_accountant),
+                      "")
+                << "step " << step;
+            ASSERT_EQ(sut_log.records().size(), ref_log.records().size())
+                << "step " << step;
+          }
+          for (size_t i = 0; i < sut_log.records().size(); ++i) {
+            ASSERT_EQ(sut_log.records()[i].epoch, ref_log.records()[i].epoch)
+                << "record " << i;
+            ASSERT_EQ(sut_log.records()[i].cell, ref_log.records()[i].cell)
+                << "record " << i;
+          }
+          EXPECT_GT(sut.maintenance_passes(), 20u);
+          sut.mutable_accountant()->set_write_sink(nullptr);
+          ref_accountant->set_write_sink(nullptr);
+        }
+      }
+    }
+  }
 }
 
 TEST(SampleAndHoldOptions, ValidationCatchesBadParameters) {
