@@ -200,6 +200,43 @@ for simd_file in $( (echo src/baselines/count_min.cc; echo src/baselines/count_s
   fi
 done
 
+# Morris-kernel gate: stable_morris's batch kernel makes one `Add` per
+# (item, row), and its coin flip must cost no call. Compiled at the
+# library's default flags (RelWithDebInfo's -O2), `StableSketch::
+# UpdateBatch` (with its .cold part) must not call or tail-jump to
+# `MorrisCounter::Add`, `Rng::Bernoulli`, `Rng::Next` or
+# `Rng::UniformDouble` — only the level-moving slow paths stay calls.
+if ! stable_asm=$("$cxx" -std=c++17 -O2 -DNDEBUG -fopenmp-simd -Isrc -S -o - \
+                   src/baselines/stable_sketch.cc); then
+  echo "lint.sh: could not compile src/baselines/stable_sketch.cc to assembly" >&2
+  exit 1
+fi
+update_batch_calls=$(printf '%s\n' "$stable_asm" | awk '
+  /^_ZN8fewstate12StableSketch11UpdateBatchEPKmm(\.cold)?:/ { inside = 1 }
+  inside && /^[[:space:]]+(call|jmp)[[:space:]]/ { print }
+  inside && /^[[:space:]]+\.size[[:space:]]+_ZN8fewstate12StableSketch11UpdateBatchEPKmm/ { inside = 0 }
+')
+if [ -z "$update_batch_calls" ]; then
+  echo "lint.sh: StableSketch::UpdateBatch not found in the assembly of src/baselines/stable_sketch.cc" >&2
+  exit 1
+fi
+if printf '%s\n' "$update_batch_calls" |
+   grep -E '_ZN8fewstate13MorrisCounter3AddE|_ZN8fewstate3Rng(9Bernoulli|4Next|13UniformDouble)E' >&2; then
+  echo "lint.sh: StableSketch::UpdateBatch calls the Morris add or the RNG out of line — keep MorrisCounter::Add(w, scratch), RoundedLevel and the Rng draws inline" >&2
+  exit 1
+fi
+
+# Transform gate: the Chambers–Mallows–Stuck formula lives only in
+# `PStableFromUniform` (src/common/random.cc), whose exact integral
+# exponents are pinned bitwise by random_test. A pow/sin/cos/log call in
+# stable_sketch.cc is a second copy of it that the scalar path, the
+# batch pre-stage and SamplePStable would no longer share.
+if grep -nE '(^|[^A-Za-z0-9_])(std::)?(pow|sin|cos|log)[[:space:]]*\(' \
+     src/baselines/stable_sketch.cc >&2; then
+  echo "lint.sh: pow/sin/cos/log call in src/baselines/stable_sketch.cc — project entries through PStableFromUniform" >&2
+  exit 1
+fi
+
 # Query-path gate: `TopK` costs O(S·k) because each shard hands over only
 # its top candidates (`AppendTopCandidates`, SpaceSaving's top-bucket
 # walk) and candidates are deduped by sort+unique in a vector. A hash set

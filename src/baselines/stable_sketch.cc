@@ -223,17 +223,17 @@ void StableSketch::UpdateBatch(const Item* items, size_t n) {
     } else {
       // Entries are pure functions of (item, row), so only the Adds stay
       // sequential: one per (item, row) in scalar order, which flips the
-      // shared RNG's coins in exactly the scalar sequence.
+      // shared RNG's coins in exactly the scalar sequence. The side is a
+      // pointer choice, not a branch; |e| is what the scalar path adds
+      // (-0.0 goes to the positive side, where a zero weight is a no-op).
+      MorrisCounter* const pos = pos_counters_.data();
+      MorrisCounter* const neg = neg_counters_.data();
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
         const double* column = columns_.data() + columns[i] * rows_;
         for (size_t r = 0; r < rows_; ++r) {
           const double e = column[r];
-          if (e >= 0.0) {
-            pos_counters_[r].Add(e, &batch_scratch_);
-          } else {
-            neg_counters_[r].Add(-e, &batch_scratch_);
-          }
+          (e >= 0.0 ? pos : neg)[r].Add(std::fabs(e), &batch_scratch_);
         }
       }
     }

@@ -16,12 +16,6 @@ uint64_t Mix64(uint64_t x) {
   return SplitMix64(&s);
 }
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 FeistelPermutation::FeistelPermutation(uint64_t n, uint64_t seed)
     : n_(n == 0 ? 1 : n) {
   // Smallest even-width domain 2^(2k) >= n, so the cycle-walk below visits
@@ -67,18 +61,6 @@ Rng::Rng(uint64_t seed) : seed_(seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 uint64_t Rng::UniformInt(uint64_t bound) {
   // Lemire's nearly-divisionless unbiased bounded generation.
   uint64_t x = Next();
@@ -99,22 +81,12 @@ uint64_t Rng::UniformRange(uint64_t lo, uint64_t hi) {
   return lo + UniformInt(hi - lo + 1);
 }
 
-double Rng::UniformDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::UniformDoublePositive() {
   double u;
   do {
     u = UniformDouble();
   } while (u == 0.0);
   return u;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 int Rng::GeometricLevel() {
@@ -145,11 +117,31 @@ double PStableFromUniform(double p, double theta, double r) {
   // The CMS formula is continuous in p on (0, 2]: at p = 1 the exponent
   // (1-p)/p vanishes and the expression reduces to tan(theta) (Cauchy); at
   // p = 2 it reduces to 2 sin(theta) sqrt(-ln r), which is N(0, 2).
+  //
+  // Integral tail exponents are taken exactly, each bitwise what the
+  // literal pow would return: pow(x, 0) == 1 for every x (C11 F.10.4.4),
+  // so at p = 1 the whole tail, its cos and its log drop out; pow(x, 1)
+  // == x because x is representable and glibc's pow errs by under 1 ulp.
+  // The 1/p exponent stays a pow call: pow(c, 2.0) and pow(c, 0.5) are
+  // not always c*c and sqrt(c).
   const double denom = std::pow(std::cos(theta), 1.0 / p);
-  const double lead = std::sin(p * theta) / denom;
-  const double tail =
-      std::pow(std::cos(theta * (1.0 - p)) / -std::log(r), (1.0 - p) / p);
-  return lead * tail;
+  const double exponent = (1.0 - p) / p;
+  const double lead_arg = p * theta;
+  if (exponent == 0.0) return std::sin(lead_arg) / denom;
+  const double tail_arg = theta * (1.0 - p);
+  double sin_lead;
+  double cos_tail;
+  if (lead_arg == tail_arg) {
+    // p = 1/2: one argument, so one sincos (glibc computes it with the
+    // same kernels as sin and cos, to the same bits).
+    sincos(lead_arg, &sin_lead, &cos_tail);
+  } else {
+    sin_lead = std::sin(lead_arg);
+    cos_tail = std::cos(tail_arg);
+  }
+  const double lead = sin_lead / denom;
+  const double base = cos_tail / -std::log(r);
+  return lead * (exponent == 1.0 ? base : std::pow(base, exponent));
 }
 
 double SamplePStable(double p, Rng* rng) {

@@ -26,7 +26,17 @@ class Rng {
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// \brief Next raw 64-bit output.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// \brief Uniform integer in [0, bound). `bound` must be > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
@@ -36,14 +46,20 @@ class Rng {
   uint64_t UniformRange(uint64_t lo, uint64_t hi);
 
   /// \brief Uniform double in [0, 1) with 53 random bits.
-  double UniformDouble();
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// \brief Uniform double in (0, 1) — never returns exactly 0 (safe for
   /// log()).
   double UniformDoublePositive();
 
   /// \brief Bernoulli trial: true with probability `p` (clamped to [0,1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   /// \brief Geometric "level": number of consecutive heads when flipping
   /// fair coins, i.e. returns L >= 0 with P(L >= k) = 2^-k. Capped at 63.
@@ -63,6 +79,10 @@ class Rng {
   uint64_t seed() const { return seed_; }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   uint64_t seed_;
 };

@@ -66,26 +66,15 @@ void MorrisCounter::RefreshAddCache(uint32_t x) {
   if (slack < 0.5) fast_limit_ = next_value_ * (1.0 - slack);
 }
 
-uint32_t MorrisCounter::RoundedLevel(uint32_t x, double w) {
-  if (add_level_ != x) RefreshAddCache(x);
-  const double target = value_ + w;
-  uint32_t base = x;
-  double lo = value_;
-  double hi = next_value_;
-  if (!(target < fast_limit_)) {
-    base = static_cast<uint32_t>(LevelFor(target));
-    if (base < x) base = x;  // guard against floating-point rounding
-    if (base != x) {
-      lo = ValueAt(base);
-      hi = ValueAt(base + 1);
-    }
+uint32_t MorrisCounter::LevelBracket(uint32_t x, double target, double* lo,
+                                     double* hi) const {
+  uint32_t base = static_cast<uint32_t>(LevelFor(target));
+  if (base < x) base = x;  // guard against floating-point rounding
+  if (base != x) {
+    *lo = ValueAt(base);
+    *hi = ValueAt(base + 1);
   }
-  double q = (target - lo) / (hi - lo);
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const bool up = rng_->Bernoulli(q);
-  estimate_ = up ? hi : lo;  // the value of the level returned
-  return base + (up ? 1 : 0);
+  return base;
 }
 
 void MorrisCounter::Add(double w) {
@@ -93,15 +82,6 @@ void MorrisCounter::Add(double w) {
   const uint32_t x = level_.Get();
   const uint32_t final_level = RoundedLevel(x, w);
   level_.Set(final_level);  // suppressed when the level holds
-  if (final_level != x) ++level_changes_;
-}
-
-void MorrisCounter::Add(double w, BatchUpdateScratch* scratch) {
-  if (w <= 0.0) return;
-  const uint32_t x = level_.Peek();
-  scratch->Read();
-  const uint32_t final_level = RoundedLevel(x, w);
-  level_.Set(final_level, scratch);  // suppressed when the level holds
   if (final_level != x) ++level_changes_;
 }
 

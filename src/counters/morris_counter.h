@@ -59,8 +59,16 @@ class MorrisCounter {
 
   /// \brief Batch-kernel `Add`: the same rounding and coin flip, with the
   /// read and the level write mirrored into `scratch` instead of the
-  /// accountant (see `BatchUpdateScratch`).
-  void Add(double w, BatchUpdateScratch* scratch);
+  /// accountant (see `BatchUpdateScratch`). Inline, with its coin flip:
+  /// a kernel pays no call per (item, row) unless the level moves.
+  void Add(double w, BatchUpdateScratch* scratch) {
+    if (w <= 0.0) return;
+    const uint32_t x = level_.Peek();
+    scratch->Read();
+    const uint32_t final_level = RoundedLevel(x, w);
+    level_.Set(final_level, scratch);  // suppressed when the level holds
+    if (final_level != x) ++level_changes_;
+  }
 
   /// \brief Folds another counter (same growth parameter `a`) into this
   /// one: the level jumps to represent the sum of both estimates, via the
@@ -104,7 +112,25 @@ class MorrisCounter {
   /// The level `Add(w)` moves to from level x (flips at most one coin);
   /// leaves `estimate_` at that level's value. Both `Add` overloads share
   /// it, so the rounding exists only once.
-  uint32_t RoundedLevel(uint32_t x, double w);
+  uint32_t RoundedLevel(uint32_t x, double w) {
+    if (add_level_ != x) RefreshAddCache(x);
+    const double target = value_ + w;
+    uint32_t base = x;
+    double lo = value_;
+    double hi = next_value_;
+    if (!(target < fast_limit_)) base = LevelBracket(x, target, &lo, &hi);
+    double q = (target - lo) / (hi - lo);
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const bool up = rng_->Bernoulli(q);
+    estimate_ = up ? hi : lo;  // the value of the level returned
+    return base + (up ? 1 : 0);
+  }
+  /// RoundedLevel's exact path, for targets the cache cannot place below
+  /// x + 1: the level `target` falls in (never below x), with its value
+  /// and the next level's in `*lo`/`*hi` when that level is not x.
+  uint32_t LevelBracket(uint32_t x, double target, double* lo,
+                        double* hi) const;
   /// Recomputes the `Add` cache for level x.
   void RefreshAddCache(uint32_t x);
 

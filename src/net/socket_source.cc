@@ -45,6 +45,7 @@ SocketSource::SocketSource(const SocketSourceOptions& options)
     items_ctr_ = m->GetCounter("fewstate_net_items_received_total", labels);
     bytes_ctr_ = m->GetCounter("fewstate_net_bytes_received_total", labels);
     drops_ctr_ = m->GetCounter("fewstate_net_frames_dropped_total", labels);
+    late_ctr_ = m->GetCounter("fewstate_net_frames_late_total", labels);
     trunc_ctr_ = m->GetCounter("fewstate_net_frames_truncated_total", labels);
     timeouts_ctr_ = m->GetCounter("fewstate_net_poll_timeouts_total", labels);
     queue_gauge_ = m->GetGauge("fewstate_net_recv_queue_bytes", labels);
@@ -304,18 +305,24 @@ void SocketSource::ReceiveStream() {
 void SocketSource::IngestFrame(const NetFrameHeader& header,
                                const uint8_t* payload) {
   // Sequence accounting: a gap proves frames were sent that never
-  // arrived. (A sequence below the expected one — reorder or duplicate,
-  // which loopback does not produce — is ingested without advancing the
-  // expectation.)
+  // arrived. A sequence below the expected one is late: a duplicate of a
+  // frame already ingested, or a reordered frame whose gap was already
+  // counted as dropped. Either way its items are not ingested, so
+  // items_received + frames_dropped × frame == items_sent still holds.
+  if (header.sequence < next_sequence_) {
+    ++stats_.frames_late;
+    if (late_ctr_ != nullptr) late_ctr_->Increment();
+    return;
+  }
   if (header.sequence > next_sequence_) {
     const uint64_t gap = header.sequence - next_sequence_;
     stats_.frames_dropped += gap;
     if (drops_ctr_ != nullptr) drops_ctr_->Increment(gap);
-    next_sequence_ = header.sequence;
   }
-  if (header.sequence == next_sequence_) ++next_sequence_;
+  next_sequence_ = header.sequence + 1;
   if (header.count == 0) {
-    // The explicit end-of-stream sentinel (repeats are harmless).
+    // The explicit end-of-stream sentinel (a repeat is late, rejected
+    // above).
     stats_.sentinel_seen = true;
     done_ = true;
     return;

@@ -56,6 +56,10 @@ struct SocketSourceStats {
   /// receive-queue overflow, deliberate loss injection). Always 0 on a
   /// clean TCP stream.
   uint64_t frames_dropped = 0;
+  /// Frames whose sequence was below the next expected one: duplicates,
+  /// and reordered frames already counted in `frames_dropped`. Rejected,
+  /// never ingested; always 0 on TCP and on loopback UDP.
+  uint64_t frames_late = 0;
   /// Datagrams whose byte length disagreed with their header (truncated
   /// or malformed; their items are discarded, never half-ingested).
   uint64_t frames_truncated = 0;
@@ -78,7 +82,10 @@ struct SocketSourceStats {
 /// idle timeout keeps `status()` OK; dropped or truncated datagrams and
 /// socket failures make it non-OK, so a lossy UDP run can never pose as a
 /// clean short stream — the engine's end-of-drain status check (and the
-/// `fewstate_source_errors_total` counter) will see it.
+/// `fewstate_source_errors_total` counter) will see it. A frame whose
+/// sequence is below the next expected one (a duplicate or a reorder) is
+/// rejected and counted in `frames_late`: its items are never ingested,
+/// and a reorder's gap was already counted as dropped.
 ///
 /// Single-stream, single-consumer: one sender session per source (TCP
 /// accepts exactly one connection), and `NextBatch`/`stats()` belong to
@@ -149,6 +156,7 @@ class SocketSource : public ItemSource {
   Counter* items_ctr_ = nullptr;
   Counter* bytes_ctr_ = nullptr;
   Counter* drops_ctr_ = nullptr;
+  Counter* late_ctr_ = nullptr;
   Counter* trunc_ctr_ = nullptr;
   Counter* timeouts_ctr_ = nullptr;
   Gauge* queue_gauge_ = nullptr;

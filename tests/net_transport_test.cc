@@ -302,6 +302,60 @@ TEST(NetTransport, TruncatedDatagramIsCountedAndPoisonsStatus) {
   EXPECT_NE(socket.status().ToString().find("truncated"), std::string::npos);
 }
 
+// Real UDP reorders and duplicates datagrams. A frame below the next
+// expected sequence is late: rejected and counted, never ingested, so a
+// duplicate cannot reach the sketches twice and a reordered frame whose
+// gap was already counted as dropped cannot break the loss identity.
+TEST(NetTransport, LateAndDuplicateUdpFramesAreRejectedAndCounted) {
+  constexpr uint64_t kItemsPerFrame = 2;
+  MetricsRegistry metrics;
+  SocketSourceOptions options = ReceiverOptions(NetTransport::kUdp);
+  options.metrics = &metrics;
+  SocketSource socket(options);
+  ASSERT_TRUE(socket.ok());
+  std::thread sender([&] {
+    const int fd = RawClient(NetTransport::kUdp, socket.port());
+    uint8_t frame[NetFrameBytes(kItemsPerFrame)];
+    NetFrameHeader header;
+    // Frame s carries items 10s and 10s + 1; 2 arrives after 3, and 1
+    // twice.
+    for (const uint64_t sequence : {0, 1, 3, 2, 1, 4}) {
+      header.sequence = sequence;
+      header.count = kItemsPerFrame;
+      EncodeNetFrameHeader(header, frame);
+      const uint64_t items[kItemsPerFrame] = {10 * sequence,
+                                              10 * sequence + 1};
+      std::memcpy(frame + kNetFrameHeaderBytes, items, sizeof(items));
+      send(fd, frame, sizeof(frame), 0);
+    }
+    header.sequence = 5;
+    header.count = 0;
+    EncodeNetFrameHeader(header, frame);
+    send(fd, frame, kNetFrameHeaderBytes, 0);
+    close(fd);
+  });
+  const Stream received = Materialize(socket);
+  sender.join();
+
+  EXPECT_EQ(received, (Stream{0, 1, 10, 11, 30, 31, 40, 41}));
+  const SocketSourceStats& stats = socket.stats();
+  EXPECT_TRUE(stats.sentinel_seen);
+  EXPECT_EQ(stats.frames_received, 4u);
+  EXPECT_EQ(stats.frames_dropped, 1u);
+  EXPECT_EQ(stats.frames_late, 2u);
+  // Five distinct data frames were sent.
+  EXPECT_EQ(stats.items_received + stats.frames_dropped * kItemsPerFrame,
+            5 * kItemsPerFrame);
+  EXPECT_FALSE(socket.status().ok());  // frame 2's gap was a drop
+
+  const MetricLabels udp{{"transport", "udp"}};
+  const MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue("fewstate_net_frames_late_total", udp),
+            stats.frames_late);
+  EXPECT_EQ(snap.CounterValue("fewstate_net_frames_dropped_total", udp),
+            stats.frames_dropped);
+}
+
 // A TCP peer that disappears mid-frame cut the stream, it didn't end it:
 // the partial frame's items are never delivered and status() says so.
 TEST(NetTransport, PartialTcpFrameOnDisconnectIsAnError) {

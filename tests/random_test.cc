@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 namespace fewstate {
@@ -185,6 +186,44 @@ TEST(PStable, StabilityProperty) {
   std::nth_element(combo.begin(), combo.begin() + kDraws / 2, combo.end());
   std::nth_element(single.begin(), single.begin() + kDraws / 2, single.end());
   EXPECT_NEAR(combo[kDraws / 2] / single[kDraws / 2], 1.0, 0.08);
+}
+
+// The Chambers–Mallows–Stuck formula exactly as written, both exponents
+// through std::pow. Kept out of line so that no call site's constant p
+// lets the compiler fold pow(c, 2.0) into c*c.
+__attribute__((noinline)) double LiteralCms(double p, double theta,
+                                            double r) {
+  const double lead = std::sin(p * theta) / std::pow(std::cos(theta), 1.0 / p);
+  return lead *
+         std::pow(std::cos(theta * (1.0 - p)) / -std::log(r), (1.0 - p) / p);
+}
+
+// PStableFromUniform takes integral tail exponents (p = 1/2 and p = 1)
+// without pow and shares one sincos at p = 1/2; each shortcut must return
+// the literal formula's bits, and every other p must too.
+TEST(PStable, TransformIsTheLiteralFormulaBitForBit) {
+  for (const double p : {0.5, 1.0, 0.3, 1.7, 2.0}) {
+    volatile double opaque_p = p;
+    Rng rng(17);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      double theta;
+      do {
+        theta = (rng.UniformDouble() - 0.5) * M_PI;
+      } while (theta == -0.5 * M_PI);
+      const double r = rng.UniformDoublePositive();
+      const double got = PStableFromUniform(opaque_p, theta, r);
+      const double want = LiteralCms(opaque_p, theta, r);
+      uint64_t got_bits, want_bits;
+      std::memcpy(&got_bits, &got, sizeof(got));
+      std::memcpy(&want_bits, &want, sizeof(want));
+      if (got_bits != want_bits && ++mismatches <= 3) {
+        ADD_FAILURE() << "p=" << p << " theta=" << theta << " r=" << r
+                      << ": " << got << " != " << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "p=" << p;
+  }
 }
 
 }  // namespace

@@ -162,6 +162,41 @@ TEST(StableSketch, NoPreStageWithoutMisses) {
   EXPECT_EQ(nested.PrepareBatch(hot, 3, 4), 0u);
 }
 
+// The tracked words a seeded stream leaves behind, pinned to literal
+// values: any change to the entries (the p-stable transform, its
+// uniforms) or to the Morris rounding and coin order shows here. p = 0.5
+// takes the transform's integral-exponent branch ((1-p)/p == 1) and
+// p = 1 its Cauchy branch ((1-p)/p == 0). Scalar and batch paths must
+// both land on the pinned words.
+TEST(StableSketch, TrackedWordsMatchPinnedFingerprint) {
+  const Stream stream = ZipfStream(3000, 1.2, 20000, 23);
+  struct Case {
+    double p;
+    StableSketch::CounterMode mode;
+    std::vector<uint64_t> words;
+  };
+  const Case cases[] = {
+      // Levels of (positive, negative) counter pairs, row by row.
+      {0.5,
+       StableSketch::CounterMode::kMorris,
+       {74, 99, 75, 91, 61, 78, 69, 85, 66, 74, 73, 92, 94, 70, 65, 82}},
+      // Bit patterns of the row sums.
+      {1.0,
+       StableSketch::CounterMode::kExact,
+       {0xc0dc99df1314f6cbULL, 0xc1141eb58055bcd2ULL, 0x40d02f8b5a7ef27dULL,
+        0xc0d1cdb05291351bULL, 0xc0d72a7449b56534ULL, 0xc0e0b1462a3d34c6ULL,
+        0x410ddbd477b05af0ULL, 0x40afe9499bfbc453ULL}},
+  };
+  for (const Case& c : cases) {
+    StableSketch batch(c.p, 8, 24, c.mode, 0.2);
+    batch.Consume(stream);
+    StableSketch scalar(c.p, 8, 24, c.mode, 0.2);
+    for (const Item item : stream) scalar.Update(item);
+    EXPECT_EQ(batch.TrackedWords(), c.words) << "p=" << c.p;
+    EXPECT_EQ(scalar.TrackedWords(), c.words) << "p=" << c.p;
+  }
+}
+
 TEST(StableSketch, EmptyStreamEstimatesZero) {
   StableSketch sk(0.5, 16, 15, StableSketch::CounterMode::kMorris);
   EXPECT_DOUBLE_EQ(sk.EstimateLp(), 0.0);
