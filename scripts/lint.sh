@@ -204,8 +204,9 @@ done
 # (item, row), and its coin flip must cost no call. Compiled at the
 # library's default flags (RelWithDebInfo's -O2), `StableSketch::
 # UpdateBatch` (with its .cold part) must not call or tail-jump to
-# `MorrisCounter::Add`, `Rng::Bernoulli`, `Rng::Next` or
-# `Rng::UniformDouble` — only the level-moving slow paths stay calls.
+# `MorrisCounter::Add`, `MorrisCounter::RoundedLevel`, `Rng::Bernoulli`,
+# `Rng::Next` or `Rng::UniformDouble` — only the level-moving slow paths
+# stay calls.
 if ! stable_asm=$("$cxx" -std=c++17 -O2 -DNDEBUG -fopenmp-simd -Isrc -S -o - \
                    src/baselines/stable_sketch.cc); then
   echo "lint.sh: could not compile src/baselines/stable_sketch.cc to assembly" >&2
@@ -221,7 +222,7 @@ if [ -z "$update_batch_calls" ]; then
   exit 1
 fi
 if printf '%s\n' "$update_batch_calls" |
-   grep -E '_ZN8fewstate13MorrisCounter3AddE|_ZN8fewstate3Rng(9Bernoulli|4Next|13UniformDouble)E' >&2; then
+   grep -E '_ZN8fewstate13MorrisCounter(3Add|12RoundedLevel)E|_ZN8fewstate3Rng(9Bernoulli|4Next|13UniformDouble)E' >&2; then
   echo "lint.sh: StableSketch::UpdateBatch calls the Morris add or the RNG out of line — keep MorrisCounter::Add(w, scratch), RoundedLevel and the Rng draws inline" >&2
   exit 1
 fi

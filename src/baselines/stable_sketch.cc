@@ -75,10 +75,11 @@ void StableSketch::Update(Item item) {
     const double e = Entry(r, item);
     if (mode_ == CounterMode::kExact) {
       exact_rows_->Set(r, exact_rows_->Get(r) + e);
-    } else if (e >= 0.0) {
-      pos_counters_[r].Add(e);
     } else {
-      neg_counters_[r].Add(-e);
+      // |e| goes to its sign's side; -0.0 lands on the positive side,
+      // where a zero weight is a no-op.
+      MorrisCounter& side = e >= 0.0 ? pos_counters_[r] : neg_counters_[r];
+      side.Add(std::fabs(e));
     }
   }
 }
@@ -223,17 +224,18 @@ void StableSketch::UpdateBatch(const Item* items, size_t n) {
     } else {
       // Entries are pure functions of (item, row), so only the Adds stay
       // sequential: one per (item, row) in scalar order, which flips the
-      // shared RNG's coins in exactly the scalar sequence. The side is a
-      // pointer choice, not a branch; |e| is what the scalar path adds
-      // (-0.0 goes to the positive side, where a zero weight is a no-op).
-      MorrisCounter* const pos = pos_counters_.data();
-      MorrisCounter* const neg = neg_counters_.data();
+      // shared RNG's coins in exactly the scalar sequence. The side is
+      // chosen as in Update, so Add has one call site: GCC then inlines
+      // it whole, where two call sites get its body split out into a
+      // call per (item, row) (lint.sh's Morris-kernel gate).
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
         const double* column = columns_.data() + columns[i] * rows_;
         for (size_t r = 0; r < rows_; ++r) {
           const double e = column[r];
-          (e >= 0.0 ? pos : neg)[r].Add(std::fabs(e), &batch_scratch_);
+          MorrisCounter& side =
+              e >= 0.0 ? pos_counters_[r] : neg_counters_[r];
+          side.Add(std::fabs(e), &batch_scratch_);
         }
       }
     }

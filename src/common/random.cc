@@ -118,16 +118,13 @@ double PStableFromUniform(double p, double theta, double r) {
   // (1-p)/p vanishes and the expression reduces to tan(theta) (Cauchy); at
   // p = 2 it reduces to 2 sin(theta) sqrt(-ln r), which is N(0, 2).
   //
-  // Integral tail exponents are taken exactly, each bitwise what the
-  // literal pow would return: pow(x, 0) == 1 for every x (C11 F.10.4.4),
-  // so at p = 1 the whole tail, its cos and its log drop out; pow(x, 1)
+  // At p = 1/2 the tail exponent (1-p)/p is 1, taken exactly: pow(x, 1)
   // == x because x is representable and glibc's pow errs by under 1 ulp.
   // The 1/p exponent stays a pow call: pow(c, 2.0) and pow(c, 0.5) are
   // not always c*c and sqrt(c).
   const double denom = std::pow(std::cos(theta), 1.0 / p);
   const double exponent = (1.0 - p) / p;
   const double lead_arg = p * theta;
-  if (exponent == 0.0) return std::sin(lead_arg) / denom;
   const double tail_arg = theta * (1.0 - p);
   double sin_lead;
   double cos_tail;

@@ -198,9 +198,9 @@ __attribute__((noinline)) double LiteralCms(double p, double theta,
          std::pow(std::cos(theta * (1.0 - p)) / -std::log(r), (1.0 - p) / p);
 }
 
-// PStableFromUniform takes integral tail exponents (p = 1/2 and p = 1)
-// without pow and shares one sincos at p = 1/2; each shortcut must return
-// the literal formula's bits, and every other p must too.
+// PStableFromUniform takes p = 1/2's tail exponent (1) without pow and
+// shares one sincos there; that shortcut must return the literal
+// formula's bits, and every other p (Cauchy's p = 1 included) must too.
 TEST(PStable, TransformIsTheLiteralFormulaBitForBit) {
   for (const double p : {0.5, 1.0, 0.3, 1.7, 2.0}) {
     volatile double opaque_p = p;

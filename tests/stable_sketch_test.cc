@@ -165,9 +165,9 @@ TEST(StableSketch, NoPreStageWithoutMisses) {
 // The tracked words a seeded stream leaves behind, pinned to literal
 // values: any change to the entries (the p-stable transform, its
 // uniforms) or to the Morris rounding and coin order shows here. p = 0.5
-// takes the transform's integral-exponent branch ((1-p)/p == 1) and
-// p = 1 its Cauchy branch ((1-p)/p == 0). Scalar and batch paths must
-// both land on the pinned words.
+// takes the transform's exact-exponent branch ((1-p)/p == 1) and p = 1
+// (Cauchy) its general pow path. Scalar and batch paths must both land
+// on the pinned words.
 TEST(StableSketch, TrackedWordsMatchPinnedFingerprint) {
   const Stream stream = ZipfStream(3000, 1.2, 20000, 23);
   struct Case {
