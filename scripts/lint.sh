@@ -66,6 +66,30 @@ if [ "$batch_gate_failed" -ne 0 ]; then
   exit 1
 fi
 
+# One-drain-path gate: `RecoverReplica` replays its tail through the drain
+# core (a one-slot `ReplicaPipeline` named `replay`), so recovery and the
+# engine drain alike and a tail's pre-stage runs on lanes. Any other
+# `Drain(` call in src/recover/recovery.cc (comments aside) is the
+# single-threaded `Sketch::Drain` replay creeping back.
+if ! grep -q 'replay\.Drain(' src/recover/recovery.cc; then
+  echo "lint.sh: src/recover/recovery.cc no longer replays through its ReplicaPipeline (replay.Drain)" >&2
+  exit 1
+fi
+recovery_drains=$(awk '
+  {
+    line = $0
+    sub(/\/\/.*/, "", line)
+    if (line ~ /Drain\(/ && line !~ /replay\.Drain\(/) {
+      print FILENAME ":" FNR ": " $0
+    }
+  }
+' src/recover/recovery.cc)
+if [ -n "$recovery_drains" ]; then
+  echo "$recovery_drains" >&2
+  echo "lint.sh: src/recover/recovery.cc drains a sketch directly — replay the tail through the ReplicaPipeline" >&2
+  exit 1
+fi
+
 # Sink-span gate: `StateAccountant::ApplyBatch` hands each flushed batch
 # to the sink as one `OnWriteSpan` call, so sinks resolve their dispatch
 # (tee fan-out, wear-leveling scheme) once per batch instead of once per
@@ -235,6 +259,17 @@ fi
 if grep -nE '(^|[^A-Za-z0-9_])(std::)?(pow|sin|cos|log)[[:space:]]*\(' \
      src/baselines/stable_sketch.cc >&2; then
   echo "lint.sh: pow/sin/cos/log call in src/baselines/stable_sketch.cc — project entries through PStableFromUniform" >&2
+  exit 1
+fi
+
+# Sign-hash gate: the sign hashes in src/common/hashing.cc map the hash's
+# low bit b to 2b - 1 arithmetically. A `? 1 : -1` ternary on that bit is
+# a branch on a fair coin, which GCC 12 -O3 emits in `HashSignBatch`
+# (`testb $1; je`); it made the Release CountSketch batch kernel slower
+# than its scalar loop.
+if grep -nE '\?[[:space:]]*(int8_t\{1\}|1)[[:space:]]*:[[:space:]]*(int8_t\{-1\}|-1)' \
+     src/common/hashing.cc >&2; then
+  echo "lint.sh: ternary sign in src/common/hashing.cc — compute the sign as 2 * static_cast<int>(bit) - 1" >&2
   exit 1
 fi
 

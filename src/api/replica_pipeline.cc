@@ -152,11 +152,9 @@ void ReplicaPipeline::BeginRun(
   // The empty roster of boundary 0 replaces the previous run's; readers
   // holding views of it keep them alive through their own shared_ptrs.
   PublishRoster();
-  const size_t lanes =
+  roster_lanes_ =
       std::max<size_t>(1, std::min(options_.drain_lanes, slots_.size()));
-  for (size_t lane = 1; lane < lanes; ++lane) {
-    lanes_.emplace_back([this, lane, lanes] { LaneLoop(lane, lanes); });
-  }
+  StartLanes(roster_lanes_);
   if (metrics_ == nullptr) return;
   items_ = metrics_->GetCounter("fewstate_shard_items_total", options_.labels);
   batches_ =
@@ -189,18 +187,28 @@ void ReplicaPipeline::BeginRun(
   }
 }
 
+void ReplicaPipeline::StartLanes(size_t lanes) {
+  // A lane started between batches waits for the next one published.
+  for (size_t lane = drain_lanes(); lane < lanes; ++lane) {
+    lanes_.emplace_back(
+        [this, lane, seen = batch_seq_] { LaneLoop(lane, seen); });
+  }
+}
+
 void ReplicaPipeline::Drain(const Item* items, size_t n) {
   if (trace_ != nullptr) trace_->Begin("batch_drain", "ingest");
-  const size_t lanes = drain_lanes();
-  // Every pre-stage is planned here, before any lane sees the batch. A
-  // sketch whose plan fails skips the batch, like one whose part fails.
+  // Every pre-stage is planned here, before any lane sees the batch, for
+  // as many lanes as the pipeline may run. A sketch whose plan fails
+  // skips the batch, like one whose part fails.
+  const size_t max_lanes = std::max<size_t>(1, options_.drain_lanes);
+  size_t max_parts = 0;
   std::exception_ptr error;
   for (Slot& slot : slots_) {
     const Clock::time_point t0 = Clock::now();
     slot.parts = 0;
     slot.part_failed = false;
     try {
-      slot.parts = slot.sketch->PrepareBatch(items, n, lanes);
+      slot.parts = slot.sketch->PrepareBatch(items, n, max_lanes);
     } catch (...) {
       slot.part_failed = true;
       if (error == nullptr) error = std::current_exception();
@@ -210,7 +218,12 @@ void ReplicaPipeline::Drain(const Item* items, size_t n) {
     if (slot.part_seconds.size() < slot.parts) {
       slot.part_seconds.resize(slot.parts, 0.0);
     }
+    max_parts = std::max(max_parts, slot.parts);
   }
+  // Part k runs on lane k: a plan with more parts than the running lanes
+  // starts the pre-stage lanes it needs, and they stay for the run.
+  StartLanes(max_parts);
+  const size_t lanes = drain_lanes();
   if (lanes > 1) {
     {
       std::lock_guard<std::mutex> lock(lane_mu_);
@@ -224,7 +237,7 @@ void ReplicaPipeline::Drain(const Item* items, size_t n) {
   // DrainLane returns failures rather than throwing them: the barrier
   // must hold, since the lanes still read `items`, which the caller may
   // free once `Drain` leaves.
-  const std::exception_ptr lane_zero_error = DrainLane(0, lanes, items, n);
+  const std::exception_ptr lane_zero_error = DrainLane(0, items, n);
   if (error == nullptr) error = lane_zero_error;
   if (lanes > 1) {
     // The barrier: every replica has consumed the batch, and the lanes'
@@ -246,8 +259,8 @@ void ReplicaPipeline::Drain(const Item* items, size_t n) {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-std::exception_ptr ReplicaPipeline::DrainLane(size_t lane, size_t lanes,
-                                              const Item* items, size_t n) {
+std::exception_ptr ReplicaPipeline::DrainLane(size_t lane, const Item* items,
+                                              size_t n) {
   std::exception_ptr error;
   // Part `lane` of every planned pre-stage first: no lane waits below
   // until it has run all of its own parts, so every wait ends.
@@ -271,8 +284,9 @@ std::exception_ptr ReplicaPipeline::DrainLane(size_t lane, size_t lanes,
   // Blocked: each sketch consumes the whole batch in turn, so timing costs
   // two clock reads per (sketch, batch), and each sketch's update order is
   // that of a single pass over the items. A failure skips only the sketch
-  // that failed.
-  for (size_t i = lane; i < slots_.size(); i += lanes) {
+  // that failed. Pre-stage lanes own no slot.
+  for (size_t i = lane; lane < roster_lanes_ && i < slots_.size();
+       i += roster_lanes_) {
     Slot& slot = slots_[i];
     if (slot.parts > 0) {
       std::unique_lock<std::mutex> lock(lane_mu_);
@@ -294,11 +308,10 @@ std::exception_ptr ReplicaPipeline::DrainLane(size_t lane, size_t lanes,
   return error;
 }
 
-void ReplicaPipeline::LaneLoop(size_t lane, size_t lanes) {
+void ReplicaPipeline::LaneLoop(size_t lane, uint64_t seen) {
   if (trace_ != nullptr) {
     trace_->SetCurrentThreadName(LaneThreadName(options_.labels, lane));
   }
-  uint64_t seen = 0;
   for (;;) {
     const Item* items = nullptr;
     size_t n = 0;
@@ -314,7 +327,7 @@ void ReplicaPipeline::LaneLoop(size_t lane, size_t lanes) {
     }
     // A lane's failure is forwarded to the owning thread, which rethrows
     // it from `Drain` after the barrier.
-    const std::exception_ptr error = DrainLane(lane, lanes, items, n);
+    const std::exception_ptr error = DrainLane(lane, items, n);
     std::lock_guard<std::mutex> lock(lane_mu_);
     if (lane_error_ == nullptr) lane_error_ = error;
     if (--lanes_busy_ == 0) lane_done_.notify_one();
@@ -330,6 +343,9 @@ void ReplicaPipeline::StopLanes() {
   lane_wake_.notify_all();
   for (std::thread& lane : lanes_) lane.join();
   lanes_.clear();
+  // Past the run, the owner drains alone, starting pre-stage lanes anew.
+  stopping_ = false;
+  roster_lanes_ = 1;
 }
 
 void ReplicaPipeline::AtBatchBoundary(uint64_t processed) {
@@ -540,6 +556,14 @@ std::vector<ReplicaSketchReport> ReplicaPipeline::Report() {
     }
   }
   return rows;
+}
+
+std::unique_ptr<Sketch> ReplicaPipeline::TakeSketch(size_t i) {
+  Slot& slot = slots_[i];
+  if (slot.nvm != nullptr || slot.dirty != nullptr) {
+    slot.sketch->mutable_accountant()->set_write_sink(nullptr);
+  }
+  return std::move(slot.sketch);
 }
 
 }  // namespace fewstate

@@ -93,10 +93,14 @@ struct ReplicaPipelineOptions {
   CheckpointPolicy checkpoint_policy;
   /// Device spec each checkpointed sketch's snapshots are priced on.
   NvmSpec checkpoint_nvm;
-  /// Parallel lanes `Drain` runs the replicas on: slot `i` belongs to
-  /// lane `i mod L`, lane 0 is the calling thread and lanes 1..L-1 are
-  /// threads `BeginRun` starts. Clamped to [1, number of sketches]; 1
-  /// spawns nothing. `ShardedEngine` sizes it from the CPUs it can see.
+  /// Most lanes `Drain` runs on (0 and 1 both mean the calling thread
+  /// alone). The first R = min(L, number of sketches) are roster lanes:
+  /// slot `i` belongs to lane `i mod R`, lane 0 is the calling thread and
+  /// `BeginRun` starts lanes 1..R-1. Lanes R..L-1 run only pre-stage
+  /// parts, and `Drain` starts them the first time a plan has more parts
+  /// than the running lanes, so a roster without a pre-stage never starts
+  /// one. `ShardedEngine` sizes L from the CPUs it can see and caps it at
+  /// the roster; `RecoverReplica` gives its one replica a lane per CPU.
   size_t drain_lanes = 1;
 };
 
@@ -132,8 +136,9 @@ struct ReplicaSketchReport {
 /// replica) stay out of them.
 ///
 /// Lanes: one thread (the owner) calls every method, in the order above.
-/// With `drain_lanes` L > 1, `Drain` hands each replica's `UpdateBatch` to
-/// its lane and returns only once every lane has finished the batch, so
+/// With more than one lane running, `Drain` hands each replica's
+/// `UpdateBatch` to its roster lane and every pre-stage part to its lane,
+/// and returns only once every lane has finished the batch, so
 /// all per-batch state — sketches, sinks, busy time — is quiescent and
 /// visible to the owner whenever `Drain` is not running. Replicas must
 /// share no mutable state (scripts/lint.sh gates `static` variables
@@ -143,7 +148,8 @@ struct ReplicaSketchReport {
 /// `Report` and the destructor stop and join the lanes.
 ///
 /// Pre-stages: before publishing a batch the owner calls every sketch's
-/// `PrepareBatch(items, n, L)`. Part k of each plan runs on lane k, so
+/// `PrepareBatch(items, n, L)` with L the `drain_lanes` option, and starts
+/// the lanes the largest plan needs. Part k of each plan runs on lane k, so
 /// which thread ran what is fixed; each lane runs its parts before its
 /// own sketches' `UpdateBatch`, and a sketch with parts first waits for
 /// all of them. A sketch's busy time (`wall_seconds`) includes its plan
@@ -191,8 +197,9 @@ class ReplicaPipeline {
   void BeginRun(MetricsRegistry* metrics, TraceRecorder* trace,
                 std::shared_ptr<const ShardRoster>* roster = nullptr);
 
-  /// \brief Lanes this run drains on (1 before `BeginRun` and after
-  /// `Report`).
+  /// \brief Lanes running now: 1 before `BeginRun` and after `Report`,
+  /// the roster lanes once `BeginRun` returns, plus any pre-stage lanes
+  /// `Drain` has started since.
   size_t drain_lanes() const { return lanes_.size() + 1; }
 
   /// \brief Feeds one batch to every sketch through its pre-stage and
@@ -211,6 +218,12 @@ class ReplicaPipeline {
   /// returns one row per sketch, publishing the end-of-run wear and cache
   /// probes.
   std::vector<ReplicaSketchReport> Report();
+
+  /// \brief Hands sketch `i` back to the caller after `Report`; the slot
+  /// is left empty. A sink the sketch was added with stays attached;
+  /// sinks the pipeline attached (`AttachNvm`, `EnableCheckpoints`) are
+  /// the pipeline's, so they are detached first.
+  std::unique_ptr<Sketch> TakeSketch(size_t i);
 
  private:
   struct Telemetry {
@@ -271,12 +284,14 @@ class ReplicaPipeline {
   void Rewire(Slot* slot);
   void Checkpoint(Slot* slot, uint64_t processed);
   void PublishRoster();
-  // Runs part `lane` of every pre-stage, then drains one batch into lane
-  // `lane`'s slots, of `lanes` in all; returns the lane's first failure.
-  std::exception_ptr DrainLane(size_t lane, size_t lanes, const Item* items,
-                               size_t n);
-  // Body of lane thread `lane`: drains each published batch, then checks in.
-  void LaneLoop(size_t lane, size_t lanes);
+  // Starts lanes up to `lanes` running in all (never stops any).
+  void StartLanes(size_t lanes);
+  // Runs part `lane` of every pre-stage, then, on a roster lane, drains
+  // one batch into the lane's slots; returns the lane's first failure.
+  std::exception_ptr DrainLane(size_t lane, const Item* items, size_t n);
+  // Body of lane thread `lane`, started after batch `seen`: drains each
+  // later published batch, then checks in.
+  void LaneLoop(size_t lane, uint64_t seen);
   void StopLanes();
 
   ReplicaPipelineOptions options_;
@@ -285,6 +300,8 @@ class ReplicaPipeline {
   TraceRecorder* trace_ = nullptr;
   std::shared_ptr<const ShardRoster>* roster_ = nullptr;  // serving only
   uint64_t processed_ = 0;
+  // Lanes that own slots; set by `BeginRun` before any lane starts.
+  size_t roster_lanes_ = 1;
   Counter* items_ = nullptr;    // telemetry on only
   Counter* batches_ = nullptr;
 

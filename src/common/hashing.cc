@@ -101,7 +101,8 @@ void PolynomialHash::HashSignBatch(const uint64_t* items, size_t n,
 #pragma omp simd
     for (size_t i = 0; i < n; ++i) {
       const uint64_t xf = items[i] % kPrime;
-      out[i] = (AddMod(MulMod(b, xf), a) & 1) ? int8_t{1} : int8_t{-1};
+      out[i] = static_cast<int8_t>(
+          2 * static_cast<int>(AddMod(MulMod(b, xf), a) & 1) - 1);
     }
     return;
   }
@@ -116,12 +117,12 @@ void PolynomialHash::HashSignBatch(const uint64_t* items, size_t n,
       uint64_t acc = AddMod(MulMod(c3, xf), c2);
       acc = AddMod(MulMod(acc, xf), c1);
       acc = AddMod(MulMod(acc, xf), c0);
-      out[i] = (acc & 1) ? int8_t{1} : int8_t{-1};
+      out[i] = static_cast<int8_t>(2 * static_cast<int>(acc & 1) - 1);
     }
     return;
   }
   for (size_t i = 0; i < n; ++i) {
-    out[i] = (Hash(items[i]) & 1) ? int8_t{1} : int8_t{-1};
+    out[i] = static_cast<int8_t>(2 * static_cast<int>(Hash(items[i]) & 1) - 1);
   }
 }
 
@@ -130,7 +131,7 @@ double PolynomialHash::HashUnit(uint64_t x) const {
 }
 
 int PolynomialHash::HashSign(uint64_t x) const {
-  return (Hash(x) & 1) ? 1 : -1;
+  return 2 * static_cast<int>(Hash(x) & 1) - 1;
 }
 
 int PolynomialHash::GeometricLevel(uint64_t x, int max_level) const {

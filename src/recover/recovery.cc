@@ -3,8 +3,10 @@
 #include <chrono>
 #include <cstdio>
 #include <utility>
+#include <vector>
 
 #include "api/mergeable.h"
+#include "common/cpus.h"
 #include "obs/trace.h"
 #include "recover/restorable.h"
 #include "shard/sharded_engine.h"
@@ -106,10 +108,28 @@ Status RecoverReplica(const SketchFactory& factory, const Sketch& snapshot,
   // truncated capture, mid-read failure) means the replica was rebuilt
   // from a *short* tail — state silently short of the crash point — so
   // the whole recovery is untrustworthy and must fail, not report
-  // success.
+  // success. The tail runs through the drain core, one slot deep: the
+  // replica keeps its own sink, and its pre-stage parts run on up to one
+  // lane per usable CPU (recovery has no partitioner to leave one for).
+  // A sketch without a pre-stage starts no lane.
   {
     TraceSpan replay_span(options.trace, "recovery_replay", "recovery");
-    result.report.tail_items = result.sketch->Drain(trace_tail);
+    ReplicaPipelineOptions replay_options;
+    replay_options.drain_lanes = UsableCpus();
+    ReplicaPipeline replay(std::move(replay_options));
+    replay.Add(factory.name(), std::move(result.sketch));
+    replay.BeginRun(nullptr, options.trace);
+    std::vector<Item> buffer(kDefaultDrainBatchItems);
+    uint64_t processed = 0;
+    result.report.tail_items = ForEachBatch(
+        trace_tail, buffer.data(), buffer.size(),
+        [&](const Item* batch, size_t count) {
+          replay.Drain(batch, count);
+          processed += count;
+          replay.AtBatchBoundary(processed);
+        });
+    replay.Report();
+    result.sketch = replay.TakeSketch(0);
   }
   const Status tail_status = trace_tail.status();
   if (!tail_status.ok()) {

@@ -1,7 +1,5 @@
 #include "shard/sharded_engine.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -14,6 +12,7 @@
 #include <utility>
 
 #include "api/mergeable.h"
+#include "common/cpus.h"
 #include "common/random.h"
 #include "recover/restorable.h"
 
@@ -30,17 +29,6 @@ constexpr uint64_t kPartitionSeed = 0x5a4dedb175ULL;
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-// CPUs the calling thread may run on: its affinity mask (which `taskset`
-// and cpusets narrow), else every online CPU.
-size_t UsableCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
-    return static_cast<size_t>(CPU_COUNT(&set));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /// Bounded FIFO of item batches between the partitioner and one shard

@@ -3,7 +3,8 @@
 // policies, and kill-and-recover replay — a replica rebuilt from its last
 // delta checkpoint plus the trace tail must be bitwise-identical to the
 // uninterrupted run, estimates and tail accounting included, for CountMin,
-// MisraGries and the write-frugal Morris-mode stable sketch.
+// MisraGries and the write-frugal Morris-mode stable sketch, also when the
+// tail's pre-stage runs on the replay lanes.
 
 #include <gtest/gtest.h>
 
@@ -386,6 +387,55 @@ TEST(KillAndRecover, RebuiltReplicaIsBitwiseIdenticalToUninterruptedRun) {
     ExpectEstimatesIdentical(*recovered.sketch, *uninterrupted);
   }
   std::remove(path.c_str());
+}
+
+// Recovery replays its tail through the drain core, with stable_morris's
+// pure pre-stage split across up to one lane per usable CPU. A cold tail
+// (mostly items the projection memo has never seen) plans a part for
+// every lane; the rebuilt replica must still be bitwise the uninterrupted
+// one, and its device wear cell for cell that of the serial
+// `Sketch::Drain` replay the drain core replaced.
+TEST(KillAndRecover, StableMorrisColdTailRecoversBitwise) {
+  const SketchFactory factory = StableMorrisFactory();
+  const Stream prefix = TestStream(20000);
+  const Stream tail = ZipfStream(uint64_t{1} << 20, 1.1, 9000, 917);
+  std::unique_ptr<Sketch> uninterrupted = factory.Make();
+  uninterrupted->Consume(prefix);
+  std::unique_ptr<Sketch> snapshot = factory.Make();
+  ASSERT_TRUE(AsRestorable(snapshot.get())->RestoreFrom(*uninterrupted).ok());
+  const SketchRunReport uninterrupted_tail =
+      DeltaOver(uninterrupted.get(), tail);
+
+  RecoveryOptions options;
+  options.price_replica_nvm = true;
+  options.replica_nvm = SmallSpec();
+  RecoveredReplica recovered;
+  ASSERT_TRUE(RecoverReplica(factory, *snapshot, VectorSource(tail), options,
+                             &recovered)
+                  .ok());
+  EXPECT_EQ(recovered.report.tail_items, tail.size());
+  ExpectDeltasIdentical(recovered.report.replay, uninterrupted_tail);
+  const auto& rebuilt = static_cast<const StableSketch&>(*recovered.sketch);
+  const auto& reference = static_cast<const StableSketch&>(*uninterrupted);
+  EXPECT_EQ(rebuilt.TrackedWords(), reference.TrackedWords());
+  ExpectEstimatesIdentical(rebuilt, reference);
+
+  LiveNvmSink serial_device(SmallSpec());
+  std::unique_ptr<Sketch> serial = factory.Make();
+  serial->mutable_accountant()->set_write_sink(&serial_device);
+  ASSERT_TRUE(AsRestorable(serial.get())->RestoreFrom(*snapshot).ok());
+  serial->Drain(VectorSource(tail));
+  ASSERT_NE(recovered.nvm, nullptr);
+  EXPECT_EQ(recovered.nvm->device().cell_wear(),
+            serial_device.device().cell_wear());
+  EXPECT_EQ(recovered.report.total.word_writes,
+            serial->accountant().word_writes());
+
+  // The RNG cursor came back too: both replicas continue alike.
+  const Stream continuation = TestStream(5000, /*seed=*/555);
+  ExpectDeltasIdentical(DeltaOver(recovered.sketch.get(), continuation),
+                        DeltaOver(uninterrupted.get(), continuation));
+  EXPECT_EQ(rebuilt.TrackedWords(), reference.TrackedWords());
 }
 
 TEST(KillAndRecover, RecoveryChargesSnapshotReadsToTheCheckpointDevice) {

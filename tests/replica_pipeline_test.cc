@@ -3,9 +3,12 @@
 // (and their random cursors), every report counter but wall time, live
 // and checkpoint device wear cell by cell, checkpoint counts and the
 // sequence of published serving snapshots — also when stable_morris's
-// pure pre-stage is split across the lanes. Lane counts above the roster
-// size clamp, a pipeline torn down mid-run joins its lanes, and a failing
-// update or pre-stage part reaches the caller after the barrier.
+// pure pre-stage is split across the lanes. Roster lanes clamp to the
+// roster size; lanes past it run only pre-stage parts and start only when
+// a plan has that many parts, so a one-sketch stable_morris pipeline is
+// `Sketch::Drain` with its pre-stage on lanes and a CountMin-only one
+// starts no thread. A pipeline torn down mid-run joins its lanes, and a
+// failing update or pre-stage part reaches the caller after the barrier.
 
 #include "api/replica_pipeline.h"
 
@@ -20,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/item_source.h"
 #include "api/mergeable.h"
 #include "baselines/count_min.h"
 #include "baselines/space_saving.h"
@@ -32,6 +36,7 @@
 #include "recover/checkpoint_policy.h"
 #include "recover/restorable.h"
 #include "shard/sketch_factory.h"
+#include "state/write_log.h"
 #include "stream/generators.h"
 
 namespace fewstate {
@@ -382,6 +387,109 @@ TEST(ReplicaPipelineLanes, LaneCountClampsToTheRoster) {
   std::unique_ptr<ReplicaPipeline> zero = BuildPipeline(0, roster);
   zero->BeginRun(nullptr, nullptr);
   EXPECT_EQ(zero->drain_lanes(), 1u);
+}
+
+// Drives a one-slot pipeline with `Sketch::Drain`'s batching (the way
+// recovery replays a tail) and hands the sketch back; `lanes_seen` gets
+// the running lane count after the last batch.
+std::unique_ptr<Sketch> DrainThroughPipeline(std::unique_ptr<Sketch> sketch,
+                                             size_t drain_lanes,
+                                             const Stream& stream,
+                                             size_t* lanes_seen) {
+  ReplicaPipelineOptions options;
+  options.drain_lanes = drain_lanes;
+  ReplicaPipeline p(options);
+  p.Add("one", std::move(sketch));
+  p.BeginRun(nullptr, nullptr);
+  EXPECT_EQ(p.drain_lanes(), 1u);  // one slot: one roster lane
+  VectorSource source(stream);
+  std::vector<Item> buffer(kDefaultDrainBatchItems);
+  uint64_t processed = 0;
+  ForEachBatch(source, buffer.data(), buffer.size(),
+               [&](const Item* batch, size_t count) {
+                 p.Drain(batch, count);
+                 processed += count;
+                 p.AtBatchBoundary(processed);
+               });
+  *lanes_seen = p.drain_lanes();
+  const std::vector<ReplicaSketchReport> rows = p.Report();
+  EXPECT_EQ(rows[0].ingest.updates, stream.size());
+  EXPECT_EQ(p.drain_lanes(), 1u);  // joined
+  return p.TakeSketch(0);
+}
+
+void ExpectSameLog(const WriteLog& a, const WriteLog& b) {
+  EXPECT_EQ(a.total_appends(), b.total_appends());
+  ASSERT_EQ(a.records().size(), b.records().size());
+  for (size_t i = 0; i < a.records().size(); ++i) {
+    ASSERT_EQ(a.records()[i].epoch, b.records()[i].epoch) << "record " << i;
+    ASSERT_EQ(a.records()[i].cell, b.records()[i].cell) << "record " << i;
+  }
+}
+
+TEST(ReplicaPipelineLanes, OneSketchPreStagePipelineIsBitwiseSketchDrain) {
+  // Wide and cold: every batch misses the projection memo for thousands
+  // of distinct items, so each plan has a part for every lane.
+  const Stream stream = ZipfStream(kWideFlows, 1.1, kLength, 49);
+  const Stream continuation = ZipfStream(kWideFlows, 1.1, 3000, 50);
+  for (const auto mode : {StableSketch::CounterMode::kMorris,
+                          StableSketch::CounterMode::kExact}) {
+    const auto make = [mode] {
+      return std::make_unique<StableSketch>(0.5, 16, 31, mode, 0.2);
+    };
+    for (size_t lanes : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(std::string(mode == StableSketch::CounterMode::kMorris
+                                   ? "morris"
+                                   : "exact") +
+                   " drain_lanes=" + std::to_string(lanes));
+      std::unique_ptr<StableSketch> reference = make();
+      WriteLog reference_log;
+      reference->mutable_accountant()->set_write_sink(&reference_log);
+      reference->Drain(VectorSource(stream));
+
+      std::unique_ptr<StableSketch> fresh = make();
+      WriteLog log;
+      fresh->mutable_accountant()->set_write_sink(&log);
+      size_t lanes_seen = 0;
+      std::unique_ptr<Sketch> drained =
+          DrainThroughPipeline(std::move(fresh), lanes, stream, &lanes_seen);
+      EXPECT_EQ(lanes_seen, lanes);  // the pre-stage lanes started
+      auto& got = static_cast<StableSketch&>(*drained);
+      // The sketch leaves with the sink it came with.
+      EXPECT_EQ(got.accountant().write_sink(), &log);
+      EXPECT_EQ(got.TrackedWords(), reference->TrackedWords());
+      ExpectSameCounters(got.accountant(), reference->accountant());
+      ExpectSameLog(log, reference_log);
+      // The RNG cursor: both continue alike.
+      got.UpdateBatch(continuation.data(), continuation.size());
+      reference->UpdateBatch(continuation.data(), continuation.size());
+      EXPECT_EQ(got.TrackedWords(), reference->TrackedWords());
+      ExpectSameCounters(got.accountant(), reference->accountant());
+      ExpectSameLog(log, reference_log);
+    }
+  }
+}
+
+TEST(ReplicaPipelineLanes, RosterWithoutPreStageStartsNoHelperLane) {
+  const Stream stream = ZipfStream(kWideFlows, 1.1, kLength, 51);
+  size_t lanes_seen = 0;
+  std::unique_ptr<Sketch> drained = DrainThroughPipeline(
+      std::make_unique<CountMin>(4, 256, 7), 8, stream, &lanes_seen);
+  EXPECT_EQ(lanes_seen, 1u);
+  CountMin reference(4, 256, 7);
+  reference.Drain(VectorSource(stream));
+  ExpectSameCounters(drained->accountant(), reference.accountant());
+
+  // Two CountMins at eight lanes: the two roster lanes, and no more.
+  ReplicaPipelineOptions options;
+  options.drain_lanes = 8;
+  ReplicaPipeline p(options);
+  p.Add("cm1", std::make_unique<CountMin>(4, 64, 3));
+  p.Add("cm2", std::make_unique<CountMin>(4, 64, 3));
+  p.BeginRun(nullptr, nullptr);
+  p.Drain(stream.data(), stream.size());
+  p.AtBatchBoundary(stream.size());
+  EXPECT_EQ(p.drain_lanes(), 2u);
 }
 
 TEST(ReplicaPipelineLanes, TeardownWithoutReportJoinsTheLanes) {
